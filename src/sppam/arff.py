@@ -5,7 +5,9 @@ The accepted layout is an optional ``@RELATION`` line, one or more
 rows. Keywords are matched case-insensitively, ``%`` starts a comment
 line, ``?`` is the missing-value marker and cell text may be quoted with
 single or double quotes when it contains commas or whitespace. Files are
-UTF-8 text.
+UTF-8 text. Numeric cells take decimal text as ``float`` reads it, minus
+digit-group underscores (``1_000`` is an error); sparse ``{...}`` data
+rows are not supported.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ def parse_arff(text: str) -> Dataset:
     schema: list[AttributeSpec] = []
     names_seen: set[str] = set()
     records: list[tuple[Cell, ...]] = []
+    converters: list = []
     in_data = False
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -67,8 +70,9 @@ def parse_arff(text: str) -> Dataset:
             if not schema:
                 raise ParseError(lineno, "@DATA before any @ATTRIBUTE declaration")
             in_data = True
+            converters = [_cell_converter(attr) for attr in schema]
         elif in_data:
-            records.append(_parse_row(line, schema, lineno))
+            records.append(_parse_row(line, converters, lineno))
         else:
             raise ParseError(lineno, f"unexpected content outside the data section: {line!r}")
 
@@ -193,12 +197,20 @@ def split_values(line: str, lineno: int) -> list[str]:
     Whitespace around separators is trimmed; quoted values keep embedded
     commas and spaces.
     """
-    return [text for text, _ in _split_cells(line, lineno)]
+    return ["?" if text is None else text for text in _split_cells(line, lineno)]
 
 
-def _split_cells(line: str, lineno: int) -> list[tuple[str, bool]]:
-    """Split into (text, was_quoted) cells; quoting survives for the
-    missing-marker decision (a quoted '?' is a literal question mark)."""
+def _split_cells(line: str, lineno: int) -> list[str | None]:
+    """Cell texts of one line, None for the missing marker: an unquoted
+    '?' (a quoted '?' is a literal question mark). A line without quote
+    characters is a plain comma split."""
+    if "'" not in line and '"' not in line:
+        return [None if (text := raw.strip()) == "?" else text for raw in line.split(",")]
+    return _scan_cells(line, lineno)
+
+
+def _scan_cells(line: str, lineno: int) -> list[str | None]:
+    """``_split_cells`` for any line, one character at a time."""
     parts: list[str] = []
     current: list[str] = []
     quote: str | None = None
@@ -221,44 +233,62 @@ def _split_cells(line: str, lineno: int) -> list[tuple[str, bool]]:
     return [_strip_quotes(part) for part in parts]
 
 
-def _strip_quotes(raw: str) -> tuple[str, bool]:
+def _strip_quotes(raw: str) -> str | None:
     text = raw.strip()
     if len(text) >= 2 and text[0] == text[-1] and text[0] in "'\"":
         inner = text[1:-1]
         if text[0] not in inner:
-            return inner, True
-    return text, False
+            return inner
+    return None if text == "?" else text
 
 
-def _parse_row(line: str, schema: list[AttributeSpec], lineno: int) -> tuple[Cell, ...]:
-    raw_values = _split_cells(line, lineno)
-    if len(raw_values) != len(schema):
+def _parse_row(line: str, converters, lineno: int) -> tuple[Cell, ...]:
+    """One data line; ``converters`` holds one ``_cell_converter`` per
+    attribute."""
+    if line[0] == "{":
+        raise ParseError(lineno, "sparse data rows ('{index value, ...}') are not supported")
+    cells = _split_cells(line, lineno)
+    if len(cells) != len(converters):
         raise ParseError(
             lineno,
-            f"row has {len(raw_values)} values, schema has {len(schema)} attributes",
+            f"row has {len(cells)} values, schema has {len(converters)} attributes",
         )
-    cells: list[Cell] = []
-    for attr, (text, was_quoted) in zip(schema, raw_values):
-        cells.append(parse_cell(attr, text, lineno, was_quoted))
-    return tuple(cells)
+    return tuple([
+        None if text is None else convert(text, lineno)
+        for convert, text in zip(converters, cells)
+    ])
 
 
-def parse_cell(attr: AttributeSpec, raw: str, lineno: int, was_quoted: bool = False) -> Cell:
-    if raw == "?" and not was_quoted:
-        return None
+def _cell_converter(attr: AttributeSpec):
+    """``(text, lineno) -> cell`` for one present cell of ``attr``, decided
+    once per attribute."""
     if attr.kind == NUMERIC:
-        try:
-            value = float(raw)
-        except ValueError:
-            raise ParseError(lineno, f"unparseable numeric value {raw!r} for attribute {attr.name!r}") from None
-        if not math.isfinite(value):
-            raise ParseError(lineno, f"non-finite numeric value {raw!r} for attribute {attr.name!r}")
-        return value
-    if attr.kind == NOMINAL:
-        if raw not in attr.values:
-            raise ParseError(
-                lineno,
-                f"value {raw!r} is not in the declared domain of attribute {attr.name!r}",
-            )
-        return attr.values.index(raw)
-    return raw
+        def convert(text: str, lineno: int) -> float:
+            try:
+                if "_" in text:  # float() takes digit-group underscores
+                    raise ValueError
+                value = float(text)
+            except ValueError:
+                raise ParseError(
+                    lineno, f"unparseable numeric value {text!r} for attribute {attr.name!r}"
+                ) from None
+            if not math.isfinite(value):
+                raise ParseError(
+                    lineno, f"non-finite numeric value {text!r} for attribute {attr.name!r}"
+                )
+            return value
+    elif attr.kind == NOMINAL:
+        index = {value: i for i, value in enumerate(attr.values)}
+
+        def convert(text: str, lineno: int) -> int:
+            try:
+                return index[text]
+            except KeyError:
+                raise ParseError(
+                    lineno,
+                    f"value {text!r} is not in the declared domain of attribute {attr.name!r}",
+                ) from None
+    else:
+        def convert(text: str, lineno: int) -> str:
+            return text
+    return convert

@@ -70,7 +70,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pivot", required=True, help="grouping attribute")
     p.add_argument("--class", dest="class_attr", required=True, help="class attribute")
     p.add_argument("--id", dest="id_attr", help="record id attribute")
-    p.add_argument("--decimals", type=int, help="fractional digits for numeric output")
+    p.add_argument("--decimals", type=int,
+                   help="round numeric output half-up to this many (>= 0) fractional digits")
     p.add_argument("--sort-by", help="stable pre-sort by this attribute")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(handler=_cmd_transform)
@@ -165,6 +166,8 @@ def _split_kinds(text: str) -> list[str]:
 
 
 def _cmd_transform(args) -> int:
+    if args.decimals is not None and args.decimals < 0:
+        raise ConfigError(f"--decimals must be 0 or more, got {args.decimals}")
     dataset = _load_dataset(
         args.input,
         string_columns=(args.pivot, args.id_attr),

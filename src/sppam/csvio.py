@@ -1,8 +1,9 @@
 """CSV ingestion with column type inference.
 
 The first row is a header. A column is inferred Numeric when every
-non-missing cell parses as a finite number, Nominal otherwise (domain =
-distinct values in first-seen order). Missing cells are empty or ``?``.
+non-missing cell parses as a finite number (digit-group underscores, as
+in ``1_000``, do not count), Nominal otherwise (domain = distinct values
+in first-seen order). Missing cells are empty or ``?``.
 Specific columns can be forced to String (typical for a grouping key or a
 record id) or to Nominal (required for a class column whose values look
 numeric). Quoting follows RFC-4180 conventions via the csv module.
@@ -57,16 +58,17 @@ def parse_csv(
         _infer_column(name, [row[j] for row in rows], string_columns, nominal_columns)
         for j, name in enumerate(names)
     )
+    indexes = [{value: i for i, value in enumerate(attr.values)} for attr in schema]
     records = []
     for row in rows:
         cells: list[Cell] = []
-        for attr, raw in zip(schema, row):
+        for attr, index, raw in zip(schema, indexes, row):
             if raw is None:
                 cells.append(None)
             elif attr.kind == "numeric":
                 cells.append(float(raw))
             elif attr.kind == "nominal":
-                cells.append(attr.values.index(raw))
+                cells.append(index[raw])
             else:
                 cells.append(raw)
         records.append(tuple(cells))
@@ -91,6 +93,9 @@ def _infer_column(name, cells, string_columns, nominal_columns) -> AttributeSpec
 
 
 def _is_number(text: str) -> bool:
+    """True for finite decimal text; ``float`` also takes "1_000", this does not."""
+    if "_" in text:
+        return False
     try:
         return math.isfinite(float(text))
     except ValueError:

@@ -166,24 +166,54 @@ def cell_text(attr: AttributeSpec, cell: Cell) -> str | None:
 
 
 def format_number(x: float, decimals: int | None = None) -> str:
-    """Decimal rendering of a float.
+    """Base-10 text of a float.
 
     With ``decimals`` unset, the shortest decimal text that parses back to
-    the same float. With ``decimals`` set, the value is rounded half-up at
-    that many fractional digits and trailing zeros are trimmed, always
-    keeping at least one fractional digit (so 25 renders as "25.0" and
-    14.125 at two decimals as "14.13").
+    the same float (``repr``). With ``decimals`` set (0 or more), those
+    shortest round-trip digits are rounded half-up (ties away from zero)
+    at that many fractional digits, at any magnitude, and trailing zeros
+    are trimmed, always keeping at least one fractional digit: 25 renders
+    as "25.0", 14.125 at two decimals as "14.13" and 1e30 as "1" followed
+    by 30 zeros and ".0". Rounding a value to zero keeps its sign
+    ("-0.0"). Raises ValueError for a negative ``decimals`` or a
+    non-finite ``x``.
     """
+    text = repr(float(x))
     if decimals is None:
-        return repr(float(x))
-    from decimal import ROUND_HALF_UP, Decimal
-
-    quantum = Decimal(1).scaleb(-decimals)
-    text = format(Decimal(repr(float(x))).quantize(quantum, rounding=ROUND_HALF_UP), "f")
-    if "." in text:
-        text = text.rstrip("0")
-        if text.endswith("."):
-            text += "0"
+        return text
+    if decimals < 0:
+        raise ValueError(f"decimals must be 0 or more, got {decimals}")
+    if "e" in text:
+        text = _positional(text)
+    point = text.find(".")
+    if point < 0:  # only "inf" and "nan" have no point
+        raise ValueError(f"cannot round the non-finite value {x!r}")
+    end = point + 1 + decimals
+    if len(text) <= end:
+        # repr's fractional digits never end in 0, except in "25.0"
+        return text
+    if text[end] < "5":
+        text = text[:end]
     else:
-        text += ".0"
-    return text
+        sign = "-" if text[0] == "-" else ""
+        digits = text[len(sign):point] + text[point + 1:end]
+        digits = str(int(digits) + 1).zfill(len(digits))
+        cut = len(digits) - decimals
+        text = f"{sign}{digits[:cut]}.{digits[cut:]}"
+    text = text.rstrip("0")
+    return text + "0" if text[-1] == "." else text
+
+
+def _positional(text: str) -> str:
+    """Expand an exponent-form repr: "-1.5e-07" -> "-0.00000015",
+    "1e+16" -> "10000000000000000.0"."""
+    sign = "-" if text[0] == "-" else ""
+    mantissa, _, exponent = text[len(sign):].partition("e")
+    whole, _, frac = mantissa.partition(".")
+    digits = whole + frac
+    point = len(whole) + int(exponent)
+    if point <= 0:
+        return f"{sign}0.{'0' * -point}{digits}"
+    if point >= len(digits):
+        return f"{sign}{digits}{'0' * (point - len(digits))}.0"
+    return f"{sign}{digits[:point]}.{digits[point:]}"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from decimal import ROUND_HALF_UP, Decimal, localcontext
 
 from sppam.model import AttributeSpec, Dataset, cell_text
 from sppam.transform import TransformConfig
@@ -169,3 +170,20 @@ def rows_match(actual, expected, tol: float = 1e-9) -> bool:
             elif a != e:
                 return False
     return True
+
+
+def decimal_format_number(x: float, decimals: int) -> str:
+    """Reference for ``format_number(x, decimals)``: quantize the shortest
+    repr with ``Decimal`` half-up, in a context wide enough for any finite
+    float (309 integer digits) at any ``decimals`` the tests use."""
+    with localcontext() as context:
+        context.prec = 400
+        quantum = Decimal(1).scaleb(-decimals)
+        text = format(Decimal(repr(float(x))).quantize(quantum, rounding=ROUND_HALF_UP), "f")
+    if "." in text:
+        text = text.rstrip("0")
+        if text.endswith("."):
+            text += "0"
+    else:
+        text += ".0"
+    return text

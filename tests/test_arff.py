@@ -1,10 +1,12 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import SURF_TWO_DAYS
-from helpers import random_plain_dataset
+from helpers import decimal_format_number, random_plain_dataset
 from sppam import AttributeSpec, Dataset, ParseError, parse_arff, write_arff
+from sppam.arff import _scan_cells, _split_cells
 from sppam.model import format_number
 
 
@@ -120,3 +122,102 @@ def test_random_roundtrip_identity():
     for _ in range(200):
         dataset = random_plain_dataset(rng)
         assert parse_arff(write_arff(dataset)) == dataset
+
+
+def test_underscore_numeric_is_rejected():
+    with pytest.raises(ParseError) as info:
+        parse_arff("@ATTRIBUTE a numeric\n@DATA\n1\n1_000\n")
+    assert info.value.line == 4
+    assert "unparseable numeric value '1_000'" in str(info.value)
+
+
+def test_sparse_row_is_rejected_as_sparse():
+    text = "@ATTRIBUTE a numeric\n@ATTRIBUTE b string\n@DATA\n{0 1, 1 a}\n"
+    with pytest.raises(ParseError) as info:
+        parse_arff(text)
+    assert info.value.line == 4
+    assert "sparse data rows" in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "x,decimals,expected",
+    [
+        (14.125, 2, "14.13"),
+        (2.675, 2, "2.68"),
+        (0.005, 2, "0.01"),
+        (-0.125, 2, "-0.13"),
+        (-0.0, 2, "-0.0"),
+        (-0.001, 2, "-0.0"),
+        (9.995, 2, "10.0"),
+        (2.5, 0, "3.0"),
+        (1e-07, 7, "0.0000001"),
+        (1.5e-07, 7, "0.0000002"),
+        (1e16, 2, "10000000000000000.0"),
+        (5e-324, 10, "0.0"),
+        (1e30, 2, "1" + "0" * 30 + ".0"),
+        (1.7976931348623157e308, 2, "17976931348623157" + "0" * 292 + ".0"),
+    ],
+)
+def test_format_number_pinned_cases(x, decimals, expected):
+    assert format_number(x, decimals) == expected
+    assert decimal_format_number(x, decimals) == expected
+
+
+@settings(max_examples=2000)
+@given(st.floats(allow_nan=False, allow_infinity=False), st.integers(0, 10))
+@example(14.125, 2)
+@example(2.675, 2)
+@example(0.005, 2)
+@example(-0.125, 2)
+@example(-0.0, 0)
+@example(-0.001, 2)
+@example(5e-324, 10)
+@example(1.7976931348623157e308, 10)
+def test_format_number_matches_decimal_oracle(x, decimals):
+    assert format_number(x, decimals) == decimal_format_number(x, decimals)
+
+
+@pytest.mark.parametrize("x", [float("inf"), float("-inf"), float("nan")])
+def test_format_number_rejects_non_finite(x):
+    with pytest.raises(ValueError):
+        format_number(x, 2)
+
+
+def test_format_number_rejects_negative_decimals():
+    with pytest.raises(ValueError, match="decimals"):
+        format_number(123.0, -1)
+
+
+@given(st.text(st.characters(blacklist_characters="'\""), max_size=40))
+@example(" ? , a ,,?")
+@example("1.5,  2 ,\t?\t")
+def test_quote_free_split_matches_scanner(line):
+    assert _split_cells(line, 1) == _scan_cells(line, 1)
+
+
+# ARFF-ish text: header keywords, cell values and separators mixed with noise
+_FUZZ_TEXT = st.lists(
+    st.one_of(
+        st.sampled_from([
+            "@RELATION r", "@ATTRIBUTE a numeric", "@ATTRIBUTE b {x, y}", "@ATTRIBUTE c string",
+            "@ATTRIBUTE 'q r' real", "@ATTRIBUTE d {", "@DATA", "@data", "%", "{0 1}", "1",
+            "1.5", "1_0", "1e400", "nan", "x", "?", "'?'", ",", "'", '"', "{", "}", " ", "\t",
+            "\r", "\n",
+        ]),
+        st.text(max_size=3),
+    ),
+    max_size=30,
+).map("".join)
+
+
+@settings(max_examples=500)
+@given(st.one_of(
+    st.text(max_size=60),
+    _FUZZ_TEXT,
+    _FUZZ_TEXT.map(lambda body: "@ATTRIBUTE a numeric\n@ATTRIBUTE b {x, y}\n@DATA\n" + body),
+))
+def test_parse_arff_raises_only_parse_error(text):
+    try:
+        parse_arff(text)
+    except ParseError:
+        pass

@@ -56,6 +56,32 @@ def test_transform_parse_error_exits_1(run_cli, tmp_path):
     assert "line 3" in stderr
 
 
+def test_transform_large_values_with_decimals(run_cli, tmp_path):
+    src = tmp_path / "big.arff"
+    src.write_text(
+        "@ATTRIBUTE day string\n@ATTRIBUTE v numeric\n@ATTRIBUTE c {0,1}\n"
+        "@DATA\nd1,1e30,0\nd2,2.5,1\n"
+    )
+    out = tmp_path / "daily.arff"
+    code, stdout, stderr = run_cli("transform", src, "--pivot", "day", "--class", "c",
+                                   "--decimals", "2", "-o", out)
+    assert code == 0, stderr
+    big = "1" + "0" * 30 + ".0"
+    assert out.read_text().splitlines()[-2] == f"d1,{big},{big},{big},{big},0"
+
+
+def test_transform_negative_decimals_exits_2_before_parsing(run_cli, tmp_path):
+    src = tmp_path / "broken.arff"
+    src.write_text("@ATTRIBUTE a numeric\n@DATA\n1,2\n")
+    out = tmp_path / "o.arff"
+    code, _, stderr = run_cli("transform", src, "--pivot", "a", "--class", "a",
+                              "--decimals", "-1", "-o", out)
+    assert code == 2
+    assert "--decimals" in stderr
+    assert "line 3" not in stderr
+    assert not out.exists()
+
+
 def test_gen_surf_then_transform_summary(run_cli, tmp_path):
     src = tmp_path / "surf.arff"
     code, stdout, _ = run_cli("gen-surf", "-o", src)

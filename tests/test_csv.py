@@ -26,6 +26,15 @@ def test_mixed_column_becomes_nominal_first_seen_order():
     assert dataset.column("c") == [0, 1, 2, 1]
 
 
+def test_underscore_column_becomes_nominal():
+    dataset = parse_csv("a,b\n1_000,1\n2,2\n")
+    attr = dataset.attribute("a")
+    assert attr.kind == "nominal"
+    assert attr.values == ("1_000", "2")
+    assert dataset.column("a") == [0, 1]
+    assert dataset.attribute("b").kind == "numeric"
+
+
 def test_missing_markers():
     dataset = parse_csv("a,b\n1,?\n,x\n")
     assert dataset.records[0] == (1.0, None)
