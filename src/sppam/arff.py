@@ -5,9 +5,10 @@ The accepted layout is an optional ``@RELATION`` line, one or more
 rows. Keywords are matched case-insensitively, ``%`` starts a comment
 line, ``?`` is the missing-value marker and cell text may be quoted with
 single or double quotes when it contains commas or whitespace. Files are
-UTF-8 text. Numeric cells take decimal text as ``float`` reads it, minus
-digit-group underscores (``1_000`` is an error); sparse ``{...}`` data
-rows are not supported.
+UTF-8 text. Numeric cells take ASCII decimal text as ``float`` reads it,
+minus digit-group underscores (``1_000`` is an error) and non-ASCII
+digits (``١٢٣`` is an error); sparse ``{...}`` data rows are not
+supported.
 """
 
 from __future__ import annotations
@@ -70,7 +71,8 @@ def parse_arff(text: str) -> Dataset:
             if not schema:
                 raise ParseError(lineno, "@DATA before any @ATTRIBUTE declaration")
             in_data = True
-            converters = [_cell_converter(attr) for attr in schema]
+            ascii_text = text.isascii()
+            converters = [_cell_converter(attr, ascii_text) for attr in schema]
         elif in_data:
             records.append(_parse_row(line, converters, lineno))
         else:
@@ -259,13 +261,15 @@ def _parse_row(line: str, converters, lineno: int) -> tuple[Cell, ...]:
     ])
 
 
-def _cell_converter(attr: AttributeSpec):
+def _cell_converter(attr: AttributeSpec, ascii_text: bool):
     """``(text, lineno) -> cell`` for one present cell of ``attr``, decided
-    once per attribute."""
+    once per attribute. Numeric cells of a text that is not all ASCII are
+    checked one by one, because ``float`` also reads non-ASCII digits."""
     if attr.kind == NUMERIC:
         def convert(text: str, lineno: int) -> float:
             try:
-                if "_" in text:  # float() takes digit-group underscores
+                # float() takes digit-group underscores and non-ASCII digits
+                if "_" in text or not (ascii_text or text.isascii()):
                     raise ValueError
                 value = float(text)
             except ValueError:

@@ -9,6 +9,19 @@ for a given dataset.
 
 Missing feature values are skipped in the naive Bayes product and routed
 to the majority branch in OneR and the decision stump.
+
+OneR and the stump pick the candidate attribute with the fewest training
+errors. A candidate's errors are counted from the per-bin or per-side
+class counts it is built from, plus the rows with a missing value whose
+class differs from its majority branch's. Numeric candidates read their
+(value, class) pairs in sorted order: ``fit`` sorts them itself, while
+``cross_validate`` sorts each numeric column once per dataset
+(``PresortedColumns``) and every fold filters that order down to its
+training records. The class counts equal predicting every row only when
+each midpoint threshold separates its two neighbouring values (``a < t
+<= b`` for OneR's bins, ``a <= t < b`` for the stump's ``<=``); for a
+midpoint that rounds onto a neighbour or overflows to infinity, the
+candidate's errors are counted row by row.
 """
 
 from __future__ import annotations
@@ -16,6 +29,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .model import Dataset
 from .transform import ConfigError
@@ -45,7 +59,79 @@ def fit(kind: str, dataset: Dataset, class_attribute: str, seed: int = 0):
         j for j, attr in enumerate(dataset.schema)
         if j != class_index and attr.kind != "string"
     ]
-    return _FITTERS[normalized](dataset, rows, class_index, features)
+    if isinstance(dataset, _TrainingSet) and dataset.presorted.class_index == class_index:
+        sorted_column = dataset.sorted_column
+    else:
+        def sorted_column(j):
+            pairs = sorted((row[j], row[class_index]) for row in rows if row[j] is not None)
+            return [v for v, _ in pairs], [c for _, c in pairs]
+    return _FITTERS[normalized](dataset, rows, class_index, features, sorted_column)
+
+
+class PresortedColumns:
+    """A dataset's labelled record indices in (value, class) order, one
+    list per numeric column, sorted on first use and shared by every
+    training set taken from it."""
+
+    def __init__(self, dataset: Dataset, class_attribute: str) -> None:
+        self.dataset = dataset
+        self.class_index = dataset.attribute_index(class_attribute)
+        self._labelled: list[int] | None = None
+        self._orders: dict[int, list[int]] = {}
+
+    def order(self, j: int) -> list[int]:
+        # worker threads may race to sort a column; their results are equal
+        order = self._orders.get(j)
+        if order is None:
+            records, c = self.dataset.records, self.class_index
+            if self._labelled is None:
+                # one int object per record, referenced by every column's order
+                self._labelled = [i for i, r in enumerate(records) if r[c] is not None]
+            # stable sorts by class, then by value: (value, class) order
+            # without a key tuple per record
+            order = sorted(
+                (i for i in self._labelled if records[i][j] is not None),
+                key=lambda i: records[i][c],
+            )
+            order.sort(key=lambda i: records[i][j])
+            self._orders[j] = order
+        return order
+
+    def training_set(self, indices) -> Dataset:
+        """The records at ``indices`` (ascending, each once) as a Dataset
+        whose numeric columns ``fit`` reads from this presort instead of
+        sorting them."""
+        records = self.dataset.records
+        in_train = bytearray(len(records))
+        for i in indices:
+            in_train[i] = 1
+        if in_train.count(1) != len(indices):
+            raise ValueError("training set indices must be distinct")
+        return _TrainingSet(
+            self.dataset.relation_name,
+            self.dataset.schema,
+            tuple(records[i] for i in indices),
+            presorted=self,
+            in_train=bytes(in_train),
+        )
+
+
+@dataclass(frozen=True)
+class _TrainingSet(Dataset):
+    """Training records of one fold, with the presort they were taken from
+    and one byte per record of the presorted dataset, 1 for those kept."""
+
+    presorted: PresortedColumns | None = field(default=None, repr=False, compare=False)
+    in_train: bytes = field(default=b"", repr=False, compare=False)
+
+    def sorted_column(self, j: int) -> tuple[list, list]:
+        """Column j's (value, class) pairs in sorted order, as two lists:
+        the presorted order filtered to this training set, which equals
+        sorting the training set's own pairs."""
+        presorted, keep = self.presorted, self.in_train
+        records, c = presorted.dataset.records, presorted.class_index
+        kept = [i for i in presorted.order(j) if keep[i]]
+        return [records[i][j] for i in kept], [records[i][c] for i in kept]
 
 
 def predict(model, record) -> str:
@@ -158,11 +244,8 @@ class DecisionStumpModel(_BaseModel):
 
 
 def _majority(counts) -> int:
-    best = 0
-    for c in range(1, len(counts)):
-        if counts[c] > counts[best]:
-            best = c
-    return best
+    """Index of the largest count; the lowest index wins a tie."""
+    return counts.index(max(counts))
 
 
 def _class_counts(rows, class_index, n_classes) -> list[int]:
@@ -172,35 +255,55 @@ def _class_counts(rows, class_index, n_classes) -> list[int]:
     return counts
 
 
-def _fit_zeror(dataset, rows, class_index, features) -> ZeroRModel:
+def _training_errors(candidate, branch, observed, observed_errors, class_counts, rows) -> int:
+    """Training errors of a OneR or stump candidate over all ``rows``.
+
+    ``observed_errors`` counts the errors on the rows that have a value
+    and ``observed`` their class counts; the rows with a missing value all
+    go to the class ``branch``. When ``observed_errors`` is None (a
+    threshold does not separate its neighbours), every row is predicted.
+    """
+    if observed_errors is None:
+        class_index = candidate.class_index
+        return sum(1 for row in rows if candidate.predict_index(row) != row[class_index])
+    missing = [total - seen for total, seen in zip(class_counts, observed)]
+    return observed_errors + sum(missing) - missing[branch]
+
+
+def _fit_zeror(dataset, rows, class_index, features, sorted_column) -> ZeroRModel:
     class_values = dataset.schema[class_index].values
     counts = _class_counts(rows, class_index, len(class_values))
     return ZeroRModel(class_index, class_values, majority=_majority(counts))
 
 
-def _fit_oner(dataset, rows, class_index, features) -> OneRModel:
+def _fit_oner(dataset, rows, class_index, features, sorted_column) -> OneRModel:
     class_values = dataset.schema[class_index].values
     n_classes = len(class_values)
-    fallback = _majority(_class_counts(rows, class_index, n_classes))
+    class_counts = _class_counts(rows, class_index, n_classes)
     best: OneRModel | None = None
     best_errors = None
     for j in features:
         attr = dataset.schema[j]
         if attr.kind == "nominal":
-            candidate = _oner_nominal(dataset, rows, class_index, j, len(attr.values), n_classes)
+            found = _oner_nominal(rows, class_index, class_values, j, len(attr.values))
         else:
-            candidate = _oner_numeric(dataset, rows, class_index, j, n_classes)
-        if candidate is None:
+            found = _oner_numeric(*sorted_column(j), class_index, class_values, j)
+        if found is None:
             continue
-        errors = sum(1 for row in rows if candidate.predict_index(row) != row[class_index])
+        candidate, observed, observed_errors = found
+        branch = candidate.majority_branch
+        errors = _training_errors(candidate, branch, observed, observed_errors, class_counts, rows)
         if best_errors is None or errors < best_errors:
             best, best_errors = candidate, errors
     if best is None:
-        return OneRModel(class_index, class_values, attribute=None, fallback=fallback)
+        return OneRModel(
+            class_index, class_values, attribute=None, fallback=_majority(class_counts)
+        )
     return best
 
 
-def _oner_nominal(dataset, rows, class_index, j, domain_size, n_classes) -> OneRModel:
+def _oner_nominal(rows, class_index, class_values, j, domain_size):
+    n_classes = len(class_values)
     buckets = [[0] * n_classes for _ in range(domain_size)]
     for row in rows:
         v = row[j]
@@ -208,21 +311,23 @@ def _oner_nominal(dataset, rows, class_index, j, domain_size, n_classes) -> OneR
             buckets[v][row[class_index]] += 1
     rule = tuple(_majority(b) for b in buckets)
     largest = max(range(domain_size), key=lambda v: (sum(buckets[v]), -v))
-    return OneRModel(
+    model = OneRModel(
         class_index,
-        dataset.schema[class_index].values,
+        class_values,
         attribute=j,
         kind="nominal",
         nominal_rule=rule,
         majority_branch=rule[largest],
     )
+    observed = [sum(column) for column in zip(*buckets)]
+    return model, observed, sum(observed) - sum(b[r] for b, r in zip(buckets, rule))
 
 
-def _oner_numeric(dataset, rows, class_index, j, n_classes) -> OneRModel | None:
-    pairs = sorted((row[j], row[class_index]) for row in rows if row[j] is not None)
-    if not pairs:
+def _oner_numeric(values, classes, class_index, class_values, j):
+    """OneR candidate from one column's (value, class) pairs in sorted order."""
+    n = len(values)
+    if not n:
         return None
-    n = len(pairs)
     n_bins = min(ONER_MAX_BINS, max(1, n // ONER_MIN_BUCKET))
     # equal-frequency cuts, never splitting a run of identical values
     cut_positions: list[int] = []
@@ -230,36 +335,37 @@ def _oner_numeric(dataset, rows, class_index, j, n_classes) -> OneRModel | None:
     pos = 0
     while len(cut_positions) < n_bins - 1 and pos < n - 1:
         pos = max(pos + 1, round(next_target))
-        while pos < n and pairs[pos][0] == pairs[pos - 1][0]:
+        while pos < n and values[pos] == values[pos - 1]:
             pos += 1
         if pos >= n:
             break
         cut_positions.append(pos)
         next_target += n / n_bins
     bounds = [0, *cut_positions, n]
-    thresholds = tuple(
-        (pairs[p - 1][0] + pairs[p][0]) / 2.0 for p in cut_positions
-    )
+    thresholds = tuple((values[p - 1] + values[p]) / 2.0 for p in cut_positions)
     bin_counts = []
     for lo, hi in zip(bounds, bounds[1:]):
-        counts = [0] * n_classes
-        for _, c in pairs[lo:hi]:
-            counts[c] += 1
-        bin_counts.append(counts)
+        segment = classes[lo:hi]
+        bin_counts.append([segment.count(c) for c in range(len(class_values))])
     rule = tuple(_majority(counts) for counts in bin_counts)
-    largest = max(range(len(bin_counts)), key=lambda b: (sum(bin_counts[b]), -b))
-    return OneRModel(
+    largest = max(range(len(bin_counts)), key=lambda b: (bounds[b + 1] - bounds[b], -b))
+    model = OneRModel(
         class_index,
-        dataset.schema[class_index].values,
+        class_values,
         attribute=j,
         kind="numeric",
         thresholds=thresholds,
         bin_rule=rule,
         majority_branch=rule[largest],
     )
+    observed = [sum(column) for column in zip(*bin_counts)]
+    # bisect_right puts value v in bin b only if threshold b-1 <= v < threshold b
+    separates = all(values[p - 1] < t <= values[p] for p, t in zip(cut_positions, thresholds))
+    errors = n - sum(counts[r] for counts, r in zip(bin_counts, rule)) if separates else None
+    return model, observed, errors
 
 
-def _fit_naive_bayes(dataset, rows, class_index, features) -> NaiveBayesModel:
+def _fit_naive_bayes(dataset, rows, class_index, features, sorted_column) -> NaiveBayesModel:
     class_values = dataset.schema[class_index].values
     n_classes = len(class_values)
     counts = _class_counts(rows, class_index, n_classes)
@@ -301,65 +407,68 @@ def _fit_naive_bayes(dataset, rows, class_index, features) -> NaiveBayesModel:
     )
 
 
-def _fit_decision_stump(dataset, rows, class_index, features) -> DecisionStumpModel:
+def _fit_decision_stump(dataset, rows, class_index, features, sorted_column) -> DecisionStumpModel:
     class_values = dataset.schema[class_index].values
     n_classes = len(class_values)
-    fallback = _majority(_class_counts(rows, class_index, n_classes))
+    class_counts = _class_counts(rows, class_index, n_classes)
     best: DecisionStumpModel | None = None
     best_errors = None
     for j in features:
         attr = dataset.schema[j]
         if attr.kind == "numeric":
-            candidate = _stump_numeric(dataset, rows, class_index, j, n_classes)
+            found = _stump_numeric(*sorted_column(j), class_index, class_values, j)
         else:
-            candidate = _stump_nominal(dataset, rows, class_index, j, len(attr.values), n_classes)
-        if candidate is None:
+            found = _stump_nominal(rows, class_index, class_values, j, len(attr.values))
+        if found is None:
             continue
-        errors = sum(1 for row in rows if candidate.predict_index(row) != row[class_index])
+        candidate, observed, observed_errors = found
+        branch = candidate.majority_branch_class
+        errors = _training_errors(candidate, branch, observed, observed_errors, class_counts, rows)
         if best_errors is None or errors < best_errors:
             best, best_errors = candidate, errors
     if best is None:
-        return DecisionStumpModel(class_index, class_values, attribute=None, fallback=fallback)
+        return DecisionStumpModel(
+            class_index, class_values, attribute=None, fallback=_majority(class_counts)
+        )
     return best
 
 
-def _stump_numeric(dataset, rows, class_index, j, n_classes) -> DecisionStumpModel | None:
-    pairs = sorted((row[j], row[class_index]) for row in rows if row[j] is not None)
-    if len(pairs) < 2 or pairs[0][0] == pairs[-1][0]:
+def _stump_numeric(values, classes, class_index, class_values, j):
+    """Stump candidate from one column's (value, class) pairs in sorted order."""
+    n = len(values)
+    if n < 2 or values[0] == values[-1]:
         return None
-    n = len(pairs)
-    total_counts = [0] * n_classes
-    for _, c in pairs:
-        total_counts[c] += 1
-    left_counts = [0] * n_classes
-    best = None  # (errors, threshold, left_class, right_class, left_size)
-    for i in range(n - 1):
-        left_counts[pairs[i][1]] += 1
-        if pairs[i][0] == pairs[i + 1][0]:
-            continue
-        right_counts = [total_counts[c] - left_counts[c] for c in range(n_classes)]
-        lc, rc = _majority(left_counts), _majority(right_counts)
-        errors = (i + 1 - left_counts[lc]) + (n - i - 1 - right_counts[rc])
-        if best is None or errors < best[0]:
-            threshold = (pairs[i][0] + pairs[i + 1][0]) / 2.0
-            best = (errors, threshold, lc, rc, i + 1)
-    if best is None:
-        return None
-    _, threshold, lc, rc, left_size = best
-    majority_class = lc if left_size >= n - left_size else rc
-    return DecisionStumpModel(
+    n_classes = len(class_values)
+    right = [classes.count(c) for c in range(n_classes)]
+    observed = right[:]
+    left = [0] * n_classes
+    # a split between two differing neighbours errs n - max(left) - max(right) times
+    best = (n + 1,)  # (errors, below, above, left_size, left_class, right_class)
+    for below, above, c in zip(values, islice(values, 1, None), classes):
+        left[c] += 1
+        right[c] -= 1
+        if below != above:
+            errors = n - max(left) - max(right)
+            if errors < best[0]:
+                best = (errors, below, above, sum(left), _majority(left), _majority(right))
+    errors, below, above, left_size, lc, rc = best
+    threshold = (below + above) / 2.0
+    model = DecisionStumpModel(
         class_index,
-        dataset.schema[class_index].values,
+        class_values,
         attribute=j,
         kind="numeric",
         threshold=threshold,
         left_class=lc,
         right_class=rc,
-        majority_branch_class=majority_class,
+        majority_branch_class=lc if left_size >= n - left_size else rc,
     )
+    # v <= threshold sends v left; the count holds only if below <= t < above
+    return model, observed, errors if below <= threshold < above else None
 
 
-def _stump_nominal(dataset, rows, class_index, j, domain_size, n_classes) -> DecisionStumpModel | None:
+def _stump_nominal(rows, class_index, class_values, j, domain_size):
+    n_classes = len(class_values)
     value_counts = [[0] * n_classes for _ in range(domain_size)]
     total_counts = [0] * n_classes
     observed = 0
@@ -384,18 +493,18 @@ def _stump_nominal(dataset, rows, class_index, j, domain_size, n_classes) -> Dec
             best = (errors, v, lc, rc, left_size)
     if best is None:
         return None
-    _, v, lc, rc, left_size = best
-    majority_class = lc if left_size >= observed - left_size else rc
-    return DecisionStumpModel(
+    errors, v, lc, rc, left_size = best
+    model = DecisionStumpModel(
         class_index,
-        dataset.schema[class_index].values,
+        class_values,
         attribute=j,
         kind="nominal",
         match_value=v,
         left_class=lc,
         right_class=rc,
-        majority_branch_class=majority_class,
+        majority_branch_class=lc if left_size >= observed - left_size else rc,
     )
+    return model, total_counts, errors
 
 
 _FITTERS = {

@@ -1,12 +1,17 @@
 """CSV ingestion with column type inference.
 
 The first row is a header. A column is inferred Numeric when every
-non-missing cell parses as a finite number (digit-group underscores, as
-in ``1_000``, do not count), Nominal otherwise (domain = distinct values
-in first-seen order). Missing cells are empty or ``?``.
+non-missing cell parses as a finite number written in ASCII (digit-group
+underscores, as in ``1_000``, and non-ASCII digits, as in ``١٢``, do not
+count), Nominal otherwise (domain = distinct values in first-seen order).
+Missing cells are empty or ``?``.
 Specific columns can be forced to String (typical for a grouping key or a
 record id) or to Nominal (required for a class column whose values look
-numeric). Quoting follows RFC-4180 conventions via the csv module.
+numeric). Quoting follows RFC-4180 conventions via the csv module. A
+header name or cell that holds both quote characters, ``'`` and ``"``, is
+a ParseError: the ARFF writer cannot quote such a value. Every malformed
+input raises ParseError, including what the csv module rejects (such as a
+field longer than its 131072-character limit).
 """
 
 from __future__ import annotations
@@ -33,6 +38,8 @@ def parse_csv(
         header = next(reader)
     except StopIteration:
         raise ParseError(1, "empty CSV input") from None
+    except csv.Error as exc:
+        raise ParseError(reader.line_num, f"malformed CSV: {exc}") from None
     names = [h.strip() for h in header]
     if any(name == "" for name in names):
         raise ParseError(1, "empty header name")
@@ -44,18 +51,26 @@ def parse_csv(
             raise ParseError(1, f"forced column {forced!r} is not in the header")
 
     rows: list[list[str | None]] = []
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != len(names):
-            raise ParseError(
-                reader.line_num,
-                f"row has {len(row)} values, header has {len(names)} columns",
-            )
-        rows.append([None if c.strip() in _MISSING_TEXTS else c.strip() for c in row])
+    try:
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(names):
+                raise ParseError(
+                    reader.line_num,
+                    f"row has {len(row)} values, header has {len(names)} columns",
+                )
+            rows.append([None if c.strip() in _MISSING_TEXTS else c.strip() for c in row])
+    except csv.Error as exc:
+        raise ParseError(reader.line_num, f"malformed CSV: {exc}") from None
+    # one C-level scan spares a text without both characters a second pass
+    if "'" in text and '"' in text:
+        _reject_both_quotes(text, names)
 
+    # float() also reads non-ASCII digits; only a non-ASCII text checks cells
+    ascii_text = text.isascii()
     schema = tuple(
-        _infer_column(name, [row[j] for row in rows], string_columns, nominal_columns)
+        _infer_column(name, [row[j] for row in rows], string_columns, nominal_columns, ascii_text)
         for j, name in enumerate(names)
     )
     indexes = [{value: i for i, value in enumerate(attr.values)} for attr in schema]
@@ -75,11 +90,28 @@ def parse_csv(
     return Dataset(relation_name, schema, tuple(records))
 
 
-def _infer_column(name, cells, string_columns, nominal_columns) -> AttributeSpec:
+def _reject_both_quotes(text: str, names) -> None:
+    """ParseError for the first header name or cell holding both ' and "."""
+    reader = csv.reader(io.StringIO(text))
+    for row in reader:
+        for name, cell in zip(names, row):
+            if "'" in cell and '"' in cell:
+                value = cell.strip()
+                raise ParseError(
+                    reader.line_num,
+                    f"column {name!r}: a value cannot hold both quote characters: {value!r}",
+                )
+
+
+def _infer_column(name, cells, string_columns, nominal_columns, ascii_text) -> AttributeSpec:
     if name in string_columns:
         return AttributeSpec.string(name)
     present = [c for c in cells if c is not None]
-    if name not in nominal_columns and all(_is_number(c) for c in present):
+    if (
+        name not in nominal_columns
+        and all(_is_number(c) for c in present)
+        and (ascii_text or all(c.isascii() for c in present))
+    ):
         return AttributeSpec.numeric(name)
     domain: list[str] = []
     seen = set()

@@ -89,6 +89,8 @@ def cross_validate(
     if not labeled.records:
         raise ConfigError("no labeled records to evaluate")
     class_values = labeled.schema[class_index].values
+    # numeric columns are sorted once here, not once per fold and candidate
+    presorted = classifiers.PresortedColumns(labeled, class_attribute)
 
     tasks = []
     for r in range(repeats):
@@ -101,7 +103,7 @@ def cross_validate(
     def run(task):
         _, fold, assignment = task
         train_idx, test_idx = assignment.split(fold)
-        train = labeled.replace_records(labeled.records[i] for i in train_idx)
+        train = presorted.training_set(train_idx)
         model = classifiers.fit(classifier_kind, train, class_attribute, seed=seed)
         pairs = [
             (labeled.records[i][class_index], model.predict_index(labeled.records[i]))

@@ -1,6 +1,12 @@
 import pytest
+from hypothesis import settings
 
 from sppam import cli, parse_arff
+
+# CPU speed on shared hosts can change by more than 1.5x within a run, so a
+# per-example deadline fails property tests at random; none is set.
+settings.register_profile("sppam", deadline=None)
+settings.load_profile("sppam")
 
 # Two observation days of wind and surf conditions, four records each.
 # The daily rollup of this sample is pinned below and in GOLDEN_DATA_SECTION.

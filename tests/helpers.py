@@ -5,6 +5,12 @@ from __future__ import annotations
 import random
 from decimal import ROUND_HALF_UP, Decimal, localcontext
 
+from sppam.classifiers import (
+    ONER_MAX_BINS,
+    ONER_MIN_BUCKET,
+    DecisionStumpModel,
+    OneRModel,
+)
 from sppam.model import AttributeSpec, Dataset, cell_text
 from sppam.transform import TransformConfig
 
@@ -187,3 +193,211 @@ def decimal_format_number(x: float, decimals: int) -> str:
     else:
         text += ".0"
     return text
+
+
+def _oracle_majority(counts) -> int:
+    best = 0
+    for c in range(1, len(counts)):
+        if counts[c] > counts[best]:
+            best = c
+    return best
+
+
+def _oracle_class_counts(rows, class_index, n_classes) -> list[int]:
+    counts = [0] * n_classes
+    for row in rows:
+        counts[row[class_index]] += 1
+    return counts
+
+
+def oracle_fit(kind: str, dataset: Dataset, class_attribute: str):
+    """Reference for ``fit("oner" | "decision-stump", ...)``, written the
+    direct way: every numeric candidate sorts its own (value, class)
+    pairs, and every candidate's training errors are counted by calling
+    ``predict_index`` on every training row."""
+    class_index = dataset.attribute_index(class_attribute)
+    rows = [r for r in dataset.records if r[class_index] is not None]
+    features = [
+        j for j, attr in enumerate(dataset.schema)
+        if j != class_index and attr.kind != "string"
+    ]
+    fitter = {"oner": _oracle_oner, "decision-stump": _oracle_stump}[kind]
+    return fitter(dataset, rows, class_index, features)
+
+
+def _oracle_oner(dataset, rows, class_index, features) -> OneRModel:
+    class_values = dataset.schema[class_index].values
+    n_classes = len(class_values)
+    fallback = _oracle_majority(_oracle_class_counts(rows, class_index, n_classes))
+    best: OneRModel | None = None
+    best_errors = None
+    for j in features:
+        attr = dataset.schema[j]
+        if attr.kind == "nominal":
+            candidate = _oracle_oner_nominal(dataset, rows, class_index, j, len(attr.values), n_classes)
+        else:
+            candidate = _oracle_oner_numeric(dataset, rows, class_index, j, n_classes)
+        if candidate is None:
+            continue
+        errors = sum(1 for row in rows if candidate.predict_index(row) != row[class_index])
+        if best_errors is None or errors < best_errors:
+            best, best_errors = candidate, errors
+    if best is None:
+        return OneRModel(class_index, class_values, attribute=None, fallback=fallback)
+    return best
+
+
+def _oracle_oner_nominal(dataset, rows, class_index, j, domain_size, n_classes) -> OneRModel:
+    buckets = [[0] * n_classes for _ in range(domain_size)]
+    for row in rows:
+        v = row[j]
+        if v is not None:
+            buckets[v][row[class_index]] += 1
+    rule = tuple(_oracle_majority(b) for b in buckets)
+    largest = max(range(domain_size), key=lambda v: (sum(buckets[v]), -v))
+    return OneRModel(
+        class_index,
+        dataset.schema[class_index].values,
+        attribute=j,
+        kind="nominal",
+        nominal_rule=rule,
+        majority_branch=rule[largest],
+    )
+
+
+def _oracle_oner_numeric(dataset, rows, class_index, j, n_classes) -> OneRModel | None:
+    pairs = sorted((row[j], row[class_index]) for row in rows if row[j] is not None)
+    if not pairs:
+        return None
+    n = len(pairs)
+    n_bins = min(ONER_MAX_BINS, max(1, n // ONER_MIN_BUCKET))
+    # equal-frequency cuts, never splitting a run of identical values
+    cut_positions: list[int] = []
+    next_target = n / n_bins
+    pos = 0
+    while len(cut_positions) < n_bins - 1 and pos < n - 1:
+        pos = max(pos + 1, round(next_target))
+        while pos < n and pairs[pos][0] == pairs[pos - 1][0]:
+            pos += 1
+        if pos >= n:
+            break
+        cut_positions.append(pos)
+        next_target += n / n_bins
+    bounds = [0, *cut_positions, n]
+    thresholds = tuple(
+        (pairs[p - 1][0] + pairs[p][0]) / 2.0 for p in cut_positions
+    )
+    bin_counts = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        counts = [0] * n_classes
+        for _, c in pairs[lo:hi]:
+            counts[c] += 1
+        bin_counts.append(counts)
+    rule = tuple(_oracle_majority(counts) for counts in bin_counts)
+    largest = max(range(len(bin_counts)), key=lambda b: (sum(bin_counts[b]), -b))
+    return OneRModel(
+        class_index,
+        dataset.schema[class_index].values,
+        attribute=j,
+        kind="numeric",
+        thresholds=thresholds,
+        bin_rule=rule,
+        majority_branch=rule[largest],
+    )
+
+
+def _oracle_stump(dataset, rows, class_index, features) -> DecisionStumpModel:
+    class_values = dataset.schema[class_index].values
+    n_classes = len(class_values)
+    fallback = _oracle_majority(_oracle_class_counts(rows, class_index, n_classes))
+    best: DecisionStumpModel | None = None
+    best_errors = None
+    for j in features:
+        attr = dataset.schema[j]
+        if attr.kind == "numeric":
+            candidate = _oracle_stump_numeric(dataset, rows, class_index, j, n_classes)
+        else:
+            candidate = _oracle_stump_nominal(dataset, rows, class_index, j, len(attr.values), n_classes)
+        if candidate is None:
+            continue
+        errors = sum(1 for row in rows if candidate.predict_index(row) != row[class_index])
+        if best_errors is None or errors < best_errors:
+            best, best_errors = candidate, errors
+    if best is None:
+        return DecisionStumpModel(class_index, class_values, attribute=None, fallback=fallback)
+    return best
+
+
+def _oracle_stump_numeric(dataset, rows, class_index, j, n_classes) -> DecisionStumpModel | None:
+    pairs = sorted((row[j], row[class_index]) for row in rows if row[j] is not None)
+    if len(pairs) < 2 or pairs[0][0] == pairs[-1][0]:
+        return None
+    n = len(pairs)
+    total_counts = [0] * n_classes
+    for _, c in pairs:
+        total_counts[c] += 1
+    left_counts = [0] * n_classes
+    best = None  # (errors, threshold, left_class, right_class, left_size)
+    for i in range(n - 1):
+        left_counts[pairs[i][1]] += 1
+        if pairs[i][0] == pairs[i + 1][0]:
+            continue
+        right_counts = [total_counts[c] - left_counts[c] for c in range(n_classes)]
+        lc, rc = _oracle_majority(left_counts), _oracle_majority(right_counts)
+        errors = (i + 1 - left_counts[lc]) + (n - i - 1 - right_counts[rc])
+        if best is None or errors < best[0]:
+            threshold = (pairs[i][0] + pairs[i + 1][0]) / 2.0
+            best = (errors, threshold, lc, rc, i + 1)
+    if best is None:
+        return None
+    _, threshold, lc, rc, left_size = best
+    majority_class = lc if left_size >= n - left_size else rc
+    return DecisionStumpModel(
+        class_index,
+        dataset.schema[class_index].values,
+        attribute=j,
+        kind="numeric",
+        threshold=threshold,
+        left_class=lc,
+        right_class=rc,
+        majority_branch_class=majority_class,
+    )
+
+
+def _oracle_stump_nominal(dataset, rows, class_index, j, domain_size, n_classes) -> DecisionStumpModel | None:
+    value_counts = [[0] * n_classes for _ in range(domain_size)]
+    total_counts = [0] * n_classes
+    observed = 0
+    for row in rows:
+        v = row[j]
+        if v is not None:
+            value_counts[v][row[class_index]] += 1
+            total_counts[row[class_index]] += 1
+            observed += 1
+    if observed == 0:
+        return None
+    best = None  # (errors, value, left_class, right_class, left_size)
+    for v in range(domain_size):
+        left = value_counts[v]
+        left_size = sum(left)
+        if left_size in (0, observed):
+            continue
+        right = [total_counts[c] - left[c] for c in range(n_classes)]
+        lc, rc = _oracle_majority(left), _oracle_majority(right)
+        errors = (left_size - left[lc]) + (observed - left_size - right[rc])
+        if best is None or errors < best[0]:
+            best = (errors, v, lc, rc, left_size)
+    if best is None:
+        return None
+    _, v, lc, rc, left_size = best
+    majority_class = lc if left_size >= observed - left_size else rc
+    return DecisionStumpModel(
+        class_index,
+        dataset.schema[class_index].values,
+        attribute=j,
+        kind="nominal",
+        match_value=v,
+        left_class=lc,
+        right_class=rc,
+        majority_branch_class=majority_class,
+    )

@@ -131,6 +131,21 @@ def test_underscore_numeric_is_rejected():
     assert "unparseable numeric value '1_000'" in str(info.value)
 
 
+@pytest.mark.parametrize("digits", ["\u0661\u0662\u0663", "\uff11\uff12", "1\u0662.5"])
+def test_non_ascii_digits_are_rejected(digits):
+    # float() reads Arabic-Indic and full-width digits; the format does not
+    text = f"@ATTRIBUTE a numeric\n@ATTRIBUTE s string\n@DATA\n1,\u00e9\n{digits},x\n"
+    with pytest.raises(ParseError) as info:
+        parse_arff(text)
+    assert info.value.line == 5
+    assert f"unparseable numeric value {digits!r}" in str(info.value)
+
+
+def test_non_ascii_text_cells_still_parse():
+    text = "@ATTRIBUTE a numeric\n@ATTRIBUTE s string\n@DATA\n1.5,\u0661\u0662\n"
+    assert parse_arff(text).records == ((1.5, "\u0661\u0662"),)
+
+
 def test_sparse_row_is_rejected_as_sparse():
     text = "@ATTRIBUTE a numeric\n@ATTRIBUTE b string\n@DATA\n{0 1, 1 a}\n"
     with pytest.raises(ParseError) as info:

@@ -2,10 +2,12 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import SURF_TWO_DAYS_DAILY
+from helpers import oracle_fit
 from sppam import AttributeSpec, ConfigError, Dataset, fit, parse_arff, predict
-from sppam.classifiers import NB_VARIANCE_FLOOR
+from sppam.classifiers import NB_VARIANCE_FLOOR, PresortedColumns
 
 
 def single_feature_dataset(rows, feature_kind="numeric", classes=("a", "b")):
@@ -223,3 +225,118 @@ def test_unknown_kind_rejected():
     dataset = single_feature_dataset([(1.0, 0)])
     with pytest.raises(ConfigError, match="valid kinds"):
         fit("j48", dataset, "label")
+
+
+# Values whose midpoints round onto a neighbour or overflow to infinity,
+# which the class-count errors must not be trusted for.
+LARGEST = 1.7976931348623157e308
+EDGE_VALUES = (0.0, -0.0, 1.0, 5e-324, -5e-324, LARGEST, -LARGEST, 1.5e308, -1.5e308)
+
+
+def _with_neighbours(x):
+    """``x`` with up to two float neighbours on each side."""
+    out = [x]
+    for direction in (math.inf, -math.inf):
+        y = x
+        for _ in range(2):
+            y = math.nextafter(y, direction)
+            if math.isfinite(y):
+                out.append(y)
+    return st.lists(st.sampled_from(out), min_size=1, max_size=3)
+
+
+_anchors = st.sampled_from(EDGE_VALUES) | st.integers(-3, 3).map(float) | st.floats(
+    allow_nan=False, allow_infinity=False
+)
+
+
+@st.composite
+def classifier_datasets(draw):
+    """Small datasets with 2-4 classes, nominal and numeric features,
+    missing cells and unlabelled rows; numeric cells come from a few
+    anchors and their float neighbours, so values repeat and adjacent
+    floats and near-overflow pairs meet at cut points."""
+    n_classes = draw(st.integers(2, 4))
+    schema, cells = [], []
+    for f in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            pool = [v for anchor in draw(st.lists(_anchors, min_size=1, max_size=4))
+                    for v in draw(_with_neighbours(anchor))]
+            schema.append(AttributeSpec.numeric(f"x{f}"))
+            cells.append(st.sampled_from(pool))
+        else:
+            size = draw(st.integers(1, 4))
+            schema.append(AttributeSpec.nominal(f"x{f}", [f"v{v}" for v in range(size)]))
+            cells.append(st.integers(0, size - 1))
+    class_position = draw(st.integers(0, len(schema)))
+    label = AttributeSpec.nominal("label", [f"c{c}" for c in range(n_classes)])
+    schema.insert(class_position, label)
+    cells.insert(class_position, st.integers(0, n_classes - 1))
+    # a cell is missing when its draw from 0-9 falls below this
+    missing_tenths = draw(st.sampled_from((0, 1, 4)))
+    rows = draw(st.lists(
+        st.tuples(*(_maybe_missing(cell, missing_tenths) for cell in cells)),
+        min_size=1, max_size=40,
+    ))
+    return Dataset("random", tuple(schema), tuple(rows))
+
+
+def _maybe_missing(cell, missing_tenths):
+    return st.tuples(st.integers(0, 9), cell).map(
+        lambda drawn: None if drawn[0] < missing_tenths else drawn[1]
+    )
+
+
+def _edge_dataset(rows):
+    schema = (
+        AttributeSpec.numeric("x0"),
+        AttributeSpec.nominal("x1", ("u", "v")),
+        AttributeSpec.nominal("label", ("a", "b")),
+    )
+    return Dataset("edge", schema, tuple(rows))
+
+
+ABOVE_ONE, BELOW_ONE = math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0)
+# OneR: the midpoint of 1.0 and its upper neighbour rounds to 1.0
+ONER_EDGE = _edge_dataset([
+    (0.0, 0, 1), (ABOVE_ONE, 1, 1), (ABOVE_ONE, 0, 0), (1.0, 1, 1), (ABOVE_ONE, 0, 0), (0.0, 1, 0),
+])
+# stump: the midpoint of 1.0 and its lower neighbour rounds to 1.0
+STUMP_EDGE = _edge_dataset([(BELOW_ONE, 0, 0), (1.0, 1, 1)])
+# both: the midpoint of 1.5e308 and the largest float overflows to inf
+OVERFLOW_EDGE = _edge_dataset([
+    (0.0, 1, 0), (0.0, 0, 0), (0.0, 1, 1), (0.0, 0, 1),
+    (LARGEST, 0, 0), (1.5e308, 1, 1), (1.5e308, 1, 1), (LARGEST, 0, 0),
+])
+
+
+@settings(max_examples=1000)
+@given(classifier_datasets(), st.sampled_from(("oner", "decision-stump")), st.randoms())
+@example(ONER_EDGE, "oner", random.Random(0))
+@example(STUMP_EDGE, "decision-stump", random.Random(0))
+@example(OVERFLOW_EDGE, "oner", random.Random(0))
+@example(OVERFLOW_EDGE, "decision-stump", random.Random(0))
+def test_fit_matches_per_row_oracle(dataset, kind, rng):
+    """Class-count errors and presorted columns give the oracle's model,
+    fitted directly and on a training set taken from a presort."""
+    class_index = dataset.attribute_index("label")
+    if all(r[class_index] is None for r in dataset.records):
+        with pytest.raises(ConfigError):
+            fit(kind, dataset, "label")
+        return
+    assert fit(kind, dataset, "label") == oracle_fit(kind, dataset, "label")
+
+    n = len(dataset.records)
+    indices = sorted(rng.sample(range(n), rng.randint(1, n)))
+    subset = dataset.replace_records(dataset.records[i] for i in indices)
+    if all(r[class_index] is None for r in subset.records):
+        return
+    training_set = PresortedColumns(dataset, "label").training_set(indices)
+    assert training_set.records == subset.records
+    assert fit(kind, training_set, "label") == oracle_fit(kind, subset, "label")
+
+
+def test_presorted_training_set_rejects_repeated_indices():
+    dataset = single_feature_dataset([(1.0, 0), (2.0, 1), (3.0, 1)])
+    with pytest.raises(ValueError, match="distinct"):
+        PresortedColumns(dataset, "label").training_set([0, 1, 1])

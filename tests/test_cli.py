@@ -56,6 +56,16 @@ def test_transform_parse_error_exits_1(run_cli, tmp_path):
     assert "line 3" in stderr
 
 
+def test_transform_csv_cell_with_both_quotes_exits_1_without_output(run_cli, tmp_path):
+    src = tmp_path / "quotes.csv"
+    src.write_text("Date,Note,Surf\n18-11-2010,\"it's \"\"big\"\"\",0\n")
+    out = tmp_path / "daily.arff"
+    code, _, stderr = run_cli("transform", src, "--pivot", "Date", "--class", "Surf", "-o", out)
+    assert code == 1
+    assert "line 2: column 'Note'" in stderr
+    assert not out.exists()
+
+
 def test_transform_large_values_with_decimals(run_cli, tmp_path):
     src = tmp_path / "big.arff"
     src.write_text(

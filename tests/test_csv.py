@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import SURF_TWO_DAYS, SURF_TWO_DAYS_CSV
 from sppam import ParseError, TransformConfig, parse_arff, parse_csv, transform, write_csv
@@ -35,6 +36,20 @@ def test_underscore_column_becomes_nominal():
     assert dataset.attribute("b").kind == "numeric"
 
 
+def test_non_ascii_digit_column_becomes_nominal():
+    dataset = parse_csv("a,b\n\u0661\u0662,1\n3,\u00e9\n")
+    attr = dataset.attribute("a")
+    assert attr.kind == "nominal"
+    assert attr.values == ("\u0661\u0662", "3")
+    assert dataset.attribute("b").kind == "nominal"
+
+
+def test_non_ascii_text_keeps_ascii_numeric_columns():
+    dataset = parse_csv("a,b\n12,\u00e9\n3.5,x\n")
+    assert dataset.attribute("a").kind == "numeric"
+    assert dataset.column("a") == [12.0, 3.5]
+
+
 def test_missing_markers():
     dataset = parse_csv("a,b\n1,?\n,x\n")
     assert dataset.records[0] == (1.0, None)
@@ -59,6 +74,9 @@ def test_forced_columns():
         ("a,,c\n1,2,3\n", "empty header name"),
         ("a,b,a\n1,2,3\n", "duplicate header names"),
         ("", "empty CSV input"),
+        ("a,b\n1,\"it's \"\"x\"\"\"\n", "line 2: column 'b': a value cannot hold both quote characters"),
+        ("a,\"b'\"\"\"\n1,2\n", "line 1: column 'b\\'\"': a value cannot hold both quote characters"),
+        ("a\n1\n" + "x" * 131073 + "\n", "line 3: malformed CSV: field larger than field limit"),
     ],
 )
 def test_errors(text, message):
@@ -118,3 +136,34 @@ def test_quoted_csv_cells():
     dataset = parse_csv('name,v\n"a, b",1\n')
     assert dataset.records[0] == (0, 1.0)
     assert dataset.attribute("name").values == ("a, b",)
+
+
+def test_each_quote_character_alone_is_accepted():
+    dataset = parse_csv("a,b\n\"it's\",\"say \"\"hi\"\"\"\n")
+    assert cells_as_text(dataset) == [["it's", 'say "hi"']]
+
+
+# CSV-ish text: separators, quotes and line ends mixed with noise
+_CSV_FUZZ_TEXT = st.lists(
+    st.one_of(
+        st.sampled_from(["a", "b", "1", "1.5", "1_0", "nan", "inf", "?", ",", "'", '"', '""',
+                         " ", "\r", "\n", "\r\n", "\x00", "\u0661"]),
+        st.text(max_size=3),
+    ),
+    max_size=30,
+).map("".join)
+
+
+@settings(max_examples=500)
+@given(st.one_of(
+    st.text(max_size=60),
+    _CSV_FUZZ_TEXT,
+    _CSV_FUZZ_TEXT.map(lambda body: "a,b\n" + body),
+))
+@example("a\n" + "x" * 131073 + "\n")
+@example("a,b\n\"it's \"\"x\"\"\",1\n")
+def test_parse_csv_raises_only_parse_error(text):
+    try:
+        parse_csv(text)
+    except ParseError:
+        pass

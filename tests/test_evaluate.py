@@ -1,17 +1,23 @@
+import math
 import random
+import sys
 
 import pytest
 
 from sppam import (
     AttributeSpec,
+    CLASSIFIER_KINDS,
     Dataset,
     TransformConfig,
     compare_datasets,
     cross_validate,
+    fit,
     gen_surf,
+    group_stratified_folds,
     transform,
 )
 from sppam.evaluate import render_compare_csv, render_compare_text, render_eval_csv, render_eval_text
+from sppam.metrics import matrix_from_pairs
 
 
 def labeled_dataset(n, majority_fraction=0.7, seed=4):
@@ -76,6 +82,20 @@ def test_jobs_do_not_change_results():
     pooled = cross_validate(dataset, "naive-bayes", "label", k=5, repeats=2, seed=3, jobs=4)
     assert serial.fold_accuracies == pooled.fold_accuracies
     assert serial.metrics == pooled.metrics
+
+
+def test_threads_sharing_a_presort_match_serial_results():
+    dataset = labeled_dataset(80)
+    switch_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, mid-sort included
+    try:
+        for kind in ("oner", "decision-stump"):
+            serial = cross_validate(dataset, kind, "label", k=5, repeats=3, seed=3, jobs=1)
+            pooled = cross_validate(dataset, kind, "label", k=5, repeats=3, seed=3, jobs=4)
+            assert serial.fold_accuracies == pooled.fold_accuracies
+            assert serial.repeat_matrices == pooled.repeat_matrices
+    finally:
+        sys.setswitchinterval(switch_interval)
 
 
 def test_group_mode_uses_group_folds():
@@ -155,3 +175,48 @@ def test_render_compare_outputs():
     csv_text = render_compare_csv(report)
     assert "verdict" in csv_text.splitlines()[0]
     assert any(line.endswith("no-difference") for line in csv_text.splitlines())
+
+
+def per_fold_reference(dataset, kind, k, repeats, seed, group_attribute):
+    """cross_validate's accuracies and matrices, with every fold's model
+    fitted by ``fit`` on a plain ``replace_records`` training set."""
+    class_index = dataset.attribute_index("Sets")
+    labeled = dataset.replace_records(r for r in dataset.records if r[class_index] is not None)
+    accuracies, matrices = [], []
+    for r in range(repeats):
+        assignment = group_stratified_folds(labeled, k, "Sets", group_attribute, seed=seed + r)
+        repeat_pairs = []
+        for fold in range(k):
+            train_idx, test_idx = assignment.split(fold)
+            model = fit(kind, labeled.replace_records(labeled.records[i] for i in train_idx), "Sets")
+            pairs = [(labeled.records[i][class_index], model.predict_index(labeled.records[i]))
+                     for i in test_idx]
+            accuracies.append(100.0 * sum(1 for a, p in pairs if a == p) / len(pairs))
+            repeat_pairs += pairs
+        matrices.append(matrix_from_pairs(labeled.schema[class_index].values, repeat_pairs))
+    return tuple(accuracies), tuple(matrices)
+
+
+@pytest.mark.parametrize("group_attribute", [None, "Date"])
+@pytest.mark.parametrize("kind", CLASSIFIER_KINDS)
+def test_presorted_cross_validate_matches_per_fold_fit(kind, group_attribute):
+    surf = gen_surf(days=30, per_day=4, seed=2)
+    rng = random.Random(8)
+    # an extra column of adjacent floats puts non-separating midpoints into
+    # the folds; some cells and labels are missing
+    close = [1.0, math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0), -0.0, 0.0]
+    schema = (*surf.schema, AttributeSpec.numeric("Edge"))
+    records = []
+    for record in surf.records:
+        record = list(record)
+        if rng.random() < 0.05:
+            record[-1] = None
+        if rng.random() < 0.05:
+            record[2] = None
+        records.append((*record, rng.choice(close + [None])))
+    dataset = Dataset("surf", schema, tuple(records))
+    result = cross_validate(dataset, kind, "Sets", k=5, repeats=2, seed=3,
+                            group_attribute=group_attribute)
+    accuracies, matrices = per_fold_reference(dataset, kind, 5, 2, 3, group_attribute)
+    assert result.fold_accuracies == accuracies
+    assert result.repeat_matrices == matrices
