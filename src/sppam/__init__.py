@@ -3,19 +3,16 @@ with a cross-validation harness to compare learning on original and
 aggregated datasets."""
 
 from .arff import ParseError, parse_arff, write_arff
-from .classifiers import CLASSIFIER_KINDS, fit, predict
+from .classifiers import CLASSIFIER_KINDS, fit
 from .csvio import parse_csv, write_csv
 from .evaluate import CrossValResult, EvalReport, compare_datasets, cross_validate
 from .folds import FoldAssignment, group_stratified_folds
 from .generator import gen_surf
 from .metrics import ConfusionMatrix, MetricsReport, classification_metrics
-from .model import AttributeSpec, Dataset, DatasetError, SppamError
+from .model import AttributeSpec, ConfigError, Dataset, DatasetError, SppamError
 from .transform import (
-    ConfigError,
     Group,
     MixedClassGroupWarning,
-    NominalAggregate,
-    NumericAggregate,
     TransformConfig,
     aggregate_nominal,
     aggregate_numeric,
@@ -42,8 +39,6 @@ __all__ = [
     "Group",
     "MetricsReport",
     "MixedClassGroupWarning",
-    "NominalAggregate",
-    "NumericAggregate",
     "ParseError",
     "SppamError",
     "TTestResult",
@@ -62,7 +57,6 @@ __all__ = [
     "group_stratified_folds",
     "parse_arff",
     "parse_csv",
-    "predict",
     "sort_records",
     "transform",
     "write_arff",

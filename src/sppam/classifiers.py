@@ -1,14 +1,16 @@
 """Reference classifiers: ZeroR, OneR, Gaussian naive Bayes, decision stump.
 
-All models are trained on a Dataset with a nominal class attribute and
-predict a class-domain index (``predict_index``) or label (``predict``).
+All models are trained on a Dataset with a nominal class attribute
+(``fit``) and predict a class-domain index (``model.predict_index``) or
+label (``model.predict``).
 String attributes are identifier-like and are never used as features.
 Training records with a missing class value are ignored. Ties are always
 broken towards the lower class-domain index, so fitting is deterministic
 for a given dataset.
 
 Missing feature values are skipped in the naive Bayes product and routed
-to the majority branch in OneR and the decision stump.
+to the majority branch in OneR and the decision stump. Naive Bayes has no
+Gaussian for a class without values or with an overflowing variance.
 
 OneR and the stump pick the candidate attribute with the fewest training
 errors. A candidate's errors are counted from the per-bin or per-side
@@ -31,8 +33,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import islice
 
-from .model import Dataset
-from .transform import ConfigError
+from .model import ConfigError, Dataset, float_mean
 
 CLASSIFIER_KINDS = ("zeror", "oner", "naive-bayes", "decision-stump")
 
@@ -41,9 +42,8 @@ ONER_MIN_BUCKET = 3
 NB_VARIANCE_FLOOR = 1e-9
 
 
-def fit(kind: str, dataset: Dataset, class_attribute: str, seed: int = 0):
-    """Train a classifier of the given kind; seed is accepted for API
-    uniformity (all four models are deterministic)."""
+def fit(kind: str, dataset: Dataset, class_attribute: str):
+    """Train a classifier of the given kind (all four are deterministic)."""
     normalized = kind.lower()
     if normalized not in _FITTERS:
         raise ConfigError(
@@ -80,7 +80,6 @@ class PresortedColumns:
         self._orders: dict[int, list[int]] = {}
 
     def order(self, j: int) -> list[int]:
-        # worker threads may race to sort a column; their results are equal
         order = self._orders.get(j)
         if order is None:
             records, c = self.dataset.records, self.class_index
@@ -132,11 +131,6 @@ class _TrainingSet(Dataset):
         records, c = presorted.dataset.records, presorted.class_index
         kept = [i for i in presorted.order(j) if keep[i]]
         return [records[i][j] for i in kept], [records[i][c] for i in kept]
-
-
-def predict(model, record) -> str:
-    """Class label for one record."""
-    return model.class_values[model.predict_index(record)]
 
 
 @dataclass
@@ -202,7 +196,8 @@ class NaiveBayesModel(_BaseModel):
                     if stats is None:
                         continue
                     mean, var = stats
-                    scores[c] += -0.5 * (math.log(2.0 * math.pi * var) + (v - mean) ** 2 / var)
+                    d = v - mean
+                    scores[c] += -0.5 * (math.log(2.0 * math.pi * var) + d * d / var)
                 else:
                     scores[c] += per_class[c][v]
         return scores
@@ -380,12 +375,14 @@ def _fit_naive_bayes(dataset, rows, class_index, features, sorted_column) -> Nai
             per_class = []
             for c in range(n_classes):
                 values = [row[j] for row in rows if row[class_index] == c and row[j] is not None]
-                if not values:
-                    per_class.append(None)
-                    continue
-                mean = math.fsum(values) / len(values)
-                var = math.fsum((v - mean) ** 2 for v in values) / len(values)
-                per_class.append((mean, max(var, NB_VARIANCE_FLOOR)))
+                stats = None
+                if values:
+                    mean = float_mean(values)
+                    # v - mean or its square overflows near the largest float
+                    var = float_mean([(v - mean) * (v - mean) for v in values])
+                    if math.isfinite(var):
+                        stats = (mean, max(var, NB_VARIANCE_FLOOR))
+                per_class.append(stats)
             feature_stats.append((j, "numeric", per_class))
         else:
             domain_size = len(attr.values)

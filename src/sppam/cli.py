@@ -26,9 +26,8 @@ from .evaluate import (
 )
 from .folds import group_stratified_folds
 from .generator import gen_surf
-from .model import Dataset, SppamError
+from .model import ConfigError, Dataset, SppamError
 from .transform import (
-    ConfigError,
     TransformConfig,
     attribute_count,
     derive_output_schema,
@@ -49,7 +48,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (ConfigError, SppamError) as exc:
+    except SppamError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
@@ -100,7 +99,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repeats", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--group-by")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--csv", action="store_true", help="machine-parsable output")
     p.set_defaults(handler=_cmd_eval)
 
@@ -114,7 +112,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repeats", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--alpha", type=float, default=0.01)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--csv", action="store_true")
     p.set_defaults(handler=_cmd_compare)
 
@@ -237,7 +234,7 @@ def _cmd_eval(args) -> int:
     results = [
         cross_validate(
             dataset, kind, args.class_attr, args.k, args.repeats, args.seed,
-            group_attribute=args.group_by, jobs=args.jobs,
+            group_attribute=args.group_by,
         )
         for kind in _split_kinds(args.classifiers)
     ]
@@ -262,7 +259,6 @@ def _cmd_compare(args) -> int:
         seed=args.seed,
         group_attribute=args.pivot,
         alpha=args.alpha,
-        jobs=args.jobs,
         original_name=Path(args.original).name,
         transformed_name=Path(args.transformed).name,
     )

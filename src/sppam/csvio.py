@@ -8,8 +8,9 @@ Missing cells are empty or ``?``.
 Specific columns can be forced to String (typical for a grouping key or a
 record id) or to Nominal (required for a class column whose values look
 numeric). Quoting follows RFC-4180 conventions via the csv module. A
-header name or cell that holds both quote characters, ``'`` and ``"``, is
-a ParseError: the ARFF writer cannot quote such a value. Every malformed
+header name or cell that holds both quote characters, ``'`` and ``"``, or
+a line break (possible inside a ``"``-quoted cell) is a ParseError: the
+ARFF writer cannot write such a value. Every malformed
 input raises ParseError, including what the csv module rejects (such as a
 field longer than its 131072-character limit).
 """
@@ -63,9 +64,10 @@ def parse_csv(
             rows.append([None if c.strip() in _MISSING_TEXTS else c.strip() for c in row])
     except csv.Error as exc:
         raise ParseError(reader.line_num, f"malformed CSV: {exc}") from None
-    # one C-level scan spares a text without both characters a second pass
-    if "'" in text and '"' in text:
-        _reject_both_quotes(text, names)
+    # a cell can hold both quotes or a line break only in a text with '"'
+    # in it; one C-level scan spares any other text a second pass
+    if '"' in text:
+        _reject_unwritable(text, names)
 
     # float() also reads non-ASCII digits; only a non-ASCII text checks cells
     ascii_text = text.isascii()
@@ -90,17 +92,21 @@ def parse_csv(
     return Dataset(relation_name, schema, tuple(records))
 
 
-def _reject_both_quotes(text: str, names) -> None:
-    """ParseError for the first header name or cell holding both ' and "."""
+def _reject_unwritable(text: str, names) -> None:
+    """ParseError for the first header name or cell holding both ' and " or
+    a line break."""
     reader = csv.reader(io.StringIO(text))
     for row in reader:
         for name, cell in zip(names, row):
-            if "'" in cell and '"' in cell:
-                value = cell.strip()
-                raise ParseError(
-                    reader.line_num,
-                    f"column {name!r}: a value cannot hold both quote characters: {value!r}",
-                )
+            value = cell.strip()
+            if "'" in value and '"' in value:
+                problem = "both quote characters"
+            elif "\n" in value or "\r" in value:
+                problem = "a line break"
+            else:
+                continue
+            message = f"column {name!r}: a value cannot hold {problem}: {value!r}"
+            raise ParseError(reader.line_num, message)
 
 
 def _infer_column(name, cells, string_columns, nominal_columns, ascii_text) -> AttributeSpec:

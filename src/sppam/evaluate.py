@@ -7,21 +7,18 @@ repeats. ``compare_datasets`` evaluates the same classifiers on an
 original dataset and its aggregated counterpart and attaches a corrected
 resampled t-test verdict per classifier.
 
-Fold runs are independent; with ``jobs > 1`` they execute on a worker
-pool, and results are always reduced in (repeat, fold) order so output is
-identical regardless of worker count.
+Folds run one after another in (repeat, fold) order, in the calling
+thread.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import classifiers
 from .folds import group_stratified_folds
 from .metrics import MetricsReport, ConfusionMatrix, average_metrics, classification_metrics, matrix_from_pairs
-from .model import Dataset, SppamError
-from .transform import ConfigError
+from .model import ConfigError, Dataset, SppamError
 from .ttest import A_BETTER, B_BETTER, TTestResult, corrected_t_test
 
 REFERENCE_CLASSIFIER = "oner"
@@ -72,7 +69,6 @@ def cross_validate(
     repeats: int = 10,
     seed: int = 0,
     group_attribute: str | None = None,
-    jobs: int = 1,
 ) -> CrossValResult:
     """Repeated (group-aware) stratified k-fold evaluation of one classifier.
 
@@ -92,42 +88,30 @@ def cross_validate(
     # numeric columns are sorted once here, not once per fold and candidate
     presorted = classifiers.PresortedColumns(labeled, class_attribute)
 
-    tasks = []
+    records = labeled.records
+    accuracies = []
+    repeat_matrices = []
     for r in range(repeats):
         assignment = group_stratified_folds(
             labeled, k, class_attribute, group_attribute, seed=seed + r
         )
+        repeat_pairs = []
         for fold in range(k):
-            tasks.append((r, fold, assignment))
-
-    def run(task):
-        _, fold, assignment = task
-        train_idx, test_idx = assignment.split(fold)
-        train = presorted.training_set(train_idx)
-        model = classifiers.fit(classifier_kind, train, class_attribute, seed=seed)
-        pairs = [
-            (labeled.records[i][class_index], model.predict_index(labeled.records[i]))
-            for i in test_idx
-        ]
-        correct = sum(1 for actual, predicted in pairs if actual == predicted)
-        return 100.0 * correct / len(pairs), pairs
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(run, tasks))
-    else:
-        outcomes = [run(task) for task in tasks]
-
-    accuracies = tuple(accuracy for accuracy, _ in outcomes)
-    repeat_matrices = []
-    for r in range(repeats):
-        pairs = [p for (rr, _, _), (_, ps) in zip(tasks, outcomes) if rr == r for p in ps]
-        repeat_matrices.append(matrix_from_pairs(class_values, pairs))
+            train_idx, test_idx = assignment.split(fold)
+            train = presorted.training_set(train_idx)
+            model = classifiers.fit(classifier_kind, train, class_attribute)
+            pairs = [
+                (records[i][class_index], model.predict_index(records[i])) for i in test_idx
+            ]
+            correct = sum(1 for actual, predicted in pairs if actual == predicted)
+            accuracies.append(100.0 * correct / len(pairs))
+            repeat_pairs.extend(pairs)
+        repeat_matrices.append(matrix_from_pairs(class_values, repeat_pairs))
     metrics = average_metrics(classification_metrics(m) for m in repeat_matrices)
     return CrossValResult(
         classifier=classifier_kind.lower(),
         class_values=class_values,
-        fold_accuracies=accuracies,
+        fold_accuracies=tuple(accuracies),
         repeat_matrices=tuple(repeat_matrices),
         metrics=metrics,
     )
@@ -143,7 +127,6 @@ def compare_datasets(
     seed: int = 0,
     group_attribute: str | None = None,
     alpha: float = 0.01,
-    jobs: int = 1,
     original_name: str = "original",
     transformed_name: str = "transformed",
 ) -> EvalReport:
@@ -164,11 +147,9 @@ def compare_datasets(
     for kind in classifier_kinds:
         result_orig = cross_validate(
             original, kind, class_attribute, k, repeats, seed,
-            group_attribute=group_attribute, jobs=jobs,
+            group_attribute=group_attribute,
         )
-        result_tr = cross_validate(
-            transformed, kind, class_attribute, k, repeats, seed, jobs=jobs,
-        )
+        result_tr = cross_validate(transformed, kind, class_attribute, k, repeats, seed)
         ttest = corrected_t_test(
             result_tr.fold_accuracies,
             result_orig.fold_accuracies,

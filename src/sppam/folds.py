@@ -14,8 +14,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .model import Dataset
-from .transform import ConfigError, group_records
+from .model import ConfigError, Dataset
+from .transform import group_records
 
 
 @dataclass(frozen=True)
@@ -24,9 +24,6 @@ class FoldAssignment:
 
     k: int
     fold_of_record: tuple[int, ...]
-
-    def fold_indices(self, fold: int) -> list[int]:
-        return [i for i, f in enumerate(self.fold_of_record) if f == fold]
 
     def split(self, fold: int) -> tuple[list[int], list[int]]:
         """(train_indices, test_indices) for one held-out fold."""

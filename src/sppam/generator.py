@@ -23,8 +23,7 @@ from __future__ import annotations
 import random
 from datetime import date, timedelta
 
-from .model import AttributeSpec, Dataset
-from .transform import ConfigError
+from .model import AttributeSpec, ConfigError, Dataset
 
 WIND_ROSE = ("N", "NE", "E", "SE", "S", "SW", "W", "NW")
 HOURS = ("0", "6", "12", "18")

@@ -31,17 +31,6 @@ class ConfusionMatrix:
     def total(self) -> int:
         return sum(sum(row) for row in self.counts)
 
-    def add(self, other: ConfusionMatrix) -> ConfusionMatrix:
-        if other.class_values != self.class_values:
-            raise SppamError("cannot combine matrices over different class lists")
-        return ConfusionMatrix(
-            self.class_values,
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.counts, other.counts)
-            ),
-        )
-
 
 def matrix_from_pairs(class_values, pairs) -> ConfusionMatrix:
     """Build a matrix from (actual_index, predicted_index) pairs."""

@@ -33,6 +33,10 @@ class DatasetError(SppamError):
     """A dataset or schema violates a structural invariant."""
 
 
+class ConfigError(SppamError):
+    """A transform/evaluation configuration does not fit the dataset."""
+
+
 @dataclass(frozen=True)
 class AttributeSpec:
     """One column: a name plus a kind (numeric, nominal or string).
@@ -68,15 +72,6 @@ class AttributeSpec:
     @classmethod
     def string(cls, name: str) -> AttributeSpec:
         return cls(name, STRING)
-
-    def index_of(self, value_text: str) -> int:
-        """Domain index of ``value_text``; raises DatasetError if absent."""
-        try:
-            return self.values.index(value_text)
-        except ValueError:
-            raise DatasetError(
-                f"value {value_text!r} is not in the domain of attribute {self.name!r}"
-            ) from None
 
 
 @dataclass(frozen=True)
@@ -152,6 +147,20 @@ def check_cell(attr: AttributeSpec, cell: Cell, where: str = "cell") -> None:
     else:
         if not isinstance(cell, str):
             raise DatasetError(f"{where}: string attribute {attr.name!r} holds {cell!r}")
+
+
+def float_mean(values) -> float:
+    """``math.fsum(values) / len(values)``, or where that sum overflows,
+    the mean of the values scaled down by a power of two >= 2 * len (so
+    the sum stays below half the largest float), scaled back and kept
+    within [min, max]: the mean of finite values is finite."""
+    n = len(values)
+    try:
+        return math.fsum(values) / n
+    except OverflowError:
+        scale = float(1 << (2 * n).bit_length())
+        mean = math.fsum(v / scale for v in values) / n * scale
+        return min(max(mean, min(values)), max(values))
 
 
 def cell_text(attr: AttributeSpec, cell: Cell) -> str | None:

@@ -17,11 +17,14 @@ available via ``sort_records``).
 Missing values are excluded from max/min/avg and from both the numerator
 and denominator of the percentage columns; a group with no observed value
 for an attribute yields missing output cells.
+
+Each aggregate (``aggregate_numeric``, ``aggregate_nominal`` and the
+"last" of strings and the class) takes one column of a group in source
+order and returns that column's output cells, in output schema order.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -29,14 +32,11 @@ from .model import (
     NOMINAL,
     NUMERIC,
     AttributeSpec,
+    ConfigError,
     Dataset,
-    SppamError,
     cell_text,
+    float_mean,
 )
-
-
-class ConfigError(SppamError):
-    """A transform/evaluation configuration does not fit the dataset."""
 
 
 class MixedClassGroupWarning(UserWarning):
@@ -73,24 +73,6 @@ class TransformConfig:
         if self.id_attribute is not None:
             named.append(("id", self.id_attribute))
         return named
-
-
-@dataclass(frozen=True)
-class NumericAggregate:
-    """Max/min/mean/last of one numeric column within one group."""
-
-    max: float | None
-    min: float | None
-    avg: float | None
-    last: float | None
-
-
-@dataclass(frozen=True)
-class NominalAggregate:
-    """Percentage per domain value plus last observed domain index."""
-
-    percents: tuple[float | None, ...]
-    last: int | None
 
 
 @dataclass(frozen=True)
@@ -172,25 +154,26 @@ def group_records(dataset: Dataset, pivot_attribute: str) -> list[Group]:
     return [Group(key, tuple(idx)) for key, idx in members.items()]
 
 
-def aggregate_numeric(values) -> NumericAggregate:
-    """Aggregate an ordered list of numeric-or-missing values.
+def aggregate_numeric(values) -> tuple:
+    """Output cells ``(max, min, avg, last)`` of an ordered sequence of
+    numeric-or-missing values.
 
-    All fields are missing when every input is missing; otherwise the mean
-    is computed in full precision over the observed values and last is the
-    final observed value.
+    All four are missing when every input is missing; otherwise avg is the
+    full-precision mean of the observed values (``float_mean``) and last
+    is the final observed value.
     """
     if not values:
         raise ValueError("cannot aggregate an empty group")
-    present = [v for v in values if v is not None]
+    present = [v for v in values if v is not None] if None in values else values
     if not present:
-        return NumericAggregate(None, None, None, None)
-    return NumericAggregate(
-        max(present), min(present), math.fsum(present) / len(present), present[-1]
-    )
+        return (None, None, None, None)
+    return (max(present), min(present), float_mean(present), present[-1])
 
 
-def aggregate_nominal(values, domain_size: int) -> NominalAggregate:
-    """Aggregate an ordered list of nominal indices (or missing).
+def aggregate_nominal(values, domain_size: int) -> tuple:
+    """Output cells ``(*percents, last)`` of an ordered sequence of nominal
+    indices (or missing): one percentage per domain value, then the last
+    observed index.
 
     Percent of domain value v = 100 * count(v) / count(observed); the
     percents sum to 100 whenever anything was observed.
@@ -206,8 +189,16 @@ def aggregate_nominal(values, domain_size: int) -> NominalAggregate:
             observed += 1
             last = v
     if observed == 0:
-        return NominalAggregate((None,) * domain_size, None)
-    return NominalAggregate(tuple(100.0 * c / observed for c in counts), last)
+        return (None,) * (domain_size + 1)
+    return (*[100.0 * c / observed for c in counts], last)
+
+
+def _last(values) -> tuple:
+    """Output cell ``(last,)``: the final non-missing value, or missing."""
+    for v in reversed(values):
+        if v is not None:
+            return (v,)
+    return (None,)
 
 
 def sort_records(dataset: Dataset, attribute: str) -> Dataset:
@@ -237,57 +228,30 @@ def transform(dataset: Dataset, config: TransformConfig) -> Dataset:
     groups = group_records(dataset, config.pivot_attribute)
     records = dataset.records
 
-    # (attribute index, kind, domain size) for non-class attributes, once
-    plan = [
-        (j, attr.kind, len(attr.values))
-        for j, attr in enumerate(schema)
-        if j != class_index
-    ]
+    # each non-class attribute's aggregate, chosen once
+    plan = []
+    for j, attr in enumerate(schema):
+        if j == class_index:
+            continue
+        if attr.kind == NUMERIC:
+            plan.append((j, aggregate_numeric))
+        elif attr.kind == NOMINAL:
+            # a default argument binds the size at less cost than partial()
+            plan.append((j, lambda values, n=len(attr.values): aggregate_nominal(values, n)))
+        else:
+            plan.append((j, _last))
 
     mixed_groups: list[str] = []
     out_records = []
     for group in groups:
-        rows = [records[i] for i in group.member_indices]
+        columns = tuple(zip(*[records[i] for i in group.member_indices]))
         out_row: list = []
-        for j, kind, domain_size in plan:
-            if kind == NUMERIC:
-                present = [row[j] for row in rows if row[j] is not None]
-                if present:
-                    out_row.append(max(present))
-                    out_row.append(min(present))
-                    out_row.append(math.fsum(present) / len(present))
-                    out_row.append(present[-1])
-                else:
-                    out_row.extend((None, None, None, None))
-            elif kind == NOMINAL:
-                counts = [0] * domain_size
-                last = None
-                observed = 0
-                for row in rows:
-                    v = row[j]
-                    if v is not None:
-                        counts[v] += 1
-                        observed += 1
-                        last = v
-                if observed:
-                    out_row.extend(100.0 * c / observed for c in counts)
-                    out_row.append(last)
-                else:
-                    out_row.extend((None,) * (domain_size + 1))
-            else:
-                last = None
-                for row in rows:
-                    if row[j] is not None:
-                        last = row[j]
-                out_row.append(last)
-        class_values = {row[class_index] for row in rows if row[class_index] is not None}
-        if len(class_values) > 1:
+        for j, aggregate in plan:
+            out_row.extend(aggregate(columns[j]))
+        classes = columns[class_index]
+        if len(set(classes) - {None}) > 1:
             mixed_groups.append(group.key)
-        last_class = None
-        for row in rows:
-            if row[class_index] is not None:
-                last_class = row[class_index]
-        out_row.append(last_class)
+        out_row.extend(_last(classes))
         out_records.append(tuple(out_row))
 
     if mixed_groups:

@@ -113,29 +113,29 @@ def test_c04_aggregation_properties():
         n = rng.randint(1, 12)
         values = [None if rng.random() < 0.2 else round(rng.uniform(-50, 50), 3)
                   for _ in range(n)]
-        agg = aggregate_numeric(values)
+        max_, min_, avg, last = aggregate_numeric(values)
         observed = [v for v in values if v is not None]
         if observed:
-            assert agg.min <= agg.avg <= agg.max
-            assert agg.last in observed
-            assert agg.max in observed and agg.min in observed
+            assert min_ <= avg <= max_
+            assert last in observed
+            assert max_ in observed and min_ in observed
         else:
-            assert (agg.max, agg.min, agg.avg, agg.last) == (None, None, None, None)
+            assert (max_, min_, avg, last) == (None, None, None, None)
         cases += 1
 
     for _ in range(3000):
         size = rng.randint(1, 6)
         n = rng.randint(1, 12)
         values = [None if rng.random() < 0.2 else rng.randrange(size) for _ in range(n)]
-        agg = aggregate_nominal(values, size)
+        *percents, last = aggregate_nominal(values, size)
         observed = [v for v in values if v is not None]
         if observed:
-            assert abs(sum(agg.percents) - 100.0) <= 1e-9
+            assert abs(sum(percents) - 100.0) <= 1e-9
             for v in range(size):
-                assert (agg.percents[v] == 0.0) == (v not in observed)
-            assert agg.last == observed[-1]
+                assert (percents[v] == 0.0) == (v not in observed)
+            assert last == observed[-1]
         else:
-            assert all(p is None for p in agg.percents)
+            assert all(p is None for p in percents)
         cases += 1
 
     stable_suffixes = ("_MAX", "_MIN", "_AVG", "_PERC")

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import SURF_TWO_DAYS_DAILY
 from helpers import oracle_fit
-from sppam import AttributeSpec, ConfigError, Dataset, fit, parse_arff, predict
+from sppam import AttributeSpec, ConfigError, Dataset, fit, parse_arff
 from sppam.classifiers import NB_VARIANCE_FLOOR, PresortedColumns
 
 
@@ -69,7 +69,7 @@ class TestZeroR:
     def test_tie_broken_by_class_domain_order(self):
         dataset = single_feature_dataset([(1.0, 1), (2.0, 0)])
         model = fit("zeror", dataset, "label")
-        assert predict(model, (9.9, None)) == "a"
+        assert model.predict((9.9, None)) == "a"
 
 
 class TestOneR:
@@ -124,6 +124,17 @@ class TestNaiveBayes:
         model = fit("naive-bayes", dataset, "label")
         assert model.predict_index((2.0, None)) == 0
         assert model.predict_index((5.0, None)) == 1
+
+    def test_values_near_the_largest_float_do_not_overflow(self):
+        big = 1.7976931348623157e308
+        # both classes' variances (and class 0's sum) overflow: no Gaussian
+        rows = [(big, 0), (big, 0), (1.0, 0), (-big, 1), (2.0, 1)]
+        model = fit("naive-bayes", single_feature_dataset(rows), "label")
+        assert model.feature_stats[0][2] == [None, None]
+        # a finite Gaussian scores a value whose distance to its mean overflows
+        rows = [(1.0, 0), (2.0, 0), (5.0, 1)]
+        model = fit("naive-bayes", single_feature_dataset(rows), "label")
+        assert model.class_log_scores((big, None)) == [-math.inf, -math.inf]
 
     def test_random_datasets_match_brute_force(self):
         rng = random.Random(17)
@@ -202,8 +213,8 @@ def test_deterministic_fits():
     rng = random.Random(23)
     dataset = _random_labeled_dataset(rng)
     for kind in ("zeror", "oner", "naive-bayes", "decision-stump"):
-        a = fit(kind, dataset, "label", seed=1)
-        b = fit(kind, dataset, "label", seed=2)
+        a = fit(kind, dataset, "label")
+        b = fit(kind, dataset, "label")
         assert [a.predict_index(r) for r in dataset.records] == [
             b.predict_index(r) for r in dataset.records
         ]

@@ -80,6 +80,29 @@ def test_transform_large_values_with_decimals(run_cli, tmp_path):
     assert out.read_text().splitlines()[-2] == f"d1,{big},{big},{big},{big},0"
 
 
+def test_transform_group_summing_past_the_largest_float(run_cli, tmp_path):
+    src = tmp_path / "huge.arff"
+    src.write_text(
+        "@ATTRIBUTE day string\n@ATTRIBUTE v numeric\n@ATTRIBUTE c {0,1}\n"
+        "@DATA\nd1,1.7976931348623157e308,0\nd1,1.7976931348623157e308,0\n"
+    )
+    out = tmp_path / "daily.arff"
+    code, _, stderr = run_cli("transform", src, "--pivot", "day", "--class", "c", "-o", out)
+    assert code == 0, stderr
+    big = "1.7976931348623157e+308"
+    assert out.read_text().splitlines()[-1] == f"d1,{big},{big},{big},{big},0"
+
+
+def test_transform_csv_cell_with_line_break_exits_1_without_output(run_cli, tmp_path):
+    src = tmp_path / "note.csv"
+    src.write_text("Date,Note,Surf\n18-11-2010,\"two\nlines\",0\n")
+    out = tmp_path / "daily.arff"
+    code, _, stderr = run_cli("transform", src, "--pivot", "Date", "--class", "Surf", "-o", out)
+    assert code == 1
+    assert "line 3: column 'Note': a value cannot hold a line break" in stderr
+    assert not out.exists()
+
+
 def test_transform_negative_decimals_exits_2_before_parsing(run_cli, tmp_path):
     src = tmp_path / "broken.arff"
     src.write_text("@ATTRIBUTE a numeric\n@DATA\n1,2\n")
@@ -160,6 +183,20 @@ def test_eval_text_report(run_cli, tmp_path):
     assert "zeror" in stdout
     kappa_column = [line.split() for line in stdout.splitlines() if "average" in line]
     assert kappa_column[0][3] == "0.00"  # zeror kappa
+
+
+def test_eval_naive_bayes_on_values_near_the_largest_float(run_cli, tmp_path):
+    src = tmp_path / "huge.arff"
+    values = ["1.7976931348623157e308", "1.0", "2.0", "-1.7976931348623157e308", "3.0",
+              "4.0", "1.5e308", "5.0", "6.0", "7.0"]
+    src.write_text(
+        "@ATTRIBUTE x numeric\n@ATTRIBUTE c {0,1}\n@DATA\n"
+        + "".join(f"{v},{i % 2}\n" for i, v in enumerate(values))
+    )
+    args = ("eval", src, "--class", "c", "--classifiers", "naive-bayes", "--k", "2", "--repeats", "3")
+    code, first, stderr = run_cli(*args)
+    assert code == 0, stderr
+    assert run_cli(*args) == (0, first, "")
 
 
 def test_eval_unknown_classifier_exits_2(run_cli, surf_file):

@@ -76,6 +76,8 @@ def test_forced_columns():
         ("", "empty CSV input"),
         ("a,b\n1,\"it's \"\"x\"\"\"\n", "line 2: column 'b': a value cannot hold both quote characters"),
         ("a,\"b'\"\"\"\n1,2\n", "line 1: column 'b\\'\"': a value cannot hold both quote characters"),
+        ("a,b\n1,\"two\nlines\"\n", "line 3: column 'b': a value cannot hold a line break"),
+        ("a,\"b\rc\"\n1,2\n", "line 1: column 'b\\rc': a value cannot hold a line break"),
         ("a\n1\n" + "x" * 131073 + "\n", "line 3: malformed CSV: field larger than field limit"),
     ],
 )

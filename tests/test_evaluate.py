@@ -1,6 +1,5 @@
 import math
 import random
-import sys
 
 import pytest
 
@@ -74,28 +73,6 @@ def test_accuracy_vector_length_is_repeats_times_k():
     assert len(result.repeat_matrices) == 3
     for m in result.repeat_matrices:
         assert m.total == 45  # every record scored exactly once per repeat
-
-
-def test_jobs_do_not_change_results():
-    dataset = labeled_dataset(50)
-    serial = cross_validate(dataset, "naive-bayes", "label", k=5, repeats=2, seed=3, jobs=1)
-    pooled = cross_validate(dataset, "naive-bayes", "label", k=5, repeats=2, seed=3, jobs=4)
-    assert serial.fold_accuracies == pooled.fold_accuracies
-    assert serial.metrics == pooled.metrics
-
-
-def test_threads_sharing_a_presort_match_serial_results():
-    dataset = labeled_dataset(80)
-    switch_interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # switch threads often, mid-sort included
-    try:
-        for kind in ("oner", "decision-stump"):
-            serial = cross_validate(dataset, kind, "label", k=5, repeats=3, seed=3, jobs=1)
-            pooled = cross_validate(dataset, kind, "label", k=5, repeats=3, seed=3, jobs=4)
-            assert serial.fold_accuracies == pooled.fold_accuracies
-            assert serial.repeat_matrices == pooled.repeat_matrices
-    finally:
-        sys.setswitchinterval(switch_interval)
 
 
 def test_group_mode_uses_group_folds():

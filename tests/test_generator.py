@@ -2,8 +2,7 @@ from collections import Counter
 
 import pytest
 
-from sppam import TransformConfig, gen_surf, transform
-from sppam.transform import ConfigError, group_records
+from sppam import ConfigError, TransformConfig, gen_surf, group_records, transform
 
 CONFIG = TransformConfig("Date", "Sets")
 

@@ -130,56 +130,67 @@ class TestGroupRecords:
 
 class TestAggregateNumeric:
     def test_first_day_values(self):
-        agg = aggregate_numeric([15.6, 9.7, 3.9, 5.8])
-        assert (agg.max, agg.min, agg.avg, agg.last) == (15.6, 3.9, 8.75, 5.8)
+        max_, min_, avg, last = aggregate_numeric([15.6, 9.7, 3.9, 5.8])
+        assert (max_, min_, avg, last) == (15.6, 3.9, 8.75, 5.8)
 
     def test_second_day_values(self):
-        agg = aggregate_numeric([11.7, 15.6, 13.6, 15.6])
-        assert (agg.max, agg.min, agg.avg, agg.last) == (15.6, 11.7, 14.125, 15.6)
+        max_, min_, avg, last = aggregate_numeric([11.7, 15.6, 13.6, 15.6])
+        assert (max_, min_, avg, last) == (15.6, 11.7, 14.125, 15.6)
 
     def test_singleton(self):
-        agg = aggregate_numeric([4.2])
-        assert (agg.max, agg.min, agg.avg, agg.last) == (4.2, 4.2, 4.2, 4.2)
+        max_, min_, avg, last = aggregate_numeric([4.2])
+        assert (max_, min_, avg, last) == (4.2, 4.2, 4.2, 4.2)
 
     def test_missing_skipped(self):
-        agg = aggregate_numeric([None, 2.0, None, 6.0, None])
-        assert (agg.max, agg.min, agg.avg, agg.last) == (6.0, 2.0, 4.0, 6.0)
+        max_, min_, avg, last = aggregate_numeric([None, 2.0, None, 6.0, None])
+        assert (max_, min_, avg, last) == (6.0, 2.0, 4.0, 6.0)
 
     def test_all_missing(self):
-        agg = aggregate_numeric([None, None])
-        assert (agg.max, agg.min, agg.avg, agg.last) == (None, None, None, None)
+        max_, min_, avg, last = aggregate_numeric([None, None])
+        assert (max_, min_, avg, last) == (None, None, None, None)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             aggregate_numeric([])
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_sum_overflow_keeps_a_finite_mean(self, sign):
+        m = sign * 1.7976931348623157e308
+        assert aggregate_numeric([m, m]) == (m, m, m, m)
+        assert aggregate_numeric([m] * 3) == (m, m, m, m)
+        # the scaled mean of three 1.7e308 rounds past them and is clamped back
+        a = sign * 1.7e308
+        assert aggregate_numeric([a] * 3) == (a, a, a, a)
+        _, _, avg, _ = aggregate_numeric([m, m / 2, 1.0])
+        assert min(m, 1.0) <= avg <= max(m, 1.0)
+
 
 class TestAggregateNominal:
     # domain indices over the 8-value wind rose; SE=3, NE=1, E=2
     def test_first_day_percentages(self):
-        agg = aggregate_nominal([3, 3, 3, 1], 8)
-        assert agg.percents == (0.0, 25.0, 0.0, 75.0, 0.0, 0.0, 0.0, 0.0)
-        assert agg.last == 1
+        *percents, last = aggregate_nominal([3, 3, 3, 1], 8)
+        assert tuple(percents) == (0.0, 25.0, 0.0, 75.0, 0.0, 0.0, 0.0, 0.0)
+        assert last == 1
 
     def test_second_day_percentages(self):
-        agg = aggregate_nominal([1, 1, 2, 2], 8)
-        assert agg.percents == (0.0, 50.0, 50.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-        assert agg.last == 2
+        *percents, last = aggregate_nominal([1, 1, 2, 2], 8)
+        assert tuple(percents) == (0.0, 50.0, 50.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        assert last == 2
 
     def test_singleton(self):
-        agg = aggregate_nominal([2], 4)
-        assert agg.percents == (0.0, 0.0, 100.0, 0.0)
-        assert agg.last == 2
+        *percents, last = aggregate_nominal([2], 4)
+        assert tuple(percents) == (0.0, 0.0, 100.0, 0.0)
+        assert last == 2
 
     def test_missing_excluded_from_both_sides(self):
-        agg = aggregate_nominal([None, 0, None, 1], 2)
-        assert agg.percents == (50.0, 50.0)
-        assert agg.last == 1
+        *percents, last = aggregate_nominal([None, 0, None, 1], 2)
+        assert tuple(percents) == (50.0, 50.0)
+        assert last == 1
 
     def test_all_missing(self):
-        agg = aggregate_nominal([None], 3)
-        assert agg.percents == (None, None, None)
-        assert agg.last is None
+        *percents, last = aggregate_nominal([None], 3)
+        assert tuple(percents) == (None, None, None)
+        assert last is None
 
 
 @pytest.mark.filterwarnings("ignore::sppam.MixedClassGroupWarning")
