@@ -24,6 +24,7 @@ from .model import (
     Dataset,
     SppamError,
     format_number,
+    no_gc,
 )
 
 _NUMERIC_TYPE_WORDS = {"numeric", "real", "integer"}
@@ -38,6 +39,7 @@ class ParseError(SppamError):
         self.line = line
 
 
+@no_gc
 def parse_arff(text: str) -> Dataset:
     """Parse ARFF-style text into a Dataset.
 

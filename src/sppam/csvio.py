@@ -13,6 +13,10 @@ a line break (possible inside a ``"``-quoted cell) is a ParseError: the
 ARFF writer cannot write such a value. Every malformed
 input raises ParseError, including what the csv module rejects (such as a
 field longer than its 131072-character limit).
+
+``parse_csv`` works one column at a time: it strips, classifies and
+converts each distinct cell text of a column once, and equal texts share
+one cell object.
 """
 
 from __future__ import annotations
@@ -22,11 +26,12 @@ import io
 import math
 
 from .arff import ParseError
-from .model import AttributeSpec, Cell, Dataset, format_number
+from .model import AttributeSpec, Dataset, format_number, no_gc
 
 _MISSING_TEXTS = ("", "?")
 
 
+@no_gc
 def parse_csv(
     text: str,
     string_columns=(),
@@ -51,45 +56,68 @@ def parse_csv(
         if forced not in names:
             raise ParseError(1, f"forced column {forced!r} is not in the header")
 
-    rows: list[list[str | None]] = []
+    rows: list[list[str]] = []
+    read_error = None
     try:
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(names):
-                raise ParseError(
-                    reader.line_num,
-                    f"row has {len(row)} values, header has {len(names)} columns",
-                )
-            rows.append([None if c.strip() in _MISSING_TEXTS else c.strip() for c in row])
+        rows.extend(reader)  # keeps the rows read before a csv.Error
     except csv.Error as exc:
-        raise ParseError(reader.line_num, f"malformed CSV: {exc}") from None
+        read_error = ParseError(reader.line_num, f"malformed CSV: {exc}")
+    rows = list(filter(None, rows))  # blank lines read as []
+    width = len(names)
+    if set(map(len, rows)) - {width}:
+        _reject_row_width(text, width)
+    if read_error is not None:
+        raise read_error
+
+    columns = list(zip(*rows)) if rows else [()] * width
+    del rows  # frees the row lists before the columns are converted
+    # per column: its distinct raw texts in first-seen order, their stripped
+    # texts, and the distinct present values; a value's first raw text marks
+    # its first occurrence, so the values keep first-seen order too
+    distinct = []
+    for column in columns:
+        raws = dict.fromkeys(column)
+        stripped = list(map(str.strip, raws))
+        values = dict.fromkeys(stripped)
+        for missing in _MISSING_TEXTS:
+            values.pop(missing, None)
+        distinct.append((raws, stripped, values))
     # a cell can hold both quotes or a line break only in a text with '"'
-    # in it; one C-level scan spares any other text a second pass
-    if '"' in text:
+    if '"' in text and (
+        any(map(_unwritable, names))
+        or any(any(map(_unwritable, values)) for _, _, values in distinct)
+    ):
         _reject_unwritable(text, names)
 
-    # float() also reads non-ASCII digits; only a non-ASCII text checks cells
+    # float() also reads non-ASCII digits; only a non-ASCII text checks values
     ascii_text = text.isascii()
-    schema = tuple(
-        _infer_column(name, [row[j] for row in rows], string_columns, nominal_columns, ascii_text)
-        for j, name in enumerate(names)
-    )
-    indexes = [{value: i for i, value in enumerate(attr.values)} for attr in schema]
-    records = []
-    for row in rows:
-        cells: list[Cell] = []
-        for attr, index, raw in zip(schema, indexes, row):
-            if raw is None:
-                cells.append(None)
-            elif attr.kind == "numeric":
-                cells.append(float(raw))
-            elif attr.kind == "nominal":
-                cells.append(index[raw])
-            else:
-                cells.append(raw)
-        records.append(tuple(cells))
-    return Dataset(relation_name, schema, tuple(records))
+    schema = []
+    for j, (name, (raws, stripped, values)) in enumerate(zip(names, distinct)):
+        attr, cells = _infer_column(name, values, string_columns, nominal_columns, ascii_text)
+        schema.append(attr)
+        memo = dict(zip(raws, map(cells.get, stripped)))
+        columns[j] = list(map(memo.__getitem__, columns[j]))
+    return Dataset(relation_name, tuple(schema), tuple(zip(*columns)))
+
+
+def _reject_row_width(text: str, width: int) -> None:
+    """ParseError for the first non-blank row that is not ``width`` wide."""
+    reader = csv.reader(io.StringIO(text))
+    next(reader)
+    for row in reader:
+        if row and len(row) != width:
+            raise ParseError(
+                reader.line_num, f"row has {len(row)} values, header has {width} columns"
+            )
+
+
+def _unwritable(value: str) -> str | None:
+    """What the ARFF writer cannot write in ``value``, or None."""
+    if "'" in value and '"' in value:
+        return "both quote characters"
+    if "\n" in value or "\r" in value:
+        return "a line break"
+    return None
 
 
 def _reject_unwritable(text: str, names) -> None:
@@ -99,45 +127,41 @@ def _reject_unwritable(text: str, names) -> None:
     for row in reader:
         for name, cell in zip(names, row):
             value = cell.strip()
-            if "'" in value and '"' in value:
-                problem = "both quote characters"
-            elif "\n" in value or "\r" in value:
-                problem = "a line break"
-            else:
-                continue
-            message = f"column {name!r}: a value cannot hold {problem}: {value!r}"
-            raise ParseError(reader.line_num, message)
+            problem = _unwritable(value)
+            if problem is not None:
+                message = f"column {name!r}: a value cannot hold {problem}: {value!r}"
+                raise ParseError(reader.line_num, message)
 
 
-def _infer_column(name, cells, string_columns, nominal_columns, ascii_text) -> AttributeSpec:
+def _infer_column(name, values, string_columns, nominal_columns, ascii_text):
+    """The column's AttributeSpec and the cell of each of its distinct
+    present ``values``."""
     if name in string_columns:
-        return AttributeSpec.string(name)
-    present = [c for c in cells if c is not None]
-    if (
-        name not in nominal_columns
-        and all(_is_number(c) for c in present)
-        and (ascii_text or all(c.isascii() for c in present))
-    ):
-        return AttributeSpec.numeric(name)
-    domain: list[str] = []
-    seen = set()
-    for c in present:
-        if c not in seen:
-            seen.add(c)
-            domain.append(c)
-    if not domain:
+        return AttributeSpec.string(name), dict(zip(values, values))
+    if name not in nominal_columns:
+        numbers = _numbers(values, ascii_text)
+        if numbers is not None:
+            return AttributeSpec.numeric(name), dict(zip(values, numbers))
+    if not values:
         raise ParseError(1, f"column {name!r} has no observed values to build a nominal domain")
-    return AttributeSpec.nominal(name, domain)
+    return AttributeSpec.nominal(name, values), dict(zip(values, range(len(values))))
 
 
-def _is_number(text: str) -> bool:
-    """True for finite decimal text; ``float`` also takes "1_000", this does not."""
-    if "_" in text:
-        return False
+def _numbers(texts, ascii_text: bool) -> list[float] | None:
+    """The float of each text, or None unless every one is finite decimal
+    ASCII text; ``float`` also takes "1_000" and non-ASCII digits, this
+    does not."""
     try:
-        return math.isfinite(float(text))
+        numbers = list(map(float, texts))
     except ValueError:
-        return False
+        return None
+    if (
+        all(map(math.isfinite, numbers))
+        and not any("_" in text for text in texts)
+        and (ascii_text or all(map(str.isascii, texts)))
+    ):
+        return numbers
+    return None
 
 
 def write_csv(dataset: Dataset, decimals: int | None = None) -> str:

@@ -15,6 +15,8 @@ specs are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import functools
+import gc
 import math
 from dataclasses import dataclass, field
 
@@ -84,17 +86,18 @@ class Dataset:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "schema", tuple(self.schema))
-        object.__setattr__(self, "records", tuple(tuple(r) for r in self.records))
+        object.__setattr__(self, "records", tuple(map(tuple, self.records)))
         names = [a.name for a in self.schema]
         if len(set(names)) != len(names):
             dupes = sorted({n for n in names if names.count(n) > 1})
             raise DatasetError(f"duplicate attribute names in schema: {dupes}")
         width = len(self.schema)
-        for i, record in enumerate(self.records):
-            if len(record) != width:
-                raise DatasetError(
-                    f"record {i} has {len(record)} values, schema has {width} attributes"
-                )
+        if set(map(len, self.records)) - {width}:
+            for i, record in enumerate(self.records):
+                if len(record) != width:
+                    raise DatasetError(
+                        f"record {i} has {len(record)} values, schema has {width} attributes"
+                    )
 
     @property
     def attribute_names(self) -> list[str]:
@@ -113,40 +116,27 @@ class Dataset:
         j = self.attribute_index(name)
         return [record[j] for record in self.records]
 
-    def validate(self) -> None:
-        """Deep per-cell type/domain check.
-
-        Construction only checks record arity (cheap); parsers emit typed
-        cells already, so the full check is opt-in for untrusted inputs.
-        """
-        for i, record in enumerate(self.records):
-            for j, attr in enumerate(self.schema):
-                check_cell(attr, record[j], where=f"record {i}")
-
     def replace_records(self, records) -> Dataset:
         return Dataset(self.relation_name, self.schema, tuple(records))
 
 
-def check_cell(attr: AttributeSpec, cell: Cell, where: str = "cell") -> None:
-    """Raise DatasetError unless ``cell`` is type-compatible with ``attr``."""
-    if cell is None:
-        return
-    if attr.kind == NUMERIC:
-        # bool is an int subclass; reject it explicitly
-        if isinstance(cell, bool) or not isinstance(cell, (int, float)):
-            raise DatasetError(f"{where}: numeric attribute {attr.name!r} holds {cell!r}")
-        if not math.isfinite(cell):
-            raise DatasetError(f"{where}: non-finite value in numeric attribute {attr.name!r}")
-    elif attr.kind == NOMINAL:
-        if isinstance(cell, bool) or not isinstance(cell, int):
-            raise DatasetError(f"{where}: nominal attribute {attr.name!r} holds {cell!r}")
-        if not 0 <= cell < len(attr.values):
-            raise DatasetError(
-                f"{where}: nominal index {cell} out of range for attribute {attr.name!r}"
-            )
-    else:
-        if not isinstance(cell, str):
-            raise DatasetError(f"{where}: string attribute {attr.name!r} holds {cell!r}")
+def no_gc(function):
+    """Decorate ``function`` to run with the cyclic garbage collector paused
+    and its prior state restored on return or raise. For builders of
+    O(records) containers that hold no reference cycles, which the
+    collector would otherwise scan again and again while they grow."""
+
+    @functools.wraps(function)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return function(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return paused
 
 
 def float_mean(values) -> float:

@@ -36,6 +36,7 @@ from .model import (
     Dataset,
     cell_text,
     float_mean,
+    no_gc,
 )
 
 
@@ -159,15 +160,18 @@ def aggregate_numeric(values) -> tuple:
     numeric-or-missing values.
 
     All four are missing when every input is missing; otherwise avg is the
-    full-precision mean of the observed values (``float_mean``) and last
-    is the final observed value.
+    full-precision mean of the observed values (``float_mean``), kept
+    within [min, max], and last is the final observed value.
     """
     if not values:
         raise ValueError("cannot aggregate an empty group")
     present = [v for v in values if v is not None] if None in values else values
     if not present:
         return (None, None, None, None)
-    return (max(present), min(present), float_mean(present), present[-1])
+    highest, lowest = max(present), min(present)
+    # fsum/len of equal values can land one ulp outside them
+    mean = min(max(float_mean(present), lowest), highest)
+    return (highest, lowest, mean, present[-1])
 
 
 def aggregate_nominal(values, domain_size: int) -> tuple:
@@ -215,6 +219,7 @@ def sort_records(dataset: Dataset, attribute: str) -> Dataset:
     return dataset.replace_records(dataset.records[i] for i in indexed)
 
 
+@no_gc
 def transform(dataset: Dataset, config: TransformConfig) -> Dataset:
     """Collapse each pivot group of ``dataset`` into one aggregate record.
 
@@ -260,6 +265,6 @@ def transform(dataset: Dataset, config: TransformConfig) -> Dataset:
             f"(last value wins): {', '.join(mixed_groups[:10])}"
             + ("..." if len(mixed_groups) > 10 else ""),
             MixedClassGroupWarning,
-            stacklevel=2,
+            stacklevel=3,  # past no_gc's wrapper, to the caller
         )
     return Dataset(dataset.relation_name, out_schema, tuple(out_records))

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import csv
+import io
+import math
 import random
 from decimal import ROUND_HALF_UP, Decimal, localcontext
 
@@ -11,7 +14,8 @@ from sppam.classifiers import (
     DecisionStumpModel,
     OneRModel,
 )
-from sppam.model import AttributeSpec, Dataset, cell_text
+from sppam.arff import ParseError
+from sppam.model import AttributeSpec, Cell, Dataset, cell_text
 from sppam.transform import TransformConfig
 
 NOMINAL_POOL = ["red", "green", "blue", "cyan", "teal", "plum", "gray", "gold"]
@@ -401,3 +405,121 @@ def _oracle_stump_nominal(dataset, rows, class_index, j, domain_size, n_classes)
         right_class=rc,
         majority_branch_class=majority_class,
     )
+
+
+_ORACLE_CSV_MISSING = ("", "?")
+
+
+def oracle_parse_csv(
+    text: str,
+    string_columns=(),
+    nominal_columns=(),
+    relation_name: str = "unnamed",
+) -> Dataset:
+    """Reference for ``parse_csv``: its row-at-a-time version, which strips
+    and converts every cell on its own and tests every numeric cell with
+    ``float`` twice."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError(1, "empty CSV input") from None
+    except csv.Error as exc:
+        raise ParseError(reader.line_num, f"malformed CSV: {exc}") from None
+    names = [h.strip() for h in header]
+    if any(name == "" for name in names):
+        raise ParseError(1, "empty header name")
+    if len(set(names)) != len(names):
+        dupes = sorted({n for n in names if names.count(n) > 1})
+        raise ParseError(1, f"duplicate header names: {dupes}")
+    for forced in (*string_columns, *nominal_columns):
+        if forced not in names:
+            raise ParseError(1, f"forced column {forced!r} is not in the header")
+
+    rows: list[list[str | None]] = []
+    try:
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(names):
+                raise ParseError(
+                    reader.line_num,
+                    f"row has {len(row)} values, header has {len(names)} columns",
+                )
+            rows.append([None if c.strip() in _ORACLE_CSV_MISSING else c.strip() for c in row])
+    except csv.Error as exc:
+        raise ParseError(reader.line_num, f"malformed CSV: {exc}") from None
+    # a cell can hold both quotes or a line break only in a text with '"'
+    # in it; one C-level scan spares any other text a second pass
+    if '"' in text:
+        _oracle_csv_reject_unwritable(text, names)
+
+    # float() also reads non-ASCII digits; only a non-ASCII text checks cells
+    ascii_text = text.isascii()
+    schema = tuple(
+        _oracle_csv_infer_column(name, [row[j] for row in rows], string_columns, nominal_columns, ascii_text)
+        for j, name in enumerate(names)
+    )
+    indexes = [{value: i for i, value in enumerate(attr.values)} for attr in schema]
+    records = []
+    for row in rows:
+        cells: list[Cell] = []
+        for attr, index, raw in zip(schema, indexes, row):
+            if raw is None:
+                cells.append(None)
+            elif attr.kind == "numeric":
+                cells.append(float(raw))
+            elif attr.kind == "nominal":
+                cells.append(index[raw])
+            else:
+                cells.append(raw)
+        records.append(tuple(cells))
+    return Dataset(relation_name, schema, tuple(records))
+
+
+def _oracle_csv_reject_unwritable(text: str, names) -> None:
+    """ParseError for the first header name or cell holding both ' and " or
+    a line break."""
+    reader = csv.reader(io.StringIO(text))
+    for row in reader:
+        for name, cell in zip(names, row):
+            value = cell.strip()
+            if "'" in value and '"' in value:
+                problem = "both quote characters"
+            elif "\n" in value or "\r" in value:
+                problem = "a line break"
+            else:
+                continue
+            message = f"column {name!r}: a value cannot hold {problem}: {value!r}"
+            raise ParseError(reader.line_num, message)
+
+
+def _oracle_csv_infer_column(name, cells, string_columns, nominal_columns, ascii_text) -> AttributeSpec:
+    if name in string_columns:
+        return AttributeSpec.string(name)
+    present = [c for c in cells if c is not None]
+    if (
+        name not in nominal_columns
+        and all(_oracle_csv_is_number(c) for c in present)
+        and (ascii_text or all(c.isascii() for c in present))
+    ):
+        return AttributeSpec.numeric(name)
+    domain: list[str] = []
+    seen = set()
+    for c in present:
+        if c not in seen:
+            seen.add(c)
+            domain.append(c)
+    if not domain:
+        raise ParseError(1, f"column {name!r} has no observed values to build a nominal domain")
+    return AttributeSpec.nominal(name, domain)
+
+
+def _oracle_csv_is_number(text: str) -> bool:
+    """True for finite decimal text; ``float`` also takes "1_000", this does not."""
+    if "_" in text:
+        return False
+    try:
+        return math.isfinite(float(text))
+    except ValueError:
+        return False

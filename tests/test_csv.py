@@ -2,6 +2,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import SURF_TWO_DAYS, SURF_TWO_DAYS_CSV
+from helpers import oracle_parse_csv
 from sppam import ParseError, TransformConfig, parse_arff, parse_csv, transform, write_csv
 from sppam.model import cell_text
 
@@ -169,3 +170,72 @@ def test_parse_csv_raises_only_parse_error(text):
         parse_csv(text)
     except ParseError:
         pass
+
+
+# raw CSV field texts: values that parse alike, missing markers, numbers
+# that float() reads but the format does not, and quoted cells
+_SAFE_CELLS = [
+    "", "?", " ? ", "1", " 1 ", "1.0", "1.00", "0.0", "-0.0", " -0.0", "2.5",
+    "1_000", "nan", "inf", "-inf", "1e400", "1e-5", "\u0661\u0662", "x", " x ", "y",
+    '"a, b"', '"x"', '" 1 "', '"?"', "it's", '"say ""hi"""',
+]
+_RISKY_CELLS = ['"two\nlines"', '"cr\rhere"', '"it\'s ""x"""', "x\ry", '"open']
+_HEADER_NAMES = ["a", "b", " c ", "d e", "it's", '"n,m"']
+_BAD_HEADER_NAMES = ["a", "", '"n\nm"', '"q\'""x"""']
+
+
+@st.composite
+def _csv_texts(draw):
+    """CSV text from the cell pools, with blank lines and wrong-width rows,
+    and the columns to force to string or to nominal. A quarter of the
+    texts have a bad header, risky cells or wrong-width rows each."""
+    names = draw(st.lists(st.sampled_from(_HEADER_NAMES), min_size=1, max_size=4, unique=True))
+    if draw(st.integers(0, 3)) == 0:
+        names[draw(st.integers(0, len(names) - 1))] = draw(st.sampled_from(_BAD_HEADER_NAMES))
+    cells = st.sampled_from(_SAFE_CELLS)
+    if draw(st.integers(0, 3)) == 0:
+        cells = st.one_of(cells, st.sampled_from(_RISKY_CELLS))
+    widths = [len(names)]
+    if draw(st.integers(0, 3)) == 0:
+        widths += [len(names) - 1, len(names) + 1]
+    lines = [",".join(names)]
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.integers(0, 9)) == 0:
+            lines.append("")
+            continue
+        width = draw(st.sampled_from(widths))
+        lines.append(",".join(draw(st.lists(cells, min_size=width, max_size=width))))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join(lines) + draw(st.sampled_from([end, ""]))
+    header = [name.strip().strip('"') for name in names]
+    string_columns = draw(st.lists(st.sampled_from(header), max_size=2))
+    nominal_columns = draw(st.lists(st.sampled_from(header), max_size=2))
+    return text, tuple(string_columns), tuple(nominal_columns)
+
+
+def _parse_outcome(parse, text, string_columns, nominal_columns):
+    try:
+        dataset = parse(text, string_columns, nominal_columns)
+    except ParseError as exc:
+        return ("error", exc.line, str(exc))
+    # repr tells -0.0 from 0.0, which == does not
+    return ("dataset", dataset, repr(dataset.records))
+
+
+@settings(max_examples=1000)
+@given(_csv_texts())
+@example(("a,b\n1,2\n1,2,3\n" + "x" * 131073 + "\n", (), ()))
+@example(("a,b\n" + "x" * 131073 + "\n1,2,3\n", (), ()))
+@example(("a,b\n1,?\n1.0,\n", (), ("b",)))
+def test_parse_csv_matches_row_at_a_time_oracle(case):
+    text, string_columns, nominal_columns = case
+    assert _parse_outcome(parse_csv, text, string_columns, nominal_columns) == _parse_outcome(
+        oracle_parse_csv, text, string_columns, nominal_columns
+    )
+
+
+def test_equal_texts_share_one_cell_and_padding_still_strips():
+    dataset = parse_csv("a,b\n1.5,x\n 1.5 ,x \n1.5,?\n")
+    assert dataset.column("a") == [1.5, 1.5, 1.5]
+    assert dataset.column("b") == [0, 0, None]
+    assert dataset.records[0][0] is dataset.records[2][0]

@@ -49,6 +49,23 @@ def test_only_cli_folds_and_init_import_transform():
     assert importers == {"cli", "folds", "__init__"}
 
 
+def test_only_no_gc_switches_the_collector():
+    switching = set()
+    for module, tree in _trees().items():
+        for node in tree.body:
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.ImportFrom) and sub.module == "gc":
+                    switching.add((module, "from gc import"))
+                if (
+                    isinstance(sub, ast.Attribute)
+                    and sub.attr in ("disable", "enable")
+                    and isinstance(sub.value, ast.Name)
+                    and sub.value.id == "gc"
+                ):
+                    switching.add((module, getattr(node, "name", "<module>")))
+    assert switching == {("model", "no_gc")}
+
+
 def test_public_names_resolve():
     for name in sppam.__all__:
         assert getattr(sppam, name) is not None, name
@@ -66,6 +83,8 @@ def test_removed_names_are_gone():
         (sppam.FoldAssignment, "fold_indices"),
         (sppam.ConfusionMatrix, "add"),
         (sppam.AttributeSpec, "index_of"),
+        (sppam.Dataset, "validate"),
+        (importlib.import_module("sppam.model"), "check_cell"),
     ]:
         assert not hasattr(module, name), name
     assert "seed" not in inspect.signature(sppam.fit).parameters

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import GOLDEN_DATA_SECTION, SURF_TWO_DAYS_DAILY
 from helpers import naive_transform_rows, random_transform_dataset, rows_match
@@ -164,6 +165,29 @@ class TestAggregateNumeric:
         _, _, avg, _ = aggregate_numeric([m, m / 2, 1.0])
         assert min(m, 1.0) <= avg <= max(m, 1.0)
 
+    @pytest.mark.parametrize("value", [0.7, 12.34])
+    def test_mean_of_equal_values_is_that_value(self, value):
+        # fsum/len of three equal values is one ulp below each of them
+        assert aggregate_numeric([value] * 3) == (value, value, value, value)
+
+    @settings(max_examples=300)
+    @given(
+        st.lists(
+            st.one_of(
+                # readings written with two decimals, as in the surf data
+                st.integers(-10**6, 10**6).map(lambda i: i / 100),
+                st.floats(allow_nan=False, allow_infinity=False),
+            ),
+            min_size=1,
+            max_size=2,
+        ),
+        st.lists(st.integers(0, 1), min_size=2, max_size=9),
+    )
+    def test_mean_within_min_and_max_with_repeats(self, pool, picks):
+        values = [pool[i % len(pool)] for i in picks]
+        max_, min_, avg, _ = aggregate_numeric(values)
+        assert min_ <= avg <= max_
+
 
 class TestAggregateNominal:
     # domain indices over the 8-value wind rose; SE=3, NE=1, E=2
@@ -219,6 +243,11 @@ class TestTransform:
     def test_mixed_class_group_warns(self, surf_dataset):
         with pytest.warns(MixedClassGroupWarning, match="19-11-2010"):
             transform(surf_dataset, CONFIG)
+
+    def test_mixed_class_warning_names_the_caller(self, surf_dataset):
+        with pytest.warns(MixedClassGroupWarning) as caught:
+            transform(surf_dataset, CONFIG)
+        assert caught[0].filename == __file__
 
     def test_id_attribute_keeps_last_value(self):
         schema = (
