@@ -5,15 +5,27 @@ The accepted layout is an optional ``@RELATION`` line, one or more
 rows. Keywords are matched case-insensitively, ``%`` starts a comment
 line, ``?`` is the missing-value marker and cell text may be quoted with
 single or double quotes when it contains commas or whitespace. Files are
-UTF-8 text. Numeric cells take ASCII decimal text as ``float`` reads it,
-minus digit-group underscores (``1_000`` is an error) and non-ASCII
-digits (``١٢٣`` is an error); sparse ``{...}`` data rows are not
-supported.
+UTF-8 text. Which cell texts an attribute accepts is stated once, in
+``model.text_cells``, for this reader and the CSV reader alike; sparse
+``{...}`` data rows are not supported.
+
+Both directions work on blocks of rows, one column at a time; a block
+holds about a fixed number of cells, so wide files get fewer rows per
+block and the texts held at once stay bounded. The reader splits the
+quote-free lines of a block with ``str.split``, transposes them, and maps
+each column's raw texts to cells through a memo that lives across
+blocks, so that stripping, the ``?`` test and conversion run once per
+distinct text; lines with quotes go through a character scanner. The
+writer formats each column of a block through the distinct cells it
+holds. When a block holds an error, it is read again (or written again)
+one row at a time, so that the error raised is the first in source order.
 """
 
 from __future__ import annotations
 
-import math
+import functools
+import operator
+from itertools import filterfalse
 
 from .model import (
     NOMINAL,
@@ -23,12 +35,20 @@ from .model import (
     Cell,
     Dataset,
     SppamError,
-    format_number,
     no_gc,
+    number_texts,
+    present_texts,
+    text_blocks,
+    text_cells,
 )
 
 _NUMERIC_TYPE_WORDS = {"numeric", "real", "integer"}
-_QUOTE_WORTHY = set(",'\"%{} \t")
+_QUOTE_WORTHY = frozenset(",'\"%{} \t")
+READ_BLOCK_CELLS = 4096  # lines per block: this over the attribute count
+# first characters of stripped lines that a plain block cannot hold:
+# blank and comment lines are skipped, sparse rows are rejected
+_NOT_PLAIN_HEADS = frozenset(("", "%", "{"))
+_HEAD = operator.itemgetter(slice(None, 1))
 
 
 class ParseError(SppamError):
@@ -49,42 +69,124 @@ def parse_arff(text: str) -> Dataset:
     relation_name = "unnamed"
     schema: list[AttributeSpec] = []
     names_seen: set[str] = set()
-    records: list[tuple[Cell, ...]] = []
-    converters: list = []
-    in_data = False
+    lines = text.splitlines()
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("%"):
             continue
         lowered = line.lower()
-        if not in_data and _keyword_rest(line, lowered, "@relation") is not None:
+        if (rest := _keyword_rest(line, lowered, "@relation")) is not None:
             if schema:
                 raise ParseError(lineno, "@RELATION must come before attribute declarations")
-            rest = _keyword_rest(line, lowered, "@relation").strip()
+            rest = rest.strip()
             relation_name = _unquote(rest) if rest else "unnamed"
-        elif not in_data and _keyword_rest(line, lowered, "@attribute") is not None:
-            attr = _parse_attribute(_keyword_rest(line, lowered, "@attribute"), lineno)
+        elif (rest := _keyword_rest(line, lowered, "@attribute")) is not None:
+            attr = _parse_attribute(rest, lineno)
             if attr.name in names_seen:
                 raise ParseError(lineno, f"duplicate attribute name {attr.name!r}")
             names_seen.add(attr.name)
             schema.append(attr)
-        elif not in_data and lowered == "@data":
+        elif lowered == "@data":
             if not schema:
                 raise ParseError(lineno, "@DATA before any @ATTRIBUTE declaration")
-            in_data = True
-            ascii_text = text.isascii()
-            converters = [_cell_converter(attr, ascii_text) for attr in schema]
-        elif in_data:
-            records.append(_parse_row(line, converters, lineno))
+            columns = _DataColumns(schema).read(lines, lineno)
+            return Dataset(relation_name, tuple(schema), tuple(zip(*columns)))
         else:
             raise ParseError(lineno, f"unexpected content outside the data section: {line!r}")
 
     if not schema:
         raise ParseError(1, "no @ATTRIBUTE declarations found")
-    if not in_data:
-        raise ParseError(1, "missing @DATA line")
-    return Dataset(relation_name, tuple(schema), tuple(records))
+    raise ParseError(1, "missing @DATA line")
+
+
+class _DataColumns:
+    """The cell columns of a data section, read block by block."""
+
+    def __init__(self, schema: list[AttributeSpec]):
+        self.schema = schema
+        self.columns: list[list[Cell]] = [[] for _ in schema]
+        # per column: raw cell text -> cell, kept across blocks
+        self.memos: list[dict[str, Cell]] = [{"?": None} for _ in schema]
+
+    def read(self, lines: list[str], start: int) -> list[list[Cell]]:
+        """Read ``lines[start:]``, whose first line is line ``start + 1``."""
+        size = max(1, READ_BLOCK_CELLS // len(self.schema))
+        for first in range(start, len(lines), size):
+            block = lines[first:first + size]
+            joined = "".join(block)
+            if (
+                "'" in joined
+                or '"' in joined
+                or not _NOT_PLAIN_HEADS.isdisjoint(map(_HEAD, map(str.lstrip, block)))
+            ):
+                self._add_mixed(block, first + 1)
+            else:
+                self._add_plain(block, range(first + 1, first + 1 + len(block)))
+        return self.columns
+
+    def _add_mixed(self, block: list[str], first_lineno: int) -> None:
+        """Lines of any kind: runs of plain lines go through ``_add_plain``,
+        the others are skipped or read one by one."""
+        plain: list[str] = []
+        linenos: list[int] = []
+        for lineno, raw in enumerate(block, first_lineno):
+            line = raw.strip()
+            if not line or line[0] == "%":
+                continue
+            if line[0] != "{" and "'" not in line and '"' not in line:
+                plain.append(line)
+                linenos.append(lineno)
+                continue
+            if plain:
+                self._add_plain(plain, linenos)
+                plain, linenos = [], []
+            for column, cell in zip(self.columns, _row_cells(line, lineno, self.schema)):
+                column.append(cell)
+        if plain:
+            self._add_plain(plain, linenos)
+
+    def _add_plain(self, lines: list[str], linenos) -> None:
+        """Data lines without quotes, blank, comment or sparse lines."""
+        rows = [line.split(",") for line in lines]
+        if set(map(len, rows)) != {len(self.schema)}:
+            _raise_first_error(lines, linenos, self.schema)
+        for attr, column, memo, raws in zip(self.schema, self.columns, self.memos, zip(*rows)):
+            new = list(filterfalse(memo.__contains__, dict.fromkeys(raws)))
+            if new:
+                stripped = list(map(str.strip, new))
+                fresh = list(filterfalse(memo.__contains__, dict.fromkeys(stripped)))
+                try:
+                    memo.update(zip(fresh, text_cells(attr, fresh)))
+                except ValueError:
+                    _raise_first_error(lines, linenos, self.schema)
+                memo.update(zip(new, map(memo.__getitem__, stripped)))
+            column.extend(map(memo.__getitem__, raws))
+
+
+def _row_cells(line: str, lineno: int, schema) -> list[Cell]:
+    """The cells of one stripped, non-blank data line."""
+    if line[0] == "{":
+        raise ParseError(lineno, "sparse data rows ('{index value, ...}') are not supported")
+    texts = _split_cells(line, lineno)
+    if len(texts) != len(schema):
+        raise ParseError(
+            lineno, f"row has {len(texts)} values, schema has {len(schema)} attributes"
+        )
+    cells: list[Cell] = []
+    for attr, text in zip(schema, texts):
+        try:
+            cells.extend([None] if text is None else text_cells(attr, (text,)))
+        except ValueError as exc:
+            raise ParseError(lineno, str(exc)) from None
+    return cells
+
+
+def _raise_first_error(lines: list[str], linenos, schema) -> None:
+    """Raise the ParseError of the first bad line among plain data lines
+    known to hold one."""
+    for line, lineno in zip(lines, linenos):
+        _row_cells(line.strip(), lineno, schema)
 
 
 def write_arff(dataset: Dataset, decimals: int | None = None) -> str:
@@ -101,23 +203,20 @@ def write_arff(dataset: Dataset, decimals: int | None = None) -> str:
     for attr in dataset.schema:
         lines.append(f"@ATTRIBUTE {_quote_if_needed(attr.name)} {_type_text(attr)}")
     lines.append("@DATA")
-    for record in dataset.records:
-        lines.append(format_data_row(dataset.schema, record, decimals))
+    kernels = [_column_kernel(attr, decimals) for attr in dataset.schema]
+    for rows in text_blocks(dataset.records, kernels):
+        lines.append("\n".join(map(",".join, rows)))
     return "\n".join(lines) + "\n"
 
 
-def format_data_row(schema, record, decimals: int | None = None) -> str:
-    cells = []
-    for attr, cell in zip(schema, record):
-        if cell is None:
-            cells.append("?")
-        elif attr.kind == NUMERIC:
-            cells.append(format_number(cell, decimals))
-        elif attr.kind == NOMINAL:
-            cells.append(_quote_if_needed(attr.values[cell]))
-        else:
-            cells.append(_quote_if_needed(cell))
-    return ",".join(cells)
+def _column_kernel(attr: AttributeSpec, decimals: int | None):
+    """``column -> texts`` for the data cells of ``attr``."""
+    if attr.kind == NUMERIC:
+        return functools.partial(number_texts, decimals=decimals)
+    if attr.kind == NOMINAL:
+        quoted = tuple(map(_quote_if_needed, attr.values))
+        return functools.partial(present_texts, quoted.__getitem__)
+    return functools.partial(present_texts, _quote_if_needed)
 
 
 def _keyword_rest(line: str, lowered: str, keyword: str) -> str | None:
@@ -142,7 +241,7 @@ def _type_text(attr: AttributeSpec) -> str:
 def _quote_if_needed(text: str) -> str:
     if "\n" in text or "\r" in text:
         raise SppamError(f"cannot write a value containing a line break: {text!r}")
-    if text == "" or text == "?" or any(c in _QUOTE_WORTHY for c in text):
+    if text == "" or text == "?" or not _QUOTE_WORTHY.isdisjoint(text):
         if "'" in text and '"' in text:
             raise SppamError(
                 f"cannot quote a value containing both quote characters: {text!r}"
@@ -169,7 +268,7 @@ def _parse_attribute(rest: str, lineno: int) -> AttributeSpec:
     if remainder.startswith("{"):
         if not remainder.endswith("}"):
             raise ParseError(lineno, "malformed nominal domain: missing closing '}'")
-        values = split_values(remainder[1:-1], lineno)
+        values = ["?" if text is None else text for text in _split_cells(remainder[1:-1], lineno)]
         if not values or any(v == "" for v in values):
             raise ParseError(lineno, "malformed nominal domain: empty value")
         if len(set(values)) != len(values):
@@ -193,15 +292,6 @@ def _take_token(text: str) -> tuple[str, str]:
         return text[1:end], text[end + 1:]
     parts = text.split(None, 1)
     return parts[0], parts[1] if len(parts) > 1 else ""
-
-
-def split_values(line: str, lineno: int) -> list[str]:
-    """Split a comma-separated value list, honouring ' and \" quoting.
-
-    Whitespace around separators is trimmed; quoted values keep embedded
-    commas and spaces.
-    """
-    return ["?" if text is None else text for text in _split_cells(line, lineno)]
 
 
 def _split_cells(line: str, lineno: int) -> list[str | None]:
@@ -244,57 +334,3 @@ def _strip_quotes(raw: str) -> str | None:
         if text[0] not in inner:
             return inner
     return None if text == "?" else text
-
-
-def _parse_row(line: str, converters, lineno: int) -> tuple[Cell, ...]:
-    """One data line; ``converters`` holds one ``_cell_converter`` per
-    attribute."""
-    if line[0] == "{":
-        raise ParseError(lineno, "sparse data rows ('{index value, ...}') are not supported")
-    cells = _split_cells(line, lineno)
-    if len(cells) != len(converters):
-        raise ParseError(
-            lineno,
-            f"row has {len(cells)} values, schema has {len(converters)} attributes",
-        )
-    return tuple([
-        None if text is None else convert(text, lineno)
-        for convert, text in zip(converters, cells)
-    ])
-
-
-def _cell_converter(attr: AttributeSpec, ascii_text: bool):
-    """``(text, lineno) -> cell`` for one present cell of ``attr``, decided
-    once per attribute. Numeric cells of a text that is not all ASCII are
-    checked one by one, because ``float`` also reads non-ASCII digits."""
-    if attr.kind == NUMERIC:
-        def convert(text: str, lineno: int) -> float:
-            try:
-                # float() takes digit-group underscores and non-ASCII digits
-                if "_" in text or not (ascii_text or text.isascii()):
-                    raise ValueError
-                value = float(text)
-            except ValueError:
-                raise ParseError(
-                    lineno, f"unparseable numeric value {text!r} for attribute {attr.name!r}"
-                ) from None
-            if not math.isfinite(value):
-                raise ParseError(
-                    lineno, f"non-finite numeric value {text!r} for attribute {attr.name!r}"
-                )
-            return value
-    elif attr.kind == NOMINAL:
-        index = {value: i for i, value in enumerate(attr.values)}
-
-        def convert(text: str, lineno: int) -> int:
-            try:
-                return index[text]
-            except KeyError:
-                raise ParseError(
-                    lineno,
-                    f"value {text!r} is not in the declared domain of attribute {attr.name!r}",
-                ) from None
-    else:
-        def convert(text: str, lineno: int) -> str:
-            return text
-    return convert

@@ -176,11 +176,10 @@ def _cmd_transform(args) -> int:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         result = transform(dataset, config)
+    width = len(dataset.schema)
+    del dataset  # frees the input records before the output text is built
     _write_dataset(args.output, result, args.decimals)
-    print(
-        f"{len(result.records)} groups, "
-        f"{len(dataset.schema)} -> {len(result.schema)} attributes"
-    )
+    print(f"{len(result.records)} groups, {width} -> {len(result.schema)} attributes")
     for warning in caught:
         print(f"warning: {warning.message}", file=sys.stderr)
     return 0

@@ -1,10 +1,11 @@
 """CSV ingestion with column type inference.
 
-The first row is a header. A column is inferred Numeric when every
-non-missing cell parses as a finite number written in ASCII (digit-group
-underscores, as in ``1_000``, and non-ASCII digits, as in ``١٢``, do not
-count), Nominal otherwise (domain = distinct values in first-seen order).
-Missing cells are empty or ``?``.
+The first non-blank row is a header. A column is inferred Numeric when
+every non-missing cell is a numeric text by the rule the ARFF reader
+applies too (``model.text_cells``: finite ASCII decimal text without
+digit-group underscores, so ``1_000`` and ``١٢`` do not count), Nominal
+otherwise (domain = distinct values in first-seen order). Missing cells
+are empty or ``?``.
 Specific columns can be forced to String (typical for a grouping key or a
 record id) or to Nominal (required for a class column whose values look
 numeric). Quoting follows RFC-4180 conventions via the csv module. A
@@ -16,17 +17,28 @@ field longer than its 131072-character limit).
 
 ``parse_csv`` works one column at a time: it strips, classifies and
 converts each distinct cell text of a column once, and equal texts share
-one cell object.
+one cell object. ``write_csv`` writes blocks of records, formatting each
+column of a block through its distinct cells.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
-import math
 
 from .arff import ParseError
-from .model import AttributeSpec, Dataset, format_number, no_gc
+from .model import (
+    NOMINAL,
+    NUMERIC,
+    AttributeSpec,
+    Dataset,
+    no_gc,
+    number_texts,
+    present_texts,
+    text_blocks,
+    text_cells,
+)
 
 _MISSING_TEXTS = ("", "?")
 
@@ -41,20 +53,21 @@ def parse_csv(
     """Parse CSV text into a Dataset, inferring a schema from the cells."""
     reader = csv.reader(io.StringIO(text))
     try:
-        header = next(reader)
+        header = next(filter(None, reader))  # blank lines read as []
     except StopIteration:
         raise ParseError(1, "empty CSV input") from None
     except csv.Error as exc:
         raise ParseError(reader.line_num, f"malformed CSV: {exc}") from None
+    header_line = reader.line_num
     names = [h.strip() for h in header]
     if any(name == "" for name in names):
-        raise ParseError(1, "empty header name")
+        raise ParseError(header_line, "empty header name")
     if len(set(names)) != len(names):
         dupes = sorted({n for n in names if names.count(n) > 1})
-        raise ParseError(1, f"duplicate header names: {dupes}")
+        raise ParseError(header_line, f"duplicate header names: {dupes}")
     for forced in (*string_columns, *nominal_columns):
         if forced not in names:
-            raise ParseError(1, f"forced column {forced!r} is not in the header")
+            raise ParseError(header_line, f"forced column {forced!r} is not in the header")
 
     rows: list[list[str]] = []
     read_error = None
@@ -89,11 +102,9 @@ def parse_csv(
     ):
         _reject_unwritable(text, names)
 
-    # float() also reads non-ASCII digits; only a non-ASCII text checks values
-    ascii_text = text.isascii()
     schema = []
     for j, (name, (raws, stripped, values)) in enumerate(zip(names, distinct)):
-        attr, cells = _infer_column(name, values, string_columns, nominal_columns, ascii_text)
+        attr, cells = _infer_column(name, values, string_columns, nominal_columns, header_line)
         schema.append(attr)
         memo = dict(zip(raws, map(cells.get, stripped)))
         columns[j] = list(map(memo.__getitem__, columns[j]))
@@ -103,7 +114,7 @@ def parse_csv(
 def _reject_row_width(text: str, width: int) -> None:
     """ParseError for the first non-blank row that is not ``width`` wide."""
     reader = csv.reader(io.StringIO(text))
-    next(reader)
+    next(filter(None, reader))  # the header
     for row in reader:
         if row and len(row) != width:
             raise ParseError(
@@ -133,35 +144,22 @@ def _reject_unwritable(text: str, names) -> None:
                 raise ParseError(reader.line_num, message)
 
 
-def _infer_column(name, values, string_columns, nominal_columns, ascii_text):
+def _infer_column(name, values, string_columns, nominal_columns, header_line: int):
     """The column's AttributeSpec and the cell of each of its distinct
     present ``values``."""
     if name in string_columns:
         return AttributeSpec.string(name), dict(zip(values, values))
     if name not in nominal_columns:
-        numbers = _numbers(values, ascii_text)
-        if numbers is not None:
-            return AttributeSpec.numeric(name), dict(zip(values, numbers))
+        attr = AttributeSpec.numeric(name)
+        try:
+            return attr, dict(zip(values, text_cells(attr, values)))
+        except ValueError:
+            pass
     if not values:
-        raise ParseError(1, f"column {name!r} has no observed values to build a nominal domain")
+        raise ParseError(
+            header_line, f"column {name!r} has no observed values to build a nominal domain"
+        )
     return AttributeSpec.nominal(name, values), dict(zip(values, range(len(values))))
-
-
-def _numbers(texts, ascii_text: bool) -> list[float] | None:
-    """The float of each text, or None unless every one is finite decimal
-    ASCII text; ``float`` also takes "1_000" and non-ASCII digits, this
-    does not."""
-    try:
-        numbers = list(map(float, texts))
-    except ValueError:
-        return None
-    if (
-        all(map(math.isfinite, numbers))
-        and not any("_" in text for text in texts)
-        and (ascii_text or all(map(str.isascii, texts)))
-    ):
-        return numbers
-    return None
 
 
 def write_csv(dataset: Dataset, decimals: int | None = None) -> str:
@@ -169,16 +167,16 @@ def write_csv(dataset: Dataset, decimals: int | None = None) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(dataset.attribute_names)
-    for record in dataset.records:
-        row = []
-        for attr, cell in zip(dataset.schema, record):
-            if cell is None:
-                row.append("?")
-            elif attr.kind == "numeric":
-                row.append(format_number(cell, decimals))
-            elif attr.kind == "nominal":
-                row.append(attr.values[cell])
-            else:
-                row.append(cell)
-        writer.writerow(row)
+    kernels = [_column_kernel(attr, decimals) for attr in dataset.schema]
+    for rows in text_blocks(dataset.records, kernels):
+        writer.writerows(rows)
     return out.getvalue()
+
+
+def _column_kernel(attr: AttributeSpec, decimals: int | None):
+    """``column -> texts`` for the cells of ``attr``."""
+    if attr.kind == NUMERIC:
+        return functools.partial(number_texts, decimals=decimals)
+    if attr.kind == NOMINAL:
+        return functools.partial(present_texts, attr.values.__getitem__)
+    return functools.partial(present_texts, str)

@@ -32,10 +32,6 @@ class CrossValResult:
     repeat_matrices: tuple[ConfusionMatrix, ...]
     metrics: MetricsReport
 
-    @property
-    def mean_accuracy(self) -> float:
-        return sum(self.fold_accuracies) / len(self.fold_accuracies)
-
 
 @dataclass(frozen=True)
 class ComparisonRow:

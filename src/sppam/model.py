@@ -18,7 +18,9 @@ from __future__ import annotations
 import functools
 import gc
 import math
+import operator
 from dataclasses import dataclass, field
+from itertools import repeat
 
 NUMERIC = "numeric"
 NOMINAL = "nominal"
@@ -151,6 +153,106 @@ def float_mean(values) -> float:
         scale = float(1 << (2 * n).bit_length())
         mean = math.fsum(v / scale for v in values) / n * scale
         return min(max(mean, min(values)), max(values))
+
+
+def text_cells(attr: AttributeSpec, texts) -> list[Cell]:
+    """The cell of each present, stripped cell text of ``attr``, in order.
+
+    This is the one place that states which texts a reader accepts. A
+    numeric text is ASCII, holds no ``_`` and reads as a finite ``float``
+    (``float`` alone also takes "1_000" and non-ASCII digits); a nominal
+    text is a value of the domain; a string text is itself. Raises
+    ValueError naming the first text that breaks the rule; readers turn it
+    into their own ParseError.
+    """
+    texts = list(texts)
+    if attr.kind == STRING:
+        return texts
+    if attr.kind == NOMINAL:
+        index = {value: i for i, value in enumerate(attr.values)}
+        try:
+            return list(map(index.__getitem__, texts))
+        except KeyError as exc:
+            raise ValueError(
+                f"value {exc.args[0]!r} is not in the declared domain of attribute {attr.name!r}"
+            ) from None
+    joined = "".join(texts)
+    if "_" not in joined and joined.isascii():
+        try:
+            numbers = list(map(float, texts))
+        except ValueError:
+            pass
+        else:
+            if all(map(math.isfinite, numbers)):
+                return numbers
+    numbers = []
+    for text in texts:  # one at a time, to name the first bad text
+        try:
+            if "_" in text or not text.isascii():
+                raise ValueError
+            value = float(text)
+        except ValueError:
+            raise ValueError(
+                f"unparseable numeric value {text!r} for attribute {attr.name!r}"
+            ) from None
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite numeric value {text!r} for attribute {attr.name!r}")
+        numbers.append(value)
+    return numbers
+
+
+def _text_memo(render, column) -> dict:
+    """``render`` of the distinct present cells of ``column``, "?" for None;
+    ``render`` maps an iterable of cells to their texts."""
+    memo = dict.fromkeys(column)
+    memo.pop(None, None)
+    memo = dict(zip(memo, render(memo)))
+    memo[None] = "?"
+    return memo
+
+
+def present_texts(render, column) -> list[str]:
+    """``render(cell)`` for each present cell of ``column`` and "?" for each
+    missing one, with one ``render`` call per distinct cell."""
+    return list(map(_text_memo(functools.partial(map, render), column).__getitem__, column))
+
+
+_IS_ZERO = functools.partial(operator.eq, 0.0)
+
+
+def number_texts(column, decimals: int | None = None) -> list[str]:
+    """``present_texts`` of a numeric column through ``format_number``."""
+    if decimals is None:  # format_number(x) is repr(float(x)); map it in C
+        memo = _text_memo(lambda cells: map(repr, map(float, cells)), column)
+    else:
+        memo = _text_memo(lambda cells: map(format_number, cells, repeat(decimals)), column)
+    # -0.0 == 0.0 and both hash alike, so all zeros share the first one's text
+    if 0.0 in memo and len(set(map(math.copysign, repeat(1.0), filter(_IS_ZERO, column)))) > 1:
+        return [format_number(x, decimals) if x == 0.0 else memo[x] for x in column]
+    return list(map(memo.__getitem__, column))
+
+
+WRITE_BLOCK_CELLS = 20480  # records per block: this over the attribute count
+
+
+def text_blocks(records, kernels):
+    """The text rows of ``records``, one iterator of rows per block of
+    records. Each column of a block goes through its ``kernel`` (such as
+    ``number_texts``), which maps a column of cells to their texts. A block
+    whose kernels raise SppamError or ValueError is redone one cell at a
+    time, so that the error raised is that of the first bad cell in
+    row-major order."""
+    size = max(1, WRITE_BLOCK_CELLS // max(1, len(kernels)))
+    for start in range(0, len(records), size):
+        block = records[start:start + size]
+        try:
+            columns = [kernel(column) for kernel, column in zip(kernels, zip(*block))]
+        except (SppamError, ValueError):
+            for record in block:
+                for kernel, cell in zip(kernels, record):
+                    kernel((cell,))
+            raise
+        yield zip(*columns) if columns else [()] * len(block)  # a schema without attributes
 
 
 def cell_text(attr: AttributeSpec, cell: Cell) -> str | None:

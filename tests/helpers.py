@@ -8,14 +8,24 @@ import math
 import random
 from decimal import ROUND_HALF_UP, Decimal, localcontext
 
+from hypothesis import strategies as st
+
 from sppam.classifiers import (
     ONER_MAX_BINS,
     ONER_MIN_BUCKET,
     DecisionStumpModel,
     OneRModel,
 )
-from sppam.arff import ParseError
-from sppam.model import AttributeSpec, Cell, Dataset, cell_text
+from sppam.arff import (
+    ParseError,
+    _keyword_rest,
+    _parse_attribute,
+    _quote_if_needed,
+    _scan_cells,
+    _type_text,
+    _unquote,
+)
+from sppam.model import AttributeSpec, Cell, Dataset, SppamError, cell_text, format_number
 from sppam.transform import TransformConfig
 
 NOMINAL_POOL = ["red", "green", "blue", "cyan", "teal", "plum", "gray", "gold"]
@@ -422,19 +432,22 @@ def oracle_parse_csv(
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)
+        while not header:  # blank lines before the header are skipped
+            header = next(reader)
     except StopIteration:
         raise ParseError(1, "empty CSV input") from None
     except csv.Error as exc:
         raise ParseError(reader.line_num, f"malformed CSV: {exc}") from None
+    header_line = reader.line_num
     names = [h.strip() for h in header]
     if any(name == "" for name in names):
-        raise ParseError(1, "empty header name")
+        raise ParseError(header_line, "empty header name")
     if len(set(names)) != len(names):
         dupes = sorted({n for n in names if names.count(n) > 1})
-        raise ParseError(1, f"duplicate header names: {dupes}")
+        raise ParseError(header_line, f"duplicate header names: {dupes}")
     for forced in (*string_columns, *nominal_columns):
         if forced not in names:
-            raise ParseError(1, f"forced column {forced!r} is not in the header")
+            raise ParseError(header_line, f"forced column {forced!r} is not in the header")
 
     rows: list[list[str | None]] = []
     try:
@@ -457,7 +470,9 @@ def oracle_parse_csv(
     # float() also reads non-ASCII digits; only a non-ASCII text checks cells
     ascii_text = text.isascii()
     schema = tuple(
-        _oracle_csv_infer_column(name, [row[j] for row in rows], string_columns, nominal_columns, ascii_text)
+        _oracle_csv_infer_column(
+            name, [row[j] for row in rows], string_columns, nominal_columns, ascii_text, header_line
+        )
         for j, name in enumerate(names)
     )
     indexes = [{value: i for i, value in enumerate(attr.values)} for attr in schema]
@@ -494,7 +509,9 @@ def _oracle_csv_reject_unwritable(text: str, names) -> None:
             raise ParseError(reader.line_num, message)
 
 
-def _oracle_csv_infer_column(name, cells, string_columns, nominal_columns, ascii_text) -> AttributeSpec:
+def _oracle_csv_infer_column(
+    name, cells, string_columns, nominal_columns, ascii_text, header_line
+) -> AttributeSpec:
     if name in string_columns:
         return AttributeSpec.string(name)
     present = [c for c in cells if c is not None]
@@ -511,7 +528,9 @@ def _oracle_csv_infer_column(name, cells, string_columns, nominal_columns, ascii
             seen.add(c)
             domain.append(c)
     if not domain:
-        raise ParseError(1, f"column {name!r} has no observed values to build a nominal domain")
+        raise ParseError(
+            header_line, f"column {name!r} has no observed values to build a nominal domain"
+        )
     return AttributeSpec.nominal(name, domain)
 
 
@@ -523,3 +542,193 @@ def _oracle_csv_is_number(text: str) -> bool:
         return math.isfinite(float(text))
     except ValueError:
         return False
+
+
+def oracle_parse_arff(text: str) -> Dataset:
+    """Reference for ``parse_arff``: its row-at-a-time version, which splits,
+    strips and converts every data line and cell on its own."""
+    relation_name = "unnamed"
+    schema: list[AttributeSpec] = []
+    names_seen: set[str] = set()
+    records: list[tuple[Cell, ...]] = []
+    converters: list = []
+    in_data = False
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("%"):
+            continue
+        lowered = line.lower()
+        if not in_data and _keyword_rest(line, lowered, "@relation") is not None:
+            if schema:
+                raise ParseError(lineno, "@RELATION must come before attribute declarations")
+            rest = _keyword_rest(line, lowered, "@relation").strip()
+            relation_name = _unquote(rest) if rest else "unnamed"
+        elif not in_data and _keyword_rest(line, lowered, "@attribute") is not None:
+            attr = _parse_attribute(_keyword_rest(line, lowered, "@attribute"), lineno)
+            if attr.name in names_seen:
+                raise ParseError(lineno, f"duplicate attribute name {attr.name!r}")
+            names_seen.add(attr.name)
+            schema.append(attr)
+        elif not in_data and lowered == "@data":
+            if not schema:
+                raise ParseError(lineno, "@DATA before any @ATTRIBUTE declaration")
+            in_data = True
+            converters = [_oracle_cell_converter(attr) for attr in schema]
+        elif in_data:
+            records.append(_oracle_parse_row(line, converters, lineno))
+        else:
+            raise ParseError(lineno, f"unexpected content outside the data section: {line!r}")
+
+    if not schema:
+        raise ParseError(1, "no @ATTRIBUTE declarations found")
+    if not in_data:
+        raise ParseError(1, "missing @DATA line")
+    return Dataset(relation_name, tuple(schema), tuple(records))
+
+
+def _oracle_parse_row(line: str, converters, lineno: int) -> tuple[Cell, ...]:
+    if line[0] == "{":
+        raise ParseError(lineno, "sparse data rows ('{index value, ...}') are not supported")
+    cells = _scan_cells(line, lineno)
+    if len(cells) != len(converters):
+        raise ParseError(
+            lineno,
+            f"row has {len(cells)} values, schema has {len(converters)} attributes",
+        )
+    return tuple([
+        None if text is None else convert(text, lineno)
+        for convert, text in zip(converters, cells)
+    ])
+
+
+def _oracle_cell_converter(attr: AttributeSpec):
+    """``(text, lineno) -> cell`` for one present cell of ``attr``."""
+    if attr.kind == "numeric":
+        def convert(text: str, lineno: int) -> float:
+            try:
+                # float() takes digit-group underscores and non-ASCII digits
+                if "_" in text or not text.isascii():
+                    raise ValueError
+                value = float(text)
+            except ValueError:
+                raise ParseError(
+                    lineno, f"unparseable numeric value {text!r} for attribute {attr.name!r}"
+                ) from None
+            if not math.isfinite(value):
+                raise ParseError(
+                    lineno, f"non-finite numeric value {text!r} for attribute {attr.name!r}"
+                )
+            return value
+    elif attr.kind == "nominal":
+        index = {value: i for i, value in enumerate(attr.values)}
+
+        def convert(text: str, lineno: int) -> int:
+            try:
+                return index[text]
+            except KeyError:
+                raise ParseError(
+                    lineno,
+                    f"value {text!r} is not in the declared domain of attribute {attr.name!r}",
+                ) from None
+    else:
+        def convert(text: str, lineno: int) -> str:
+            return text
+    return convert
+
+
+def oracle_write_arff(dataset: Dataset, decimals: int | None = None) -> str:
+    """Reference for ``write_arff``: its row-at-a-time version, which
+    formats every cell on its own."""
+    lines: list[str] = []
+    if dataset.relation_name != "unnamed":
+        lines.append(f"@RELATION {_quote_if_needed(dataset.relation_name)}")
+    for attr in dataset.schema:
+        lines.append(f"@ATTRIBUTE {_quote_if_needed(attr.name)} {_type_text(attr)}")
+    lines.append("@DATA")
+    for record in dataset.records:
+        lines.append(oracle_format_data_row(dataset.schema, record, decimals))
+    return "\n".join(lines) + "\n"
+
+
+def oracle_format_data_row(schema, record, decimals: int | None = None) -> str:
+    cells = []
+    for attr, cell in zip(schema, record):
+        if cell is None:
+            cells.append("?")
+        elif attr.kind == "numeric":
+            cells.append(format_number(cell, decimals))
+        elif attr.kind == "nominal":
+            cells.append(_quote_if_needed(attr.values[cell]))
+        else:
+            cells.append(_quote_if_needed(cell))
+    return ",".join(cells)
+
+
+def oracle_write_csv(dataset: Dataset, decimals: int | None = None) -> str:
+    """Reference for ``write_csv``: its row-at-a-time version."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(dataset.attribute_names)
+    for record in dataset.records:
+        row = []
+        for attr, cell in zip(dataset.schema, record):
+            if cell is None:
+                row.append("?")
+            elif attr.kind == "numeric":
+                row.append(format_number(cell, decimals))
+            elif attr.kind == "nominal":
+                row.append(attr.values[cell])
+            else:
+                row.append(cell)
+        writer.writerow(row)
+    return out.getvalue()
+
+
+_WRITE_SCHEMA_POOL = [
+    AttributeSpec.numeric("n"),
+    AttributeSpec.numeric("k k"),
+    AttributeSpec.nominal("m", ("x", "y z", "?", "a,b")),
+    AttributeSpec.string("s"),
+]
+_WRITE_NUMBERS = st.one_of(
+    st.sampled_from([0.0, -0.0, 2.675, 14.125, -0.001, 1e30, 1.7976931348623157e308, 5e-324, 25.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_WRITE_STRINGS = ["a", "", "?", "b c", "it's", 'say "hi"', "a,b", "two\nlines", "it's \"x\"", "%"]
+
+
+@st.composite
+def write_datasets(draw):
+    """A Dataset over one to four columns from the pool; numeric columns may
+    hold +-0.0 together, ties at two decimals and (rarely) non-finite
+    values, string columns unwritable texts."""
+    schema = draw(
+        st.lists(st.sampled_from(_WRITE_SCHEMA_POOL), min_size=1, max_size=4, unique=True)
+    )
+    numbers = _WRITE_NUMBERS
+    if draw(st.integers(0, 4)) == 0:
+        numbers = st.one_of(numbers, st.sampled_from([float("inf"), float("-inf"), float("nan")]))
+    cells = {
+        "numeric": numbers,
+        "nominal": st.integers(0, 3),
+        "string": st.sampled_from(_WRITE_STRINGS),
+    }
+    records = draw(st.lists(
+        st.tuples(*[st.one_of(st.none(), cells[attr.kind]) for attr in schema]), max_size=12
+    ))
+    return Dataset(draw(st.sampled_from(["unnamed", "r", "a b"])), tuple(schema), tuple(records))
+
+
+def write_outcome(write, dataset, decimals):
+    """A writer's text, or the type and message of what it raised."""
+    try:
+        return ("text", write(dataset, decimals))
+    except (SppamError, ValueError) as exc:
+        return ("error", type(exc), str(exc))
+
+
+# both signs of zero in each column of one block
+ZERO_SIGNS = Dataset("unnamed", (AttributeSpec.numeric("a"), AttributeSpec.numeric("b")), (
+    (0.0, -0.0), (-0.0, 1.0), (0.0, 0.0), (None, -0.0), (-0.0, 0.0),
+))

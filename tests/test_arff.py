@@ -1,11 +1,21 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import SURF_TWO_DAYS
-from helpers import decimal_format_number, random_plain_dataset
+from helpers import (
+    ZERO_SIGNS,
+    decimal_format_number,
+    oracle_parse_arff,
+    oracle_write_arff,
+    random_plain_dataset,
+    write_datasets,
+    write_outcome,
+)
 from sppam import AttributeSpec, Dataset, ParseError, parse_arff, write_arff
+from sppam import arff, model
 from sppam.arff import _scan_cells, _split_cells
 from sppam.model import format_number
 
@@ -236,3 +246,135 @@ def test_parse_arff_raises_only_parse_error(text):
         parse_arff(text)
     except ParseError:
         pass
+
+
+# raw data cells: texts that parse alike, the missing marker quoted and
+# bare, numbers float() reads but the format does not, and quoted cells
+_ARFF_CELLS = [
+    "1", " 1 ", "1.0", "1.00", "0.0", "-0.0", " -0.0", "2.5", "1e-5", "?", " ? ", "'?'", '"?"',
+    "x", " x ", "y", "'a b'", "'x'", '" 1 "', "''", "", "z", "1_000", "nan", "inf", "1e400",
+    "\u0661\u0662", "'it''s'", "'open",
+]
+_ARFF_HEADER = (
+    "@RELATION r\n@ATTRIBUTE n numeric\n@ATTRIBUTE m {x, y, 'a b'}\n"
+    "@ATTRIBUTE s string\n@ATTRIBUTE k numeric\n@DATA\n"
+)
+_ARFF_WIDTH = 4
+_ARFF_GOOD_NUMBERS = [
+    "1", " 1 ", "1.0", "1.00", "0.0", "-0.0", " -0.0", "2.5", "1e-5", "?", '" 1 "',
+]
+_ARFF_GOOD_CELLS = [
+    _ARFF_GOOD_NUMBERS,
+    ["x", " x ", "y", "'a b'", "'x'", "?", " ? "],
+    [cell for cell in _ARFF_CELLS if cell != "'open"],
+    _ARFF_GOOD_NUMBERS,
+]
+
+
+@st.composite
+def _arff_texts(draw):
+    """ARFF text over a fixed four-attribute header: data lines from the cell
+    pool, with blank, comment, sparse and wrong-width lines mixed in."""
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.integers(0, 19))
+        if kind == 0:
+            lines.append(draw(st.sampled_from(["", "  ", "% note", "  % indented, note"])))
+        elif kind == 1:
+            lines.append(draw(st.sampled_from(["{0 1}", " {1 x}"])))
+        elif kind == 2:
+            width = draw(st.sampled_from([_ARFF_WIDTH - 1, _ARFF_WIDTH + 1]))
+            cells = st.lists(st.sampled_from(_ARFF_CELLS), min_size=width, max_size=width)
+            lines.append(",".join(draw(cells)))
+        else:
+            # mostly cells each column accepts, so that many texts parse
+            lines.append(",".join(
+                draw(st.sampled_from(_ARFF_CELLS if draw(st.integers(0, 39)) == 0 else good))
+                for good in _ARFF_GOOD_CELLS
+            ))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return _ARFF_HEADER.replace("\n", end) + end.join(lines) + draw(st.sampled_from([end, ""]))
+
+
+def _arff_parse_outcome(parse, text):
+    try:
+        dataset = parse(text)
+    except ParseError as exc:
+        return ("error", exc.line, str(exc))
+    # repr tells -0.0 from 0.0, which == does not
+    return ("dataset", dataset, repr(dataset.records))
+
+
+@settings(max_examples=1000)
+@given(_arff_texts(), st.sampled_from([1, 8, 12, 4096]))
+# a quoted '?' is the text "?", a bare ? is missing
+@example(_ARFF_HEADER + "1,x,'?',2\n1,x,?,2\n?,?,\"?\",?\n", 8)
+# a quoted line inside an otherwise quote-free block
+@example(_ARFF_HEADER + "1,x,a,2\n1,'a b',' q ',2\n3,y,b,4\n", 12)
+# the bad cell of the earlier line is further right: line order wins
+@example(_ARFF_HEADER + "1,x,a,2\n2,y,b,zz\nzz,x,c,3\n", 12)
+@example(_ARFF_HEADER + "1,x,a,2\n2,y,b,zz\nzz,x,c,3\n", 4096)
+# a width error before a conversion error, in the same block
+@example(_ARFF_HEADER + "1,x,a\nzz,x,a,2\n", 4096)
+# comment and blank lines inside @DATA count toward line numbers
+@example(_ARFF_HEADER + "1,x,a,2\n\n% note\n   \n2,w,b,3\n", 8)
+@example(_ARFF_HEADER + "1,x,a,2\n\n% note\n   \n2,w,b,3\n", 4096)
+def test_parse_arff_matches_row_at_a_time_oracle(text, block_cells):
+    # blocks of block_cells // 4 lines: 1, 2, 3 or the default
+    with mock.patch.object(arff, "READ_BLOCK_CELLS", block_cells):
+        assert _arff_parse_outcome(parse_arff, text) == _arff_parse_outcome(oracle_parse_arff, text)
+
+
+def test_parse_arff_matches_oracle_over_many_full_blocks():
+    rng = random.Random(6)
+    good = [c for c in _ARFF_CELLS if c not in ("", "z", "1_000", "nan", "inf", "1e400", "'open")]
+    good = [c for c in good if "\u0661" not in c]
+    nominal = ["x", "y", " ? ", "'a b'"]
+    lines = []
+    for _ in range(3 * arff.READ_BLOCK_CELLS // _ARFF_WIDTH + 7):
+        numeric = [rng.choice(["1", " 2.5", "-0.0", "0.0", "?", f"{rng.random():.3f}"]) for _ in "nk"]
+        lines.append(f"{numeric[0]},{rng.choice(nominal)},{rng.choice(good)},{numeric[1]}")
+        if rng.random() < 0.01:
+            lines.append(rng.choice(["", "% note"]))
+    text = _ARFF_HEADER + "\n".join(lines) + "\n"
+    assert _arff_parse_outcome(parse_arff, text) == _arff_parse_outcome(oracle_parse_arff, text)
+    # two bad cells in one column of the last block: the earlier line's is named
+    bad = text + "1,x,a,1_000\n2,y,b,nan\n"
+    outcome = _arff_parse_outcome(parse_arff, bad)
+    assert outcome == _arff_parse_outcome(oracle_parse_arff, bad)
+    assert outcome[2].endswith("unparseable numeric value '1_000' for attribute 'k'")
+
+
+def test_equal_texts_share_one_cell_across_blocks():
+    text = "@ATTRIBUTE a numeric\n@DATA\n" + "1.5\n" * (arff.READ_BLOCK_CELLS + 3)
+    column = parse_arff(text).column("a")
+    assert column[0] is column[-1]
+
+
+@settings(max_examples=1000)
+@given(write_datasets(), st.sampled_from([None, 0, 2, 3]), st.sampled_from([1, 5, 9, 20480]))
+@example(ZERO_SIGNS, None, 20480)
+@example(ZERO_SIGNS, 2, 20480)
+@example(ZERO_SIGNS, None, 2)
+@example(Dataset("unnamed", (), ((), (), ())), None, 2)
+# the first unwritable string in row-major order wins over an earlier row's
+# bad cell of a later column
+@example(
+    Dataset("unnamed", (AttributeSpec.string("s"), AttributeSpec.string("t")), (
+        ("a", "it's \"x\""), ("two\nlines", "b"),
+    )),
+    None,
+    20480,
+)
+def test_write_arff_matches_row_at_a_time_oracle(dataset, decimals, block_cells):
+    with mock.patch.object(model, "WRITE_BLOCK_CELLS", block_cells):
+        assert write_outcome(write_arff, dataset, decimals) == write_outcome(
+            oracle_write_arff, dataset, decimals
+        )
+
+
+@pytest.mark.parametrize("decimals", [None, 2])
+def test_write_arff_keeps_the_sign_of_zero(decimals):
+    text = write_arff(ZERO_SIGNS, decimals)
+    assert text.splitlines()[3:] == ["0.0,-0.0", "-0.0,1.0", "0.0,0.0", "?,-0.0", "-0.0,0.0"]
+    assert repr(parse_arff(text).records) == repr(ZERO_SIGNS.records)

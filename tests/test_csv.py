@@ -2,8 +2,19 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import SURF_TWO_DAYS, SURF_TWO_DAYS_CSV
-from helpers import oracle_parse_csv
-from sppam import ParseError, TransformConfig, parse_arff, parse_csv, transform, write_csv
+from unittest import mock
+
+from helpers import ZERO_SIGNS, oracle_parse_csv, oracle_write_csv, write_datasets, write_outcome
+from sppam import (
+    Dataset,
+    ParseError,
+    TransformConfig,
+    model,
+    parse_arff,
+    parse_csv,
+    transform,
+    write_csv,
+)
 from sppam.model import cell_text
 
 
@@ -198,7 +209,7 @@ def _csv_texts(draw):
     widths = [len(names)]
     if draw(st.integers(0, 3)) == 0:
         widths += [len(names) - 1, len(names) + 1]
-    lines = [",".join(names)]
+    lines = [""] * draw(st.integers(0, 1)) + [",".join(names)]
     for _ in range(draw(st.integers(0, 8))):
         if draw(st.integers(0, 9)) == 0:
             lines.append("")
@@ -227,6 +238,9 @@ def _parse_outcome(parse, text, string_columns, nominal_columns):
 @example(("a,b\n1,2\n1,2,3\n" + "x" * 131073 + "\n", (), ()))
 @example(("a,b\n" + "x" * 131073 + "\n1,2,3\n", (), ()))
 @example(("a,b\n1,?\n1.0,\n", (), ("b",)))
+@example(("\n\n", (), ()))
+@example(("\na,b\n1,2\n", (), ()))
+@example(("\r\n\na,,b\n1,2,3\n", (), ()))
 def test_parse_csv_matches_row_at_a_time_oracle(case):
     text, string_columns, nominal_columns = case
     assert _parse_outcome(parse_csv, text, string_columns, nominal_columns) == _parse_outcome(
@@ -239,3 +253,40 @@ def test_equal_texts_share_one_cell_and_padding_still_strips():
     assert dataset.column("a") == [1.5, 1.5, 1.5]
     assert dataset.column("b") == [0, 0, None]
     assert dataset.records[0][0] is dataset.records[2][0]
+
+
+@pytest.mark.parametrize("parse", [parse_csv, oracle_parse_csv])
+@pytest.mark.parametrize("text", ["\n", "\n\n", "\r\n\r\n"])
+def test_blank_lines_only_are_empty_input(parse, text):
+    with pytest.raises(ParseError, match="line 1: empty CSV input"):
+        parse(text)
+
+
+@pytest.mark.parametrize("parse", [parse_csv, oracle_parse_csv])
+def test_blank_lines_before_the_header_are_skipped(parse):
+    dataset = parse("\na,b\n1,2\n")
+    assert dataset.attribute_names == ["a", "b"]
+    assert dataset.records == ((1.0, 2.0),)
+    with pytest.raises(ParseError, match="line 3: row has 1 values, header has 2 columns"):
+        parse("\na,b\n1\n")
+    with pytest.raises(ParseError, match="line 3: duplicate header names"):
+        parse("\n\na,a\n1,2\n")
+
+
+@settings(max_examples=500)
+@given(write_datasets(), st.sampled_from([None, 0, 2]), st.sampled_from([1, 5, 9, 20480]))
+@example(ZERO_SIGNS, None, 20480)
+@example(ZERO_SIGNS, 2, 20480)
+@example(ZERO_SIGNS, 2, 2)
+@example(Dataset("unnamed", (), ((), (), ())), None, 2)
+def test_write_csv_matches_row_at_a_time_oracle(dataset, decimals, block_cells):
+    with mock.patch.object(model, "WRITE_BLOCK_CELLS", block_cells):
+        assert write_outcome(write_csv, dataset, decimals) == write_outcome(
+            oracle_write_csv, dataset, decimals
+        )
+
+
+@pytest.mark.parametrize("decimals", [None, 2])
+def test_write_csv_keeps_the_sign_of_zero(decimals):
+    text = write_csv(ZERO_SIGNS, decimals)
+    assert text.splitlines()[1:] == ["0.0,-0.0", "-0.0,1.0", "0.0,0.0", "?,-0.0", "-0.0,0.0"]

@@ -49,7 +49,8 @@ def test_zeror_accuracy_near_majority_rate():
     dataset = labeled_dataset(n, majority_fraction=0.7)
     result = cross_validate(dataset, "zeror", "label", k=k, repeats=1, seed=0)
     assert len(result.fold_accuracies) == k
-    assert abs(result.mean_accuracy - 70.0) <= (k / n) * 100.0 + 1e-9
+    mean_accuracy = sum(result.fold_accuracies) / len(result.fold_accuracies)
+    assert abs(mean_accuracy - 70.0) <= (k / n) * 100.0 + 1e-9
 
 
 def test_repeats_with_same_seed_are_identical():

@@ -66,6 +66,27 @@ def test_only_no_gc_switches_the_collector():
     assert switching == {("model", "no_gc")}
 
 
+@pytest.mark.parametrize("module", ["arff", "csvio"])
+def test_readers_take_the_numeric_rule_from_model(module):
+    tree = _trees()[module]
+    calls = {
+        node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))
+    }
+    assert "float" not in calls
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert "isfinite" not in names
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "model"
+        for alias in node.names
+    }
+    assert "text_cells" in imported
+
+
 def test_public_names_resolve():
     for name in sppam.__all__:
         assert getattr(sppam, name) is not None, name
@@ -85,6 +106,11 @@ def test_removed_names_are_gone():
         (sppam.AttributeSpec, "index_of"),
         (sppam.Dataset, "validate"),
         (importlib.import_module("sppam.model"), "check_cell"),
+        (sppam.CrossValResult, "mean_accuracy"),
+        (importlib.import_module("sppam.arff"), "split_values"),
+        (importlib.import_module("sppam.arff"), "format_data_row"),
+        (importlib.import_module("sppam.arff"), "_cell_converter"),
+        (importlib.import_module("sppam.csvio"), "_numbers"),
     ]:
         assert not hasattr(module, name), name
     assert "seed" not in inspect.signature(sppam.fit).parameters
