@@ -212,7 +212,7 @@ def write_arff(dataset: Dataset, decimals: int | None = None) -> str:
 def _column_kernel(attr: AttributeSpec, decimals: int | None):
     """``column -> texts`` for the data cells of ``attr``."""
     if attr.kind == NUMERIC:
-        return functools.partial(number_texts, decimals=decimals)
+        return functools.partial(number_texts, decimals=decimals, memo={})
     if attr.kind == NOMINAL:
         quoted = tuple(map(_quote_if_needed, attr.values))
         return functools.partial(present_texts, quoted.__getitem__)

@@ -15,10 +15,15 @@ ARFF writer cannot write such a value. Every malformed
 input raises ParseError, including what the csv module rejects (such as a
 field longer than its 131072-character limit).
 
-``parse_csv`` works one column at a time: it strips, classifies and
-converts each distinct cell text of a column once, and equal texts share
-one cell object. ``write_csv`` writes blocks of records, formatting each
-column of a block through its distinct cells.
+``parse_csv`` reads the text through line chunks of about
+``READ_CHUNK_CHARS`` characters, each ending after a line feed, and the
+rows in blocks of ``READ_BLOCK_ROWS``; neither a copy of the whole text nor
+a list of all rows is held. Each block is transposed, and its columns are
+kept as references to one ``str`` per distinct raw text. Once all rows are
+read, it strips, classifies and converts each distinct cell text of a
+column once, and equal texts share one cell object. ``write_csv`` writes
+blocks of records, formatting each column of a block through its distinct
+cells.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from __future__ import annotations
 import csv
 import functools
 import io
+from itertools import filterfalse, islice
 
 from .arff import ParseError
 from .model import (
@@ -41,6 +47,8 @@ from .model import (
 )
 
 _MISSING_TEXTS = ("", "?")
+READ_BLOCK_ROWS = 2048  # rows held at a time while reading
+READ_CHUNK_CHARS = 1 << 16  # characters per line chunk of the input text
 
 
 @no_gc
@@ -51,7 +59,7 @@ def parse_csv(
     relation_name: str = "unnamed",
 ) -> Dataset:
     """Parse CSV text into a Dataset, inferring a schema from the cells."""
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(_lines(text))
     try:
         header = next(filter(None, reader))  # blank lines read as []
     except StopIteration:
@@ -69,51 +77,71 @@ def parse_csv(
         if forced not in names:
             raise ParseError(header_line, f"forced column {forced!r} is not in the header")
 
-    rows: list[list[str]] = []
-    read_error = None
-    try:
-        rows.extend(reader)  # keeps the rows read before a csv.Error
-    except csv.Error as exc:
-        read_error = ParseError(reader.line_num, f"malformed CSV: {exc}")
-    rows = list(filter(None, rows))  # blank lines read as []
     width = len(names)
-    if set(map(len, rows)) - {width}:
-        _reject_row_width(text, width)
-    if read_error is not None:
-        raise read_error
+    # per column: each distinct raw text once, as its one str, in first-seen
+    # order, and the column as references to those strs
+    raws: list[dict[str, str]] = [{} for _ in names]
+    columns: list[list] = [[] for _ in names]
+    while True:
+        rows: list[list[str]] = []  # frees the previous block before the next is read
+        read_error = None
+        try:
+            rows.extend(islice(reader, READ_BLOCK_ROWS))  # keeps the rows read before a csv.Error
+        except csv.Error as exc:
+            read_error = ParseError(reader.line_num, f"malformed CSV: {exc}")
+        if not rows and read_error is None:
+            break
+        rows = list(filter(None, rows))  # blank lines read as []
+        if set(map(len, rows)) - {width}:
+            _reject_row_width(text, width)
+        if read_error is not None:
+            raise read_error
+        for seen, column, texts in zip(raws, columns, zip(*rows)):
+            fresh = dict.fromkeys(filterfalse(seen.__contains__, texts))
+            seen.update(zip(fresh, fresh))
+            column.extend(map(seen.__getitem__, texts))
 
-    columns = list(zip(*rows)) if rows else [()] * width
-    del rows  # frees the row lists before the columns are converted
-    # per column: its distinct raw texts in first-seen order, their stripped
-    # texts, and the distinct present values; a value's first raw text marks
-    # its first occurrence, so the values keep first-seen order too
+    # per column: the stripped text of each distinct raw text, and the
+    # distinct present values; a value's first raw text marks its first
+    # occurrence, so the values keep first-seen order too
     distinct = []
-    for column in columns:
-        raws = dict.fromkeys(column)
-        stripped = list(map(str.strip, raws))
+    for seen in raws:
+        stripped = list(map(str.strip, seen))
         values = dict.fromkeys(stripped)
         for missing in _MISSING_TEXTS:
             values.pop(missing, None)
-        distinct.append((raws, stripped, values))
+        distinct.append((stripped, values))
     # a cell can hold both quotes or a line break only in a text with '"'
     if '"' in text and (
         any(map(_unwritable, names))
-        or any(any(map(_unwritable, values)) for _, _, values in distinct)
+        or any(any(map(_unwritable, values)) for _, values in distinct)
     ):
         _reject_unwritable(text, names)
 
     schema = []
-    for j, (name, (raws, stripped, values)) in enumerate(zip(names, distinct)):
+    for j, (name, seen, (stripped, values)) in enumerate(zip(names, raws, distinct)):
         attr, cells = _infer_column(name, values, string_columns, nominal_columns, header_line)
         schema.append(attr)
-        memo = dict(zip(raws, map(cells.get, stripped)))
+        memo = dict(zip(seen, map(cells.get, stripped)))
         columns[j] = list(map(memo.__getitem__, columns[j]))
     return Dataset(relation_name, tuple(schema), tuple(zip(*columns)))
 
 
+def _lines(text: str):
+    """The lines of ``text`` as ``iter(io.StringIO(text))`` yields them,
+    read through a ``StringIO`` over one chunk of about
+    ``READ_CHUNK_CHARS`` characters at a time that ends just after a
+    line feed, so that no copy of the whole text is made."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + READ_CHUNK_CHARS - 1) + 1 or len(text)
+        yield from io.StringIO(text[start:end])
+        start = end
+
+
 def _reject_row_width(text: str, width: int) -> None:
     """ParseError for the first non-blank row that is not ``width`` wide."""
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(_lines(text))
     next(filter(None, reader))  # the header
     for row in reader:
         if row and len(row) != width:
@@ -134,7 +162,7 @@ def _unwritable(value: str) -> str | None:
 def _reject_unwritable(text: str, names) -> None:
     """ParseError for the first header name or cell holding both ' and " or
     a line break."""
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(_lines(text))
     for row in reader:
         for name, cell in zip(names, row):
             value = cell.strip()
@@ -176,7 +204,7 @@ def write_csv(dataset: Dataset, decimals: int | None = None) -> str:
 def _column_kernel(attr: AttributeSpec, decimals: int | None):
     """``column -> texts`` for the cells of ``attr``."""
     if attr.kind == NUMERIC:
-        return functools.partial(number_texts, decimals=decimals)
+        return functools.partial(number_texts, decimals=decimals, memo={})
     if attr.kind == NOMINAL:
         return functools.partial(present_texts, attr.values.__getitem__)
     return functools.partial(present_texts, str)

@@ -20,7 +20,7 @@ import gc
 import math
 import operator
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import filterfalse, repeat
 
 NUMERIC = "numeric"
 NOMINAL = "nominal"
@@ -201,35 +201,43 @@ def text_cells(attr: AttributeSpec, texts) -> list[Cell]:
     return numbers
 
 
-def _text_memo(render, column) -> dict:
-    """``render`` of the distinct present cells of ``column``, "?" for None;
-    ``render`` maps an iterable of cells to their texts."""
-    memo = dict.fromkeys(column)
-    memo.pop(None, None)
-    memo = dict(zip(memo, render(memo)))
-    memo[None] = "?"
-    return memo
-
-
 def present_texts(render, column) -> list[str]:
     """``render(cell)`` for each present cell of ``column`` and "?" for each
     missing one, with one ``render`` call per distinct cell."""
-    return list(map(_text_memo(functools.partial(map, render), column).__getitem__, column))
+    memo = dict.fromkeys(column)
+    memo.pop(None, None)
+    memo = dict(zip(memo, map(render, memo)))
+    memo[None] = "?"
+    return list(map(memo.__getitem__, column))
 
 
 _IS_ZERO = functools.partial(operator.eq, 0.0)
 
 
-def number_texts(column, decimals: int | None = None) -> list[str]:
-    """``present_texts`` of a numeric column through ``format_number``."""
+def number_texts(column, decimals: int | None, memo: dict) -> list[str]:
+    """``present_texts`` of a numeric column through ``format_number``.
+
+    ``memo`` (cell -> text) carries the texts of earlier blocks of the same
+    column, so that a value that recurs is formatted once. It is cleared
+    when it holds more than twice ``len(column)`` cells, and it never keeps
+    a zero, whose text depends on its sign.
+    """
+    if len(memo) > 2 * len(column):
+        memo.clear()
+    fresh = dict.fromkeys(filterfalse(memo.__contains__, column))
+    fresh.pop(None, None)
     if decimals is None:  # format_number(x) is repr(float(x)); map it in C
-        memo = _text_memo(lambda cells: map(repr, map(float, cells)), column)
+        memo.update(zip(fresh, map(repr, map(float, fresh))))
     else:
-        memo = _text_memo(lambda cells: map(format_number, cells, repeat(decimals)), column)
+        memo.update(zip(fresh, map(format_number, fresh, repeat(decimals))))
+    memo[None] = "?"
     # -0.0 == 0.0 and both hash alike, so all zeros share the first one's text
     if 0.0 in memo and len(set(map(math.copysign, repeat(1.0), filter(_IS_ZERO, column)))) > 1:
-        return [format_number(x, decimals) if x == 0.0 else memo[x] for x in column]
-    return list(map(memo.__getitem__, column))
+        texts = [format_number(x, decimals) if x == 0.0 else memo[x] for x in column]
+    else:
+        texts = list(map(memo.__getitem__, column))
+    memo.pop(0.0, None)
+    return texts
 
 
 WRITE_BLOCK_CELLS = 20480  # records per block: this over the attribute count

@@ -1,3 +1,7 @@
+import io
+import random
+import tracemalloc
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -9,6 +13,7 @@ from sppam import (
     Dataset,
     ParseError,
     TransformConfig,
+    csvio,
     model,
     parse_arff,
     parse_csv,
@@ -233,19 +238,63 @@ def _parse_outcome(parse, text, string_columns, nominal_columns):
     return ("dataset", dataset, repr(dataset.records))
 
 
+_BLOCK_ROWS = csvio.READ_BLOCK_ROWS
+_CHUNK_CHARS = csvio.READ_CHUNK_CHARS
+
+
 @settings(max_examples=1000)
-@given(_csv_texts())
-@example(("a,b\n1,2\n1,2,3\n" + "x" * 131073 + "\n", (), ()))
-@example(("a,b\n" + "x" * 131073 + "\n1,2,3\n", (), ()))
-@example(("a,b\n1,?\n1.0,\n", (), ("b",)))
-@example(("\n\n", (), ()))
-@example(("\na,b\n1,2\n", (), ()))
-@example(("\r\n\na,,b\n1,2,3\n", (), ()))
-def test_parse_csv_matches_row_at_a_time_oracle(case):
+@given(
+    _csv_texts(),
+    st.sampled_from([1, 2, 3, _BLOCK_ROWS]),
+    st.sampled_from([1, 7, _CHUNK_CHARS]),
+)
+@example(("a,b\n1,2\n1,2,3\n" + "x" * 131073 + "\n", (), ()), _BLOCK_ROWS, _CHUNK_CHARS)
+@example(("a,b\n" + "x" * 131073 + "\n1,2,3\n", (), ()), _BLOCK_ROWS, _CHUNK_CHARS)
+@example(("a,b\n1,?\n1.0,\n", (), ("b",)), _BLOCK_ROWS, _CHUNK_CHARS)
+@example(("\n\n", (), ()), _BLOCK_ROWS, _CHUNK_CHARS)
+@example(("\na,b\n1,2\n", (), ()), _BLOCK_ROWS, _CHUNK_CHARS)
+@example(("\r\n\na,,b\n1,2,3\n", (), ()), _BLOCK_ROWS, _CHUNK_CHARS)
+# a block of blank rows only is not the end of the input
+@example(("a\n\n?\n", (), ()), 1, _CHUNK_CHARS)
+# a quoted line break across a chunk edge: the first chunk is 'a,b\n"x\n'
+@example(("a,b\n\"x\ny\",1\n", (), ()), _BLOCK_ROWS, 7)
+# a wrong-width row and then a csv.Error in the second block: the width error wins
+@example(("a,b\n1,2\n3,4\n1,2,3\n" + "x" * 131073 + "\n", (), ()), 2, _CHUNK_CHARS)
+@example(("a,b\r\n1,x\r\n\r\n2.5,y\r\n", (), ()), 1, 1)
+def test_parse_csv_matches_row_at_a_time_oracle(case, block_rows, chunk_chars):
     text, string_columns, nominal_columns = case
-    assert _parse_outcome(parse_csv, text, string_columns, nominal_columns) == _parse_outcome(
-        oracle_parse_csv, text, string_columns, nominal_columns
-    )
+    with mock.patch.object(csvio, "READ_BLOCK_ROWS", block_rows), mock.patch.object(
+        csvio, "READ_CHUNK_CHARS", chunk_chars
+    ):
+        outcome = _parse_outcome(parse_csv, text, string_columns, nominal_columns)
+    assert outcome == _parse_outcome(oracle_parse_csv, text, string_columns, nominal_columns)
+
+
+@pytest.mark.parametrize("chunk_chars", [1, 7, _CHUNK_CHARS])
+@pytest.mark.parametrize(
+    "text", ["", "\n", "a", "a\n", "a\r\nb\rc\n\nd", "ab\ncd\n" * 5, "x" * 20 + "\n"]
+)
+def test_lines_match_a_stringio_over_the_whole_text(text, chunk_chars):
+    with mock.patch.object(csvio, "READ_CHUNK_CHARS", chunk_chars):
+        assert list(csvio._lines(text)) == list(io.StringIO(text))
+
+
+def test_parse_csv_holds_no_copy_of_the_input_rows():
+    rng = random.Random(7)
+    lines = ["Site,Hour,Wave,Dir,Sets"]
+    for r in range(20_000):
+        wave = "" if rng.random() < 0.02 else repr(round(rng.gauss(1.8, 0.7), 2))
+        lines.append(f"site-{r % 150:04d},{r % 4 * 6},{wave},{rng.choice('NESW')},{r % 2}")
+    text = "\n".join(lines) + "\n"
+    tracemalloc.start()
+    try:
+        dataset = parse_csv(text, ("Site",), ("Sets",))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(dataset.records) == 20_000
+    # reading every row into a list before converting peaks at about 17 times the input
+    assert peak - held < 8 * len(text)
 
 
 def test_equal_texts_share_one_cell_and_padding_still_strips():

@@ -87,6 +87,22 @@ def test_readers_take_the_numeric_rule_from_model(module):
     assert "text_cells" in imported
 
 
+def test_csv_reader_copies_the_input_only_in_chunks():
+    """Only ``_lines`` builds a StringIO over input text, so that the error
+    rescans read it in chunks too and never copy it whole."""
+    filled = {
+        function.name
+        for function in ast.walk(_trees()["csvio"])
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, (ast.Name, ast.Attribute))
+        and "StringIO" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        and (node.args or node.keywords)
+    }
+    assert filled == {"_lines"}
+
+
 def test_public_names_resolve():
     for name in sppam.__all__:
         assert getattr(sppam, name) is not None, name

@@ -1,5 +1,6 @@
 import gc
 import importlib
+from unittest import mock
 
 import pytest
 
@@ -11,9 +12,12 @@ from sppam import (
     TransformConfig,
     parse_arff,
     parse_csv,
+    model,
     transform,
+    write_arff,
+    write_csv,
 )
-from sppam.model import DatasetError
+from sppam.model import DatasetError, number_texts
 
 # the package's `transform` attribute is the function, not the module
 transform_module = importlib.import_module("sppam.transform")
@@ -73,3 +77,27 @@ def test_collector_is_paused_inside_transform(monkeypatch):
     transform(parse_arff(SURF_TWO_DAYS), TransformConfig("Date", "Surf"))
     assert seen == [False]
     assert gc.isenabled()
+
+
+@pytest.mark.parametrize("decimals", [None, 2])
+def test_number_texts_carries_texts_across_blocks_but_not_zeros(decimals):
+    memo = {}
+    with mock.patch.object(model, "format_number", wraps=model.format_number) as spy:
+        assert number_texts([0.0, 1.5, None], decimals, memo) == ["0.0", "1.5", "?"]
+        assert number_texts([-0.0, 1.5, 2.25], decimals, memo) == [
+            "-0.0", "1.5", "2.25"
+        ]
+    if decimals is not None:  # 1.5 is formatted once, each zero in its block
+        assert [c.args[0] for c in spy.call_args_list] == [0.0, 1.5, -0.0, 2.25]
+    assert 0.0 not in memo
+    number_texts([3.0], decimals, memo)  # past twice the block's length
+    assert set(memo) == {None, 3.0}
+
+
+@pytest.mark.parametrize("write", [write_arff, write_csv])
+@pytest.mark.parametrize("decimals", [None, 2])
+def test_writers_keep_the_sign_of_zero_across_blocks(write, decimals):
+    dataset = Dataset("unnamed", (AttributeSpec.numeric("a"),), ((0.0,), (2.5,), (-0.0,), (2.5,)))
+    with mock.patch.object(model, "WRITE_BLOCK_CELLS", 2):  # two records per block
+        text = write(dataset, decimals)
+    assert text.splitlines()[-4:] == ["0.0", "2.5", "-0.0", "2.5"]
