@@ -10,7 +10,9 @@ for a given dataset.
 
 Missing feature values are skipped in the naive Bayes product and routed
 to the majority branch in OneR and the decision stump. Naive Bayes has no
-Gaussian for a class without values or with an overflowing variance.
+Gaussian for a class without values or with an overflowing variance; a
+value scores ``-inf`` under a Gaussian only when its squared distance to
+the mean, in units of the variance, overflows.
 
 OneR and the stump pick the candidate attribute with the fewest training
 errors. A candidate's errors are counted from the per-bin or per-side
@@ -19,11 +21,12 @@ class differs from its majority branch's. Numeric candidates read their
 (value, class) pairs in sorted order: ``fit`` sorts them itself, while
 ``cross_validate`` sorts each numeric column once per dataset
 (``PresortedColumns``) and every fold filters that order down to its
-training records. The class counts equal predicting every row only when
-each midpoint threshold separates its two neighbouring values (``a < t
-<= b`` for OneR's bins, ``a <= t < b`` for the stump's ``<=``); for a
-midpoint that rounds onto a neighbour or overflows to infinity, the
-candidate's errors are counted row by row.
+training records once, for all the learners fitted on it. The class
+counts equal predicting every row only when each midpoint threshold
+separates its two neighbouring values (``a < t <= b`` for OneR's bins,
+``a <= t < b`` for the stump's ``<=``); for a midpoint that rounds onto a
+neighbour or overflows to infinity, the candidate's errors are counted
+row by row.
 """
 
 from __future__ import annotations
@@ -122,15 +125,21 @@ class _TrainingSet(Dataset):
 
     presorted: PresortedColumns | None = field(default=None, repr=False, compare=False)
     in_train: bytes = field(default=b"", repr=False, compare=False)
+    _columns: dict = field(default_factory=dict, repr=False, compare=False)
 
     def sorted_column(self, j: int) -> tuple[list, list]:
         """Column j's (value, class) pairs in sorted order, as two lists:
         the presorted order filtered to this training set, which equals
-        sorting the training set's own pairs."""
-        presorted, keep = self.presorted, self.in_train
-        records, c = presorted.dataset.records, presorted.class_index
-        kept = [i for i in presorted.order(j) if keep[i]]
-        return [records[i][j] for i in kept], [records[i][c] for i in kept]
+        sorting the training set's own pairs. The lists are built on the
+        first call and shared by every later one; learners only read them."""
+        column = self._columns.get(j)
+        if column is None:
+            presorted, keep = self.presorted, self.in_train
+            records, c = presorted.dataset.records, presorted.class_index
+            kept = [i for i in presorted.order(j) if keep[i]]
+            column = [records[i][j] for i in kept], [records[i][c] for i in kept]
+            self._columns[j] = column
+        return column
 
 
 @dataclass
@@ -180,8 +189,8 @@ class NaiveBayesModel(_BaseModel):
     """Gaussian likelihoods for numerics, add-one frequencies for nominals."""
 
     log_priors: tuple[float, ...] = ()
-    # per feature: ("numeric", [(mean, var) or None per class])
-    #           or ("nominal", [per-class tuple of log P(value|class)])
+    # per feature: (j, "numeric", [(mean, var, log(2 pi var)) or None per class])
+    #           or (j, "nominal", [per-class tuple of log P(value|class)])
     feature_stats: list = field(default_factory=list)
 
     def class_log_scores(self, record) -> list[float]:
@@ -190,24 +199,22 @@ class NaiveBayesModel(_BaseModel):
             v = record[j]
             if v is None:
                 continue
-            for c in range(len(scores)):
-                if kind == "numeric":
-                    stats = per_class[c]
+            if kind == "numeric":
+                for c, stats in enumerate(per_class):
                     if stats is None:
                         continue
-                    mean, var = stats
+                    mean, var, log_norm = stats
                     d = v - mean
-                    scores[c] += -0.5 * (math.log(2.0 * math.pi * var) + d * d / var)
-                else:
-                    scores[c] += per_class[c][v]
+                    q = d * d / var
+                    if q == math.inf:
+                        # d * d overflows before the division; (d / sd)^2 may not
+                        z = d / math.sqrt(var)
+                        q = z * z
+                    scores[c] += -0.5 * (log_norm + q)
+            else:
+                for c, log_probs in enumerate(per_class):
+                    scores[c] += log_probs[v]
         return scores
-
-    def posteriors(self, record) -> list[float]:
-        scores = self.class_log_scores(record)
-        peak = max(scores)
-        weights = [math.exp(s - peak) for s in scores]
-        total = sum(weights)
-        return [w / total for w in weights]
 
     def predict_index(self, record) -> int:
         scores = self.class_log_scores(record)
@@ -363,35 +370,39 @@ def _oner_numeric(values, classes, class_index, class_values, j):
 def _fit_naive_bayes(dataset, rows, class_index, features, sorted_column) -> NaiveBayesModel:
     class_values = dataset.schema[class_index].values
     n_classes = len(class_values)
-    counts = _class_counts(rows, class_index, n_classes)
+    # each class's rows in training order, the order float_mean sums them in
+    by_class = [[] for _ in range(n_classes)]
+    for row in rows:
+        by_class[row[class_index]].append(row)
     total = len(rows)
     log_priors = tuple(
-        math.log((counts[c] + 1.0) / (total + n_classes)) for c in range(n_classes)
+        math.log((len(class_rows) + 1.0) / (total + n_classes)) for class_rows in by_class
     )
     feature_stats = []
     for j in features:
         attr = dataset.schema[j]
         if attr.kind == "numeric":
             per_class = []
-            for c in range(n_classes):
-                values = [row[j] for row in rows if row[class_index] == c and row[j] is not None]
+            for class_rows in by_class:
+                values = [row[j] for row in class_rows if row[j] is not None]
                 stats = None
                 if values:
                     mean = float_mean(values)
                     # v - mean or its square overflows near the largest float
                     var = float_mean([(v - mean) * (v - mean) for v in values])
                     if math.isfinite(var):
-                        stats = (mean, max(var, NB_VARIANCE_FLOOR))
+                        var = max(var, NB_VARIANCE_FLOOR)
+                        stats = (mean, var, math.log(2.0 * math.pi * var))
                 per_class.append(stats)
             feature_stats.append((j, "numeric", per_class))
         else:
             domain_size = len(attr.values)
             per_class = []
-            for c in range(n_classes):
+            for class_rows in by_class:
                 value_counts = [0] * domain_size
                 observed = 0
-                for row in rows:
-                    if row[class_index] == c and row[j] is not None:
+                for row in class_rows:
+                    if row[j] is not None:
                         value_counts[row[j]] += 1
                         observed += 1
                 per_class.append(tuple(

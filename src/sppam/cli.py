@@ -230,13 +230,10 @@ def _cmd_eval(args) -> int:
         string_columns=group_cols,
         nominal_columns=(args.class_attr,),
     )
-    results = [
-        cross_validate(
-            dataset, kind, args.class_attr, args.k, args.repeats, args.seed,
-            group_attribute=args.group_by,
-        )
-        for kind in _split_kinds(args.classifiers)
-    ]
+    results = cross_validate(
+        dataset, _split_kinds(args.classifiers), args.class_attr, args.k, args.repeats,
+        args.seed, group_attribute=args.group_by,
+    )
     sys.stdout.write(render_eval_csv(results) if args.csv else render_eval_text(results))
     return 0
 

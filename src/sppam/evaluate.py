@@ -2,17 +2,19 @@
 
 ``cross_validate`` runs repeated stratified k-fold evaluation (optionally
 group-aware, so correlated records never straddle a train/test boundary)
-and reports per-run test accuracies plus a metric suite averaged over the
-repeats. ``compare_datasets`` evaluates the same classifiers on an
-original dataset and its aggregated counterpart and attaches a corrected
-resampled t-test verdict per classifier.
-
-Folds run one after another in (repeat, fold) order, in the calling
-thread.
+of several classifiers at once and reports, per classifier, the per-run
+test accuracies plus a metric suite averaged over the repeats. All the
+classifiers share one fold plan: each repeat's fold assignment, and each
+fold's training set with its sorted numeric columns, are built once and
+every classifier is fitted and scored on them. ``compare_datasets``
+evaluates the same classifiers on an original dataset and its aggregated
+counterpart, with one ``cross_validate`` call per dataset, and attaches a
+corrected resampled t-test verdict per classifier.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from . import classifiers
@@ -59,19 +61,25 @@ class EvalReport:
 
 def cross_validate(
     dataset: Dataset,
-    classifier_kind: str,
+    classifier_kinds,
     class_attribute: str,
     k: int = 10,
     repeats: int = 10,
     seed: int = 0,
     group_attribute: str | None = None,
-) -> CrossValResult:
-    """Repeated (group-aware) stratified k-fold evaluation of one classifier.
+) -> list[CrossValResult]:
+    """Repeated (group-aware) stratified k-fold evaluation of each of
+    ``classifier_kinds`` (a sequence of names, not one string), returned
+    as one result per kind in the order given.
 
-    Repeat r builds its folds with ``seed + r``. Records with a missing
-    class value are left out entirely: they can neither train nor be
-    scored.
+    Repeat r builds its folds with ``seed + r``, once for all the kinds,
+    so every kind is trained and scored on the same splits. Records with
+    a missing class value are left out entirely: they can neither train
+    nor be scored.
     """
+    if isinstance(classifier_kinds, str):
+        raise ConfigError(f"classifier kinds must be a sequence of names, not {classifier_kinds!r}")
+    kinds = list(classifier_kinds)
     if repeats < 1:
         raise ConfigError(f"repeats must be at least 1, got {repeats}")
     class_index = dataset.attribute_index(class_attribute)
@@ -85,32 +93,39 @@ def cross_validate(
     presorted = classifiers.PresortedColumns(labeled, class_attribute)
 
     records = labeled.records
-    accuracies = []
-    repeat_matrices = []
+    accuracies = [[] for _ in kinds]
+    repeat_matrices = [[] for _ in kinds]
     for r in range(repeats):
         assignment = group_stratified_folds(
             labeled, k, class_attribute, group_attribute, seed=seed + r
         )
-        repeat_pairs = []
+        # class indices in test order: the actual ones, and each kind's predictions
+        actual = []
+        predicted = [[] for _ in kinds]
         for fold in range(k):
             train_idx, test_idx = assignment.split(fold)
             train = presorted.training_set(train_idx)
-            model = classifiers.fit(classifier_kind, train, class_attribute)
-            pairs = [
-                (records[i][class_index], model.predict_index(records[i])) for i in test_idx
-            ]
-            correct = sum(1 for actual, predicted in pairs if actual == predicted)
-            accuracies.append(100.0 * correct / len(pairs))
-            repeat_pairs.extend(pairs)
-        repeat_matrices.append(matrix_from_pairs(class_values, repeat_pairs))
-    metrics = average_metrics(classification_metrics(m) for m in repeat_matrices)
-    return CrossValResult(
-        classifier=classifier_kind.lower(),
-        class_values=class_values,
-        fold_accuracies=tuple(accuracies),
-        repeat_matrices=tuple(repeat_matrices),
-        metrics=metrics,
-    )
+            test = [records[i] for i in test_idx]
+            fold_actual = [record[class_index] for record in test]
+            actual += fold_actual
+            for kind, kind_accuracies, kind_predicted in zip(kinds, accuracies, predicted):
+                model = classifiers.fit(kind, train, class_attribute)
+                fold_predicted = [model.predict_index(record) for record in test]
+                correct = sum(map(operator.eq, fold_actual, fold_predicted))
+                kind_accuracies.append(100.0 * correct / len(test))
+                kind_predicted += fold_predicted
+        for kind_matrices, kind_predicted in zip(repeat_matrices, predicted):
+            kind_matrices.append(matrix_from_pairs(class_values, zip(actual, kind_predicted)))
+    return [
+        CrossValResult(
+            classifier=kind.lower(),
+            class_values=class_values,
+            fold_accuracies=tuple(kind_accuracies),
+            repeat_matrices=tuple(kind_matrices),
+            metrics=average_metrics(classification_metrics(m) for m in kind_matrices),
+        )
+        for kind, kind_accuracies, kind_matrices in zip(kinds, accuracies, repeat_matrices)
+    ]
 
 
 def compare_datasets(
@@ -139,13 +154,14 @@ def compare_datasets(
             "class domains differ between datasets: "
             f"{class_a.values} vs {class_b.values}"
         )
+    kinds = list(classifier_kinds)
+    results_orig = cross_validate(
+        original, kinds, class_attribute, k, repeats, seed,
+        group_attribute=group_attribute,
+    )
+    results_tr = cross_validate(transformed, kinds, class_attribute, k, repeats, seed)
     rows = []
-    for kind in classifier_kinds:
-        result_orig = cross_validate(
-            original, kind, class_attribute, k, repeats, seed,
-            group_attribute=group_attribute,
-        )
-        result_tr = cross_validate(transformed, kind, class_attribute, k, repeats, seed)
+    for kind, result_orig, result_tr in zip(kinds, results_orig, results_tr):
         ttest = corrected_t_test(
             result_tr.fold_accuracies,
             result_orig.fold_accuracies,

@@ -209,6 +209,16 @@ def decimal_format_number(x: float, decimals: int) -> str:
     return text
 
 
+def posteriors(model, record) -> list[float]:
+    """A naive-Bayes model's class probabilities for one record, normalised
+    from its ``class_log_scores``."""
+    scores = model.class_log_scores(record)
+    peak = max(scores)
+    weights = [math.exp(s - peak) for s in scores]
+    total = sum(weights)
+    return [w / total for w in weights]
+
+
 def _oracle_majority(counts) -> int:
     best = 0
     for c in range(1, len(counts)):

@@ -13,6 +13,7 @@ import pytest
 from conftest import GOLDEN_DATA_SECTION, SURF_TWO_DAYS
 from helpers import (
     naive_transform_rows,
+    posteriors,
     random_plain_dataset,
     random_transform_dataset,
     random_transform_schema,
@@ -257,7 +258,7 @@ def test_c08_naive_bayes_oracle():
         model = fit("naive-bayes", dataset, "label")
         for record in dataset.records:
             expected = brute_force_posteriors(dataset, "label", record)
-            actual = model.posteriors(record)
+            actual = posteriors(model, record)
             for e, a in zip(expected, actual):
                 assert abs(a - e) <= 1e-9
             compared += 1

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import SURF_TWO_DAYS_DAILY
-from helpers import oracle_fit
+from helpers import oracle_fit, posteriors
 from sppam import AttributeSpec, ConfigError, Dataset, fit, parse_arff
 from sppam.classifiers import NB_VARIANCE_FLOOR, PresortedColumns
 
@@ -108,16 +108,16 @@ class TestNaiveBayes:
         model = fit("naive-bayes", dataset, "label")
         for record in dataset.records + ((3.0, None), (6.5, None)):
             expected = brute_force_posteriors(dataset, "label", record)
-            actual = model.posteriors(record)
+            actual = posteriors(model, record)
             for e, a in zip(expected, actual):
                 assert a == pytest.approx(e, abs=1e-12)
 
     def test_missing_feature_skipped(self):
         dataset = single_feature_dataset([(1.0, 0), (2.0, 0), (5.0, 1)])
         model = fit("naive-bayes", dataset, "label")
-        posteriors = model.posteriors((None, None))
+        prior = posteriors(model, (None, None))
         # with the only feature missing, the posterior is the smoothed prior
-        assert posteriors[0] == pytest.approx(3 / 5, abs=1e-12)
+        assert prior[0] == pytest.approx(3 / 5, abs=1e-12)
 
     def test_constant_attribute_uses_variance_floor(self):
         dataset = single_feature_dataset([(2.0, 0), (2.0, 0), (5.0, 1), (5.0, 1)])
@@ -136,6 +136,16 @@ class TestNaiveBayes:
         model = fit("naive-bayes", single_feature_dataset(rows), "label")
         assert model.class_log_scores((big, None)) == [-math.inf, -math.inf]
 
+    def test_far_value_scores_by_its_standardised_distance(self):
+        # (1e200 - 0)^2 overflows, but class b's variance of 1e300 keeps the
+        # standardised distance (1e50)^2 finite, so b wins instead of class 0
+        rows = [(1.0, 0), (2.0, 0), (-1e150, 1), (1e150, 1)]
+        model = fit("naive-bayes", single_feature_dataset(rows), "label")
+        score_a, score_b = model.class_log_scores((1e200, None))
+        assert score_a == -math.inf
+        assert score_b == pytest.approx(-5e99, rel=1e-9)
+        assert model.predict((1e200, None)) == "b"
+
     def test_random_datasets_match_brute_force(self):
         rng = random.Random(17)
         for _ in range(40):
@@ -143,7 +153,7 @@ class TestNaiveBayes:
             model = fit("naive-bayes", dataset, "label")
             for record in dataset.records:
                 expected = brute_force_posteriors(dataset, "label", record)
-                actual = model.posteriors(record)
+                actual = posteriors(model, record)
                 for e, a in zip(expected, actual):
                     assert a == pytest.approx(e, abs=1e-9)
 
@@ -345,6 +355,32 @@ def test_fit_matches_per_row_oracle(dataset, kind, rng):
     training_set = PresortedColumns(dataset, "label").training_set(indices)
     assert training_set.records == subset.records
     assert fit(kind, training_set, "label") == oracle_fit(kind, subset, "label")
+
+
+def test_training_set_sorts_each_column_once_for_all_learners():
+    rng = random.Random(21)
+    schema = (
+        AttributeSpec.numeric("x0"),
+        AttributeSpec.numeric("x1"),
+        AttributeSpec.nominal("label", ("a", "b")),
+    )
+    rows = [
+        (rng.choice([0.5, 1.0, 2.0, None]), rng.uniform(-1.0, 1.0), rng.choice([0, 1, 1, None]))
+        for _ in range(60)
+    ]
+    train = PresortedColumns(Dataset("shared", schema, tuple(rows)), "label").training_set(
+        sorted(rng.sample(range(60), 45))
+    )
+    before = [train.sorted_column(j) for j in (0, 1)]
+    fit("oner", train, "label")
+    fit("decision-stump", train, "label")
+    for j, first in zip((0, 1), before):
+        again = train.sorted_column(j)
+        assert again[0] is first[0] and again[1] is first[1]
+        pairs = sorted(
+            (r[j], r[2]) for r in train.records if r[j] is not None and r[2] is not None
+        )
+        assert again == ([v for v, _ in pairs], [c for _, c in pairs])
 
 
 def test_presorted_training_set_rejects_repeated_indices():

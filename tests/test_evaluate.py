@@ -3,9 +3,11 @@ import random
 
 import pytest
 
+import sppam.evaluate
 from sppam import (
     AttributeSpec,
     CLASSIFIER_KINDS,
+    ConfigError,
     Dataset,
     TransformConfig,
     compare_datasets,
@@ -47,7 +49,7 @@ def separable_dataset(n=40, seed=5):
 def test_zeror_accuracy_near_majority_rate():
     n, k = 60, 10
     dataset = labeled_dataset(n, majority_fraction=0.7)
-    result = cross_validate(dataset, "zeror", "label", k=k, repeats=1, seed=0)
+    [result] = cross_validate(dataset, ["zeror"], "label", k=k, repeats=1, seed=0)
     assert len(result.fold_accuracies) == k
     mean_accuracy = sum(result.fold_accuracies) / len(result.fold_accuracies)
     assert abs(mean_accuracy - 70.0) <= (k / n) * 100.0 + 1e-9
@@ -55,21 +57,21 @@ def test_zeror_accuracy_near_majority_rate():
 
 def test_repeats_with_same_seed_are_identical():
     dataset = labeled_dataset(50)
-    a = cross_validate(dataset, "naive-bayes", "label", k=5, repeats=2, seed=9)
-    b = cross_validate(dataset, "naive-bayes", "label", k=5, repeats=2, seed=9)
+    [a] = cross_validate(dataset, ["naive-bayes"], "label", k=5, repeats=2, seed=9)
+    [b] = cross_validate(dataset, ["naive-bayes"], "label", k=5, repeats=2, seed=9)
     assert a.fold_accuracies == b.fold_accuracies
     assert a.metrics == b.metrics
 
 
 def test_decision_stump_separable_is_perfect():
-    result = cross_validate(separable_dataset(), "decision-stump", "label", k=5, repeats=2, seed=0)
+    [result] = cross_validate(separable_dataset(), ["decision-stump"], "label", k=5, repeats=2, seed=0)
     assert all(acc == 100.0 for acc in result.fold_accuracies)
     assert result.metrics.cci_percent == 100.0
 
 
 def test_accuracy_vector_length_is_repeats_times_k():
     dataset = labeled_dataset(45)
-    result = cross_validate(dataset, "oner", "label", k=5, repeats=3, seed=1)
+    [result] = cross_validate(dataset, ["oner"], "label", k=5, repeats=3, seed=1)
     assert len(result.fold_accuracies) == 15
     assert len(result.repeat_matrices) == 3
     for m in result.repeat_matrices:
@@ -90,8 +92,8 @@ def test_group_mode_uses_group_folds():
         for _ in range(3):
             records.append((f"g{g}", rng.uniform(0, 1), cls))
     dataset = Dataset("unnamed", schema, tuple(records))
-    result = cross_validate(dataset, "zeror", "label", k=5, repeats=1, seed=0,
-                            group_attribute="key")
+    [result] = cross_validate(dataset, ["zeror"], "label", k=5, repeats=1, seed=0,
+                              group_attribute="key")
     assert len(result.fold_accuracies) == 5
     assert result.repeat_matrices[0].total == 30
 
@@ -121,7 +123,7 @@ def test_group_mean_labels_reward_aggregation():
 
 def test_render_eval_text_columns():
     dataset = labeled_dataset(30)
-    result = cross_validate(dataset, "zeror", "label", k=5, repeats=1, seed=0)
+    [result] = cross_validate(dataset, ["zeror"], "label", k=5, repeats=1, seed=0)
     text = render_eval_text([result])
     assert "CCI%" in text and "Kappa" in text and "F-Meas." in text
     assert "class=a" in text and "average" in text
@@ -130,10 +132,7 @@ def test_render_eval_text_columns():
 
 def test_render_eval_csv_run_rows():
     dataset = labeled_dataset(30)
-    results = [
-        cross_validate(dataset, kind, "label", k=5, repeats=3, seed=0)
-        for kind in ("zeror", "oner")
-    ]
+    results = cross_validate(dataset, ("zeror", "oner"), "label", k=5, repeats=3, seed=0)
     lines = render_eval_csv(results).splitlines()
     assert lines[0].startswith("classifier,row,key,")
     run_rows = [l for l in lines if ",run," in l]
@@ -175,13 +174,12 @@ def per_fold_reference(dataset, kind, k, repeats, seed, group_attribute):
     return tuple(accuracies), tuple(matrices)
 
 
-@pytest.mark.parametrize("group_attribute", [None, "Date"])
-@pytest.mark.parametrize("kind", CLASSIFIER_KINDS)
-def test_presorted_cross_validate_matches_per_fold_fit(kind, group_attribute):
+def edge_dataset():
+    """gen_surf records plus an extra column of adjacent floats, which puts
+    non-separating midpoints into the folds; some cells and labels are
+    missing."""
     surf = gen_surf(days=30, per_day=4, seed=2)
     rng = random.Random(8)
-    # an extra column of adjacent floats puts non-separating midpoints into
-    # the folds; some cells and labels are missing
     close = [1.0, math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0), -0.0, 0.0]
     schema = (*surf.schema, AttributeSpec.numeric("Edge"))
     records = []
@@ -192,9 +190,53 @@ def test_presorted_cross_validate_matches_per_fold_fit(kind, group_attribute):
         if rng.random() < 0.05:
             record[2] = None
         records.append((*record, rng.choice(close + [None])))
-    dataset = Dataset("surf", schema, tuple(records))
-    result = cross_validate(dataset, kind, "Sets", k=5, repeats=2, seed=3,
-                            group_attribute=group_attribute)
+    return Dataset("surf", schema, tuple(records))
+
+
+@pytest.mark.parametrize("group_attribute", [None, "Date"])
+@pytest.mark.parametrize("kind", CLASSIFIER_KINDS)
+def test_presorted_cross_validate_matches_per_fold_fit(kind, group_attribute):
+    dataset = edge_dataset()
+    [result] = cross_validate(dataset, [kind], "Sets", k=5, repeats=2, seed=3,
+                              group_attribute=group_attribute)
     accuracies, matrices = per_fold_reference(dataset, kind, 5, 2, 3, group_attribute)
     assert result.fold_accuracies == accuracies
     assert result.repeat_matrices == matrices
+
+
+@pytest.mark.parametrize("group_attribute", [None, "Date"])
+def test_all_kinds_in_one_call_match_each_alone(group_attribute):
+    dataset = edge_dataset()
+    kinds = list(CLASSIFIER_KINDS)
+    together = cross_validate(dataset, kinds, "Sets", k=5, repeats=2, seed=3,
+                              group_attribute=group_attribute)
+    backwards = cross_validate(dataset, kinds[::-1], "Sets", k=5, repeats=2, seed=3,
+                               group_attribute=group_attribute)
+    assert [r.classifier for r in together] == kinds
+    assert [r.classifier for r in backwards] == kinds[::-1]
+    for kind, result, reversed_result in zip(kinds, together, backwards[::-1]):
+        [alone] = cross_validate(dataset, [kind], "Sets", k=5, repeats=2, seed=3,
+                                 group_attribute=group_attribute)
+        accuracies, matrices = per_fold_reference(dataset, kind, 5, 2, 3, group_attribute)
+        for candidate in (result, reversed_result, alone):
+            assert candidate.fold_accuracies == accuracies
+            assert candidate.repeat_matrices == matrices
+        assert result == reversed_result == alone
+
+
+def test_compare_assigns_folds_once_per_dataset_and_repeat(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["seed"])
+        return group_stratified_folds(*args, **kwargs)
+
+    monkeypatch.setattr(sppam.evaluate, "group_stratified_folds", counting)
+    dataset = labeled_dataset(48)
+    compare_datasets(dataset, dataset, CLASSIFIER_KINDS, "label", k=4, repeats=2, seed=5)
+    assert calls == [5, 6, 5, 6]  # 2 datasets x 2 repeats, not x 4 kinds as well
+
+
+def test_kinds_must_be_a_sequence_not_a_string():
+    with pytest.raises(ConfigError, match="sequence of names"):
+        cross_validate(labeled_dataset(20), "oner", "label", k=5, repeats=1)

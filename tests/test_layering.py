@@ -103,6 +103,38 @@ def test_csv_reader_copies_the_input_only_in_chunks():
     assert filled == {"_lines"}
 
 
+_LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _loop_depths(tree, name):
+    """For every call of ``name`` (bare or as an attribute), how many loops
+    or comprehensions enclose it."""
+    depths = []
+
+    def visit(node, depth):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if name in (getattr(func, "id", None), getattr(func, "attr", None)):
+                depths.append(depth)
+        inner = depth + isinstance(node, _LOOPS)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inner)
+
+    visit(tree, 0)
+    return depths
+
+
+def test_one_fold_plan_per_dataset():
+    """Every classifier kind shares a dataset's presort and each repeat's
+    folds: the presort is built once per ``cross_validate`` call, folds
+    once per repeat, and no caller runs ``cross_validate`` per kind."""
+    trees = _trees()
+    assert _loop_depths(trees["evaluate"], "PresortedColumns") == [0]
+    assert _loop_depths(trees["evaluate"], "group_stratified_folds") == [1]
+    assert _loop_depths(trees["evaluate"], "cross_validate") == [0, 0]  # compare: one per dataset
+    assert _loop_depths(trees["cli"], "cross_validate") == [0]
+
+
 def test_public_names_resolve():
     for name in sppam.__all__:
         assert getattr(sppam, name) is not None, name
