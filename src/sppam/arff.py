@@ -23,21 +23,18 @@ one row at a time, so that the error raised is the first in source order.
 
 from __future__ import annotations
 
-import functools
 import operator
 from itertools import filterfalse
 
 from .model import (
-    NOMINAL,
     NUMERIC,
     STRING,
     AttributeSpec,
     Cell,
     Dataset,
     SppamError,
+    column_kernel,
     no_gc,
-    number_texts,
-    present_texts,
     text_blocks,
     text_cells,
 )
@@ -203,20 +200,10 @@ def write_arff(dataset: Dataset, decimals: int | None = None) -> str:
     for attr in dataset.schema:
         lines.append(f"@ATTRIBUTE {_quote_if_needed(attr.name)} {_type_text(attr)}")
     lines.append("@DATA")
-    kernels = [_column_kernel(attr, decimals) for attr in dataset.schema]
+    kernels = [column_kernel(attr, decimals, _quote_if_needed) for attr in dataset.schema]
     for rows in text_blocks(dataset.records, kernels):
         lines.append("\n".join(map(",".join, rows)))
     return "\n".join(lines) + "\n"
-
-
-def _column_kernel(attr: AttributeSpec, decimals: int | None):
-    """``column -> texts`` for the data cells of ``attr``."""
-    if attr.kind == NUMERIC:
-        return functools.partial(number_texts, decimals=decimals, memo={})
-    if attr.kind == NOMINAL:
-        quoted = tuple(map(_quote_if_needed, attr.values))
-        return functools.partial(present_texts, quoted.__getitem__)
-    return functools.partial(present_texts, _quote_if_needed)
 
 
 def _keyword_rest(line: str, lowered: str, keyword: str) -> str | None:

@@ -12,21 +12,27 @@ Missing feature values are skipped in the naive Bayes product and routed
 to the majority branch in OneR and the decision stump. Naive Bayes has no
 Gaussian for a class without values or with an overflowing variance; a
 value scores ``-inf`` under a Gaussian only when its squared distance to
-the mean, in units of the variance, overflows.
+the mean, in units of the variance, overflows. When every class scores
+``-inf``, the class with the smallest summed squared standardised distance
+is predicted.
 
 OneR and the stump pick the candidate attribute with the fewest training
 errors. A candidate's errors are counted from the per-bin or per-side
 class counts it is built from, plus the rows with a missing value whose
-class differs from its majority branch's. Numeric candidates read their
-(value, class) pairs in sorted order: ``fit`` sorts them itself, while
-``cross_validate`` sorts each numeric column once per dataset
-(``PresortedColumns``) and every fold filters that order down to its
-training records once, for all the learners fitted on it. The class
-counts equal predicting every row only when each midpoint threshold
-separates its two neighbouring values (``a < t <= b`` for OneR's bins,
-``a <= t < b`` for the stump's ``<=``); for a midpoint that rounds onto a
-neighbour or overflows to infinity, the candidate's errors are counted
-row by row.
+class differs from its majority branch's. The class counts equal
+predicting every row only when each midpoint threshold separates its two
+neighbouring values (``a < t <= b`` for OneR's bins, ``a <= t < b`` for
+the stump's ``<=``); for a midpoint that rounds onto a neighbour or
+overflows to infinity, the candidate's errors are counted row by row.
+
+Every learner reads one training set, which computes each fact it needs
+once for all of them: the labelled rows, the features, the class counts,
+each nominal value-by-class table and each numeric column's (value, class)
+pairs in sorted order. The sorted pairs come from ``PresortedColumns``,
+which sorts each numeric column once per dataset; every training set
+filters that order down to its own records. ``cross_validate`` takes one
+training set per fold from one presort per dataset, and ``fit`` turns a
+plain Dataset into a training set of all its records.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import islice
 
 from .model import ConfigError, Dataset, float_mean
@@ -43,6 +50,8 @@ CLASSIFIER_KINDS = ("zeror", "oner", "naive-bayes", "decision-stump")
 ONER_MAX_BINS = 6
 ONER_MIN_BUCKET = 3
 NB_VARIANCE_FLOOR = 1e-9
+# (2 * 1.8e308 / sqrt(NB_VARIANCE_FLOOR) * _FAR_SCALE)**2 is still finite
+_FAR_SCALE = 2.0 ** -600
 
 
 def fit(kind: str, dataset: Dataset, class_attribute: str):
@@ -55,20 +64,12 @@ def fit(kind: str, dataset: Dataset, class_attribute: str):
     class_index = dataset.attribute_index(class_attribute)
     if dataset.schema[class_index].kind != "nominal":
         raise ConfigError(f"class attribute {class_attribute!r} must be nominal")
-    rows = [r for r in dataset.records if r[class_index] is not None]
-    if not rows:
+    if not (isinstance(dataset, _TrainingSet) and dataset.presorted.class_index == class_index):
+        presorted = PresortedColumns(dataset, class_attribute)
+        dataset = presorted.training_set(range(len(dataset.records)))
+    if not dataset.rows:
         raise ConfigError("empty training set")
-    features = [
-        j for j, attr in enumerate(dataset.schema)
-        if j != class_index and attr.kind != "string"
-    ]
-    if isinstance(dataset, _TrainingSet) and dataset.presorted.class_index == class_index:
-        sorted_column = dataset.sorted_column
-    else:
-        def sorted_column(j):
-            pairs = sorted((row[j], row[class_index]) for row in rows if row[j] is not None)
-            return [v for v, _ in pairs], [c for _, c in pairs]
-    return _FITTERS[normalized](dataset, rows, class_index, features, sorted_column)
+    return _FITTERS[normalized](dataset)
 
 
 class PresortedColumns:
@@ -101,8 +102,8 @@ class PresortedColumns:
 
     def training_set(self, indices) -> Dataset:
         """The records at ``indices`` (ascending, each once) as a Dataset
-        whose numeric columns ``fit`` reads from this presort instead of
-        sorting them."""
+        that ``fit`` reads its columns and counts from, its numeric columns
+        filtered from this presort."""
         records = self.dataset.records
         in_train = bytearray(len(records))
         for i in indices:
@@ -121,25 +122,63 @@ class PresortedColumns:
 @dataclass(frozen=True)
 class _TrainingSet(Dataset):
     """Training records of one fold, with the presort they were taken from
-    and one byte per record of the presorted dataset, 1 for those kept."""
+    and one byte per record of the presorted dataset, 1 for those kept.
+    Each fact below is computed on first use; learners only read them."""
 
     presorted: PresortedColumns | None = field(default=None, repr=False, compare=False)
     in_train: bytes = field(default=b"", repr=False, compare=False)
     _columns: dict = field(default_factory=dict, repr=False, compare=False)
 
+    @property
+    def class_index(self) -> int:
+        return self.presorted.class_index
+
+    @property
+    def class_values(self) -> tuple[str, ...]:
+        return self.schema[self.class_index].values
+
+    @cached_property
+    def rows(self) -> list[tuple]:
+        """The records with a class value, in training order."""
+        c = self.class_index
+        return [r for r in self.records if r[c] is not None]
+
+    @cached_property
+    def features(self) -> list[int]:
+        """Indices of the numeric and nominal attributes other than the class."""
+        c = self.class_index
+        return [j for j, attr in enumerate(self.schema) if j != c and attr.kind != "string"]
+
+    @cached_property
+    def class_counts(self) -> list[int]:
+        counts, c = [0] * len(self.class_values), self.class_index
+        for row in self.rows:
+            counts[row[c]] += 1
+        return counts
+
     def sorted_column(self, j: int) -> tuple[list, list]:
-        """Column j's (value, class) pairs in sorted order, as two lists:
-        the presorted order filtered to this training set, which equals
-        sorting the training set's own pairs. The lists are built on the
-        first call and shared by every later one; learners only read them."""
+        """Numeric column j's (value, class) pairs in sorted order, as two
+        lists: the presorted order filtered to this training set, which
+        equals sorting the training set's own pairs."""
         column = self._columns.get(j)
         if column is None:
             presorted, keep = self.presorted, self.in_train
             records, c = presorted.dataset.records, presorted.class_index
             kept = [i for i in presorted.order(j) if keep[i]]
-            column = [records[i][j] for i in kept], [records[i][c] for i in kept]
-            self._columns[j] = column
+            column = self._columns[j] = [records[i][j] for i in kept], [records[i][c] for i in kept]
         return column
+
+    def value_counts(self, j: int) -> list[list[int]]:
+        """Nominal column j's counts, ``table[value][class]``, over the rows
+        that have a value."""
+        table = self._columns.get(j)
+        if table is None:
+            c = self.class_index
+            table = self._columns[j] = [[0] * len(self.class_values) for _ in self.schema[j].values]
+            for row in self.rows:
+                if row[j] is not None:
+                    table[row[j]][row[c]] += 1
+        return table
 
 
 @dataclass
@@ -218,6 +257,18 @@ class NaiveBayesModel(_BaseModel):
 
     def predict_index(self, record) -> int:
         scores = self.class_log_scores(record)
+        if max(scores) == -math.inf:
+            # every density underflows: the class with the smallest summed
+            # squared standardised distance wins, each distance scaled so
+            # that neither it nor the sum overflows
+            scores = [0.0] * len(scores)
+            for j, kind, per_class in self.feature_stats:
+                v = record[j]
+                if kind == "numeric" and v is not None:
+                    for c, stats in enumerate(per_class):
+                        if stats is not None:
+                            z = (v * _FAR_SCALE - stats[0] * _FAR_SCALE) / math.sqrt(stats[1])
+                            scores[c] -= z * z
         return scores.index(max(scores))
 
 
@@ -250,72 +301,54 @@ def _majority(counts) -> int:
     return counts.index(max(counts))
 
 
-def _class_counts(rows, class_index, n_classes) -> list[int]:
-    counts = [0] * n_classes
-    for row in rows:
-        counts[row[class_index]] += 1
-    return counts
+def _best_candidate(train, nominal, numeric, model_class):
+    """The first candidate with the fewest training errors, from
+    ``nominal(train, j)`` or ``numeric(train, j)`` per feature j, or else a
+    ``model_class`` that predicts the majority class.
 
-
-def _training_errors(candidate, branch, observed, observed_errors, class_counts, rows) -> int:
-    """Training errors of a OneR or stump candidate over all ``rows``.
-
-    ``observed_errors`` counts the errors on the rows that have a value
-    and ``observed`` their class counts; the rows with a missing value all
-    go to the class ``branch``. When ``observed_errors`` is None (a
-    threshold does not separate its neighbours), every row is predicted.
+    A kernel returns None or ``(model, observed, observed_errors)``: the
+    class counts of the rows that have a value and the errors on them; the
+    rows with a missing value all get the model's missing-value class. When
+    ``observed_errors`` is None (a threshold does not separate its
+    neighbours), every row is predicted.
     """
-    if observed_errors is None:
-        class_index = candidate.class_index
-        return sum(1 for row in rows if candidate.predict_index(row) != row[class_index])
-    missing = [total - seen for total, seen in zip(class_counts, observed)]
-    return observed_errors + sum(missing) - missing[branch]
-
-
-def _fit_zeror(dataset, rows, class_index, features, sorted_column) -> ZeroRModel:
-    class_values = dataset.schema[class_index].values
-    counts = _class_counts(rows, class_index, len(class_values))
-    return ZeroRModel(class_index, class_values, majority=_majority(counts))
-
-
-def _fit_oner(dataset, rows, class_index, features, sorted_column) -> OneRModel:
-    class_values = dataset.schema[class_index].values
-    n_classes = len(class_values)
-    class_counts = _class_counts(rows, class_index, n_classes)
-    best: OneRModel | None = None
-    best_errors = None
-    for j in features:
-        attr = dataset.schema[j]
-        if attr.kind == "nominal":
-            found = _oner_nominal(rows, class_index, class_values, j, len(attr.values))
-        else:
-            found = _oner_numeric(*sorted_column(j), class_index, class_values, j)
+    c = train.class_index
+    best, best_errors = None, None
+    for j in train.features:
+        found = (nominal if train.schema[j].kind == "nominal" else numeric)(train, j)
         if found is None:
             continue
-        candidate, observed, observed_errors = found
-        branch = candidate.majority_branch
-        errors = _training_errors(candidate, branch, observed, observed_errors, class_counts, rows)
+        candidate, observed, errors = found
+        if errors is None:
+            errors = sum(1 for row in train.rows if candidate.predict_index(row) != row[c])
+        else:
+            missing = [total - seen for total, seen in zip(train.class_counts, observed)]
+            errors += sum(missing) - missing[candidate.predict_index((None,) * len(train.schema))]
         if best_errors is None or errors < best_errors:
             best, best_errors = candidate, errors
     if best is None:
-        return OneRModel(
-            class_index, class_values, attribute=None, fallback=_majority(class_counts)
+        return model_class(
+            train.class_index, train.class_values, attribute=None,
+            fallback=_majority(train.class_counts),
         )
     return best
 
 
-def _oner_nominal(rows, class_index, class_values, j, domain_size):
-    n_classes = len(class_values)
-    buckets = [[0] * n_classes for _ in range(domain_size)]
-    for row in rows:
-        v = row[j]
-        if v is not None:
-            buckets[v][row[class_index]] += 1
+def _fit_zeror(train) -> ZeroRModel:
+    return ZeroRModel(train.class_index, train.class_values, majority=_majority(train.class_counts))
+
+
+def _fit_oner(train) -> OneRModel:
+    return _best_candidate(train, _oner_nominal, _oner_numeric, OneRModel)
+
+
+def _oner_nominal(train, j):
+    buckets = train.value_counts(j)
     rule = tuple(_majority(b) for b in buckets)
-    largest = max(range(domain_size), key=lambda v: (sum(buckets[v]), -v))
+    largest = max(range(len(buckets)), key=lambda v: (sum(buckets[v]), -v))
     model = OneRModel(
-        class_index,
-        class_values,
+        train.class_index,
+        train.class_values,
         attribute=j,
         kind="nominal",
         nominal_rule=rule,
@@ -325,8 +358,9 @@ def _oner_nominal(rows, class_index, class_values, j, domain_size):
     return model, observed, sum(observed) - sum(b[r] for b, r in zip(buckets, rule))
 
 
-def _oner_numeric(values, classes, class_index, class_values, j):
-    """OneR candidate from one column's (value, class) pairs in sorted order."""
+def _oner_numeric(train, j):
+    """OneR candidate from column j's (value, class) pairs in sorted order."""
+    values, classes = train.sorted_column(j)
     n = len(values)
     if not n:
         return None
@@ -348,12 +382,12 @@ def _oner_numeric(values, classes, class_index, class_values, j):
     bin_counts = []
     for lo, hi in zip(bounds, bounds[1:]):
         segment = classes[lo:hi]
-        bin_counts.append([segment.count(c) for c in range(len(class_values))])
+        bin_counts.append([segment.count(c) for c in range(len(train.class_values))])
     rule = tuple(_majority(counts) for counts in bin_counts)
     largest = max(range(len(bin_counts)), key=lambda b: (bounds[b + 1] - bounds[b], -b))
     model = OneRModel(
-        class_index,
-        class_values,
+        train.class_index,
+        train.class_values,
         attribute=j,
         kind="numeric",
         thresholds=thresholds,
@@ -367,21 +401,19 @@ def _oner_numeric(values, classes, class_index, class_values, j):
     return model, observed, errors
 
 
-def _fit_naive_bayes(dataset, rows, class_index, features, sorted_column) -> NaiveBayesModel:
-    class_values = dataset.schema[class_index].values
-    n_classes = len(class_values)
+def _fit_naive_bayes(train) -> NaiveBayesModel:
+    n_classes = len(train.class_values)
     # each class's rows in training order, the order float_mean sums them in
     by_class = [[] for _ in range(n_classes)]
-    for row in rows:
-        by_class[row[class_index]].append(row)
-    total = len(rows)
+    for row in train.rows:
+        by_class[row[train.class_index]].append(row)
+    total = len(train.rows)
     log_priors = tuple(
-        math.log((len(class_rows) + 1.0) / (total + n_classes)) for class_rows in by_class
+        math.log((count + 1.0) / (total + n_classes)) for count in train.class_counts
     )
     feature_stats = []
-    for j in features:
-        attr = dataset.schema[j]
-        if attr.kind == "numeric":
+    for j in train.features:
+        if train.schema[j].kind == "numeric":
             per_class = []
             for class_rows in by_class:
                 values = [row[j] for row in class_rows if row[j] is not None]
@@ -396,57 +428,28 @@ def _fit_naive_bayes(dataset, rows, class_index, features, sorted_column) -> Nai
                 per_class.append(stats)
             feature_stats.append((j, "numeric", per_class))
         else:
-            domain_size = len(attr.values)
+            table = train.value_counts(j)
             per_class = []
-            for class_rows in by_class:
-                value_counts = [0] * domain_size
-                observed = 0
-                for row in class_rows:
-                    if row[j] is not None:
-                        value_counts[row[j]] += 1
-                        observed += 1
-                per_class.append(tuple(
-                    math.log((value_counts[v] + 1.0) / (observed + domain_size))
-                    for v in range(domain_size)
-                ))
+            for counts in zip(*table):  # one class's count of each value
+                denominator = sum(counts) + len(table)
+                per_class.append(tuple(math.log((n + 1.0) / denominator) for n in counts))
             feature_stats.append((j, "nominal", per_class))
     return NaiveBayesModel(
-        class_index, class_values, log_priors=log_priors, feature_stats=feature_stats
+        train.class_index, train.class_values, log_priors=log_priors, feature_stats=feature_stats
     )
 
 
-def _fit_decision_stump(dataset, rows, class_index, features, sorted_column) -> DecisionStumpModel:
-    class_values = dataset.schema[class_index].values
-    n_classes = len(class_values)
-    class_counts = _class_counts(rows, class_index, n_classes)
-    best: DecisionStumpModel | None = None
-    best_errors = None
-    for j in features:
-        attr = dataset.schema[j]
-        if attr.kind == "numeric":
-            found = _stump_numeric(*sorted_column(j), class_index, class_values, j)
-        else:
-            found = _stump_nominal(rows, class_index, class_values, j, len(attr.values))
-        if found is None:
-            continue
-        candidate, observed, observed_errors = found
-        branch = candidate.majority_branch_class
-        errors = _training_errors(candidate, branch, observed, observed_errors, class_counts, rows)
-        if best_errors is None or errors < best_errors:
-            best, best_errors = candidate, errors
-    if best is None:
-        return DecisionStumpModel(
-            class_index, class_values, attribute=None, fallback=_majority(class_counts)
-        )
-    return best
+def _fit_decision_stump(train) -> DecisionStumpModel:
+    return _best_candidate(train, _stump_nominal, _stump_numeric, DecisionStumpModel)
 
 
-def _stump_numeric(values, classes, class_index, class_values, j):
-    """Stump candidate from one column's (value, class) pairs in sorted order."""
+def _stump_numeric(train, j):
+    """Stump candidate from column j's (value, class) pairs in sorted order."""
+    values, classes = train.sorted_column(j)
     n = len(values)
     if n < 2 or values[0] == values[-1]:
         return None
-    n_classes = len(class_values)
+    n_classes = len(train.class_values)
     right = [classes.count(c) for c in range(n_classes)]
     observed = right[:]
     left = [0] * n_classes
@@ -462,8 +465,8 @@ def _stump_numeric(values, classes, class_index, class_values, j):
     errors, below, above, left_size, lc, rc = best
     threshold = (below + above) / 2.0
     model = DecisionStumpModel(
-        class_index,
-        class_values,
+        train.class_index,
+        train.class_values,
         attribute=j,
         kind="numeric",
         threshold=threshold,
@@ -475,26 +478,18 @@ def _stump_numeric(values, classes, class_index, class_values, j):
     return model, observed, errors if below <= threshold < above else None
 
 
-def _stump_nominal(rows, class_index, class_values, j, domain_size):
-    n_classes = len(class_values)
-    value_counts = [[0] * n_classes for _ in range(domain_size)]
-    total_counts = [0] * n_classes
-    observed = 0
-    for row in rows:
-        v = row[j]
-        if v is not None:
-            value_counts[v][row[class_index]] += 1
-            total_counts[row[class_index]] += 1
-            observed += 1
+def _stump_nominal(train, j):
+    value_counts = train.value_counts(j)
+    total_counts = [sum(column) for column in zip(*value_counts)]
+    observed = sum(total_counts)
     if observed == 0:
         return None
     best = None  # (errors, value, left_class, right_class, left_size)
-    for v in range(domain_size):
-        left = value_counts[v]
+    for v, left in enumerate(value_counts):
         left_size = sum(left)
         if left_size in (0, observed):
             continue
-        right = [total_counts[c] - left[c] for c in range(n_classes)]
+        right = [total - seen for total, seen in zip(total_counts, left)]
         lc, rc = _majority(left), _majority(right)
         errors = (left_size - left[lc]) + (observed - left_size - right[rc])
         if best is None or errors < best[0]:
@@ -503,8 +498,8 @@ def _stump_nominal(rows, class_index, class_values, j, domain_size):
         return None
     errors, v, lc, rc, left_size = best
     model = DecisionStumpModel(
-        class_index,
-        class_values,
+        train.class_index,
+        train.class_values,
         attribute=j,
         kind="nominal",
         match_value=v,

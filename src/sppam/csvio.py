@@ -29,19 +29,15 @@ cells.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 from itertools import filterfalse, islice
 
 from .arff import ParseError
 from .model import (
-    NOMINAL,
-    NUMERIC,
     AttributeSpec,
     Dataset,
+    column_kernel,
     no_gc,
-    number_texts,
-    present_texts,
     text_blocks,
     text_cells,
 )
@@ -195,16 +191,7 @@ def write_csv(dataset: Dataset, decimals: int | None = None) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(dataset.attribute_names)
-    kernels = [_column_kernel(attr, decimals) for attr in dataset.schema]
+    kernels = [column_kernel(attr, decimals, str) for attr in dataset.schema]
     for rows in text_blocks(dataset.records, kernels):
         writer.writerows(rows)
     return out.getvalue()
-
-
-def _column_kernel(attr: AttributeSpec, decimals: int | None):
-    """``column -> texts`` for the cells of ``attr``."""
-    if attr.kind == NUMERIC:
-        return functools.partial(number_texts, decimals=decimals, memo={})
-    if attr.kind == NOMINAL:
-        return functools.partial(present_texts, attr.values.__getitem__)
-    return functools.partial(present_texts, str)

@@ -185,33 +185,40 @@ def _classifier_label(kind: str) -> str:
 
 
 def _metric_rows(result: CrossValResult):
-    """(label, cci, kappa, precision, recall, f) per class, then the average."""
+    """(label, (cci, kappa, precision, recall, f)) per class, then the average."""
     m = result.metrics
     for c, label in enumerate(result.class_values):
-        yield (f"class={label}", m.cci_percent, m.kappa, m.precision[c], m.recall[c], m.f_measure[c])
-    yield ("average", m.cci_percent, m.kappa, m.macro_precision, m.macro_recall, m.macro_f_measure)
+        yield f"class={label}", (m.cci_percent, m.kappa, m.precision[c], m.recall[c], m.f_measure[c])
+    yield "average", (m.cci_percent, m.kappa, m.macro_precision, m.macro_recall, m.macro_f_measure)
+
+
+_TEXT_METRIC_HEADER = f"{'CCI%':>8}{'Kappa':>8}{'Precis.':>9}{'Recall':>8}{'F-Meas.':>9}"
+
+
+def _text_cells(metrics) -> str:
+    cci, kappa, p, r, f = metrics
+    return f"{cci:>8.2f}{kappa:>8.2f}{p:>9.2f}{r:>8.2f}{f:>9.2f}"
+
+
+def _csv_cells(metrics) -> str:
+    return ",".join(f"{x:.6f}" for x in metrics)
 
 
 def render_eval_text(results) -> str:
-    lines = [f"{'classifier':<28}{'row':<16}{'CCI%':>8}{'Kappa':>8}{'Precis.':>9}{'Recall':>8}{'F-Meas.':>9}"]
+    lines = [f"{'classifier':<28}{'row':<16}{_TEXT_METRIC_HEADER}"]
     for result in results:
-        for label, cci, kappa, p, r, f in _metric_rows(result):
-            lines.append(
-                f"{_classifier_label(result.classifier):<28}{label:<16}"
-                f"{cci:>8.2f}{kappa:>8.2f}{p:>9.2f}{r:>8.2f}{f:>9.2f}"
-            )
+        name = _classifier_label(result.classifier)
+        for label, metrics in _metric_rows(result):
+            lines.append(f"{name:<28}{label:<16}{_text_cells(metrics)}")
     return "\n".join(lines) + "\n"
 
 
 def render_eval_csv(results) -> str:
     lines = ["classifier,row,key,cci_percent,kappa,precision,recall,f_measure"]
     for result in results:
-        for label, cci, kappa, p, r, f in _metric_rows(result):
+        for label, metrics in _metric_rows(result):
             row_kind, _, key = label.partition("=")
-            lines.append(
-                f"{result.classifier},{row_kind},{key},"
-                f"{cci:.6f},{kappa:.6f},{p:.6f},{r:.6f},{f:.6f}"
-            )
+            lines.append(f"{result.classifier},{row_kind},{key},{_csv_cells(metrics)}")
         for i, accuracy in enumerate(result.fold_accuracies):
             lines.append(f"{result.classifier},run,{i},{accuracy:.6f},,,,")
     return "\n".join(lines) + "\n"
@@ -221,25 +228,13 @@ def render_compare_text(report: EvalReport) -> str:
     lines = [
         f"comparison: {report.original_name} vs {report.transformed_name}",
         "",
+        f"{'':<44}{report.original_name:>42}{report.transformed_name:>45}",
+        f"{'classifier':<28}{'row':<16}{_TEXT_METRIC_HEADER}   {_TEXT_METRIC_HEADER}",
     ]
-    header = (
-        f"{'classifier':<28}{'row':<16}"
-        f"{'CCI%':>8}{'Kappa':>8}{'Precis.':>9}{'Recall':>8}{'F-Meas.':>9}   "
-        f"{'CCI%':>8}{'Kappa':>8}{'Precis.':>9}{'Recall':>8}{'F-Meas.':>9}"
-    )
-    lines.append(f"{'':<44}{report.original_name:>42}{report.transformed_name:>45}")
-    lines.append(header)
     for row in report.rows:
-        for (label, *orig), (_, *tr) in zip(
-            _metric_rows(row.original), _metric_rows(row.transformed)
-        ):
-            cci_o, kappa_o, p_o, r_o, f_o = orig
-            cci_t, kappa_t, p_t, r_t, f_t = tr
-            lines.append(
-                f"{_classifier_label(row.classifier):<28}{label:<16}"
-                f"{cci_o:>8.2f}{kappa_o:>8.2f}{p_o:>9.2f}{r_o:>8.2f}{f_o:>9.2f}   "
-                f"{cci_t:>8.2f}{kappa_t:>8.2f}{p_t:>9.2f}{r_t:>8.2f}{f_t:>9.2f}"
-            )
+        name = _classifier_label(row.classifier)
+        for (label, orig), (_, tr) in zip(_metric_rows(row.original), _metric_rows(row.transformed)):
+            lines.append(f"{name:<28}{label:<16}{_text_cells(orig)}   {_text_cells(tr)}")
     lines.append("")
     lines.append(f"{'classifier':<28}{'CCI delta':>10}  {'t':>9}  verdict")
     for row in report.rows:
@@ -257,12 +252,9 @@ def render_compare_csv(report: EvalReport) -> str:
             (report.original_name, row.original),
             (report.transformed_name, row.transformed),
         ):
-            for label, cci, kappa, p, r, f in _metric_rows(result):
+            for label, metrics in _metric_rows(result):
                 row_kind, _, key = label.partition("=")
-                lines.append(
-                    f"{name},{row.classifier},{row_kind},{key},"
-                    f"{cci:.6f},{kappa:.6f},{p:.6f},{r:.6f},{f:.6f},,,"
-                )
+                lines.append(f"{name},{row.classifier},{row_kind},{key},{_csv_cells(metrics)},,,")
         lines.append(
             f",{row.classifier},delta,,,,,,,"
             f"{row.cci_delta:.6f},{row.ttest.t_statistic:.6f},{row.verdict}"

@@ -240,6 +240,17 @@ def number_texts(column, decimals: int | None, memo: dict) -> list[str]:
     return texts
 
 
+def column_kernel(attr: AttributeSpec, decimals: int | None, render):
+    """``column -> texts`` for the cells of ``attr``, as ``text_blocks``
+    takes it: numbers through ``number_texts``; nominal values and strings
+    as ``render`` gives their text, each nominal value rendered once."""
+    if attr.kind == NUMERIC:
+        return functools.partial(number_texts, decimals=decimals, memo={})
+    if attr.kind == NOMINAL:
+        return functools.partial(present_texts, tuple(map(render, attr.values)).__getitem__)
+    return functools.partial(present_texts, render)
+
+
 WRITE_BLOCK_CELLS = 20480  # records per block: this over the attribute count
 
 

@@ -11,10 +11,13 @@ from decimal import ROUND_HALF_UP, Decimal, localcontext
 from hypothesis import strategies as st
 
 from sppam.classifiers import (
+    NB_VARIANCE_FLOOR,
     ONER_MAX_BINS,
     ONER_MIN_BUCKET,
     DecisionStumpModel,
+    NaiveBayesModel,
     OneRModel,
+    ZeroRModel,
 )
 from sppam.arff import (
     ParseError,
@@ -25,7 +28,7 @@ from sppam.arff import (
     _type_text,
     _unquote,
 )
-from sppam.model import AttributeSpec, Cell, Dataset, SppamError, cell_text, format_number
+from sppam.model import AttributeSpec, Cell, Dataset, SppamError, cell_text, float_mean, format_number
 from sppam.transform import TransformConfig
 
 NOMINAL_POOL = ["red", "green", "blue", "cyan", "teal", "plum", "gray", "gold"]
@@ -235,18 +238,64 @@ def _oracle_class_counts(rows, class_index, n_classes) -> list[int]:
 
 
 def oracle_fit(kind: str, dataset: Dataset, class_attribute: str):
-    """Reference for ``fit("oner" | "decision-stump", ...)``, written the
-    direct way: every numeric candidate sorts its own (value, class)
-    pairs, and every candidate's training errors are counted by calling
-    ``predict_index`` on every training row."""
+    """Reference for ``fit``, written the direct way: each kind filters its
+    own rows and counts its own classes and value tables, every numeric
+    candidate sorts its own (value, class) pairs, and every OneR or stump
+    candidate's training errors are counted by calling ``predict_index``
+    on every training row."""
     class_index = dataset.attribute_index(class_attribute)
     rows = [r for r in dataset.records if r[class_index] is not None]
     features = [
         j for j, attr in enumerate(dataset.schema)
         if j != class_index and attr.kind != "string"
     ]
-    fitter = {"oner": _oracle_oner, "decision-stump": _oracle_stump}[kind]
+    fitter = {
+        "zeror": _oracle_zeror,
+        "oner": _oracle_oner,
+        "naive-bayes": _oracle_naive_bayes,
+        "decision-stump": _oracle_stump,
+    }[kind]
     return fitter(dataset, rows, class_index, features)
+
+
+def _oracle_zeror(dataset, rows, class_index, features) -> ZeroRModel:
+    class_values = dataset.schema[class_index].values
+    counts = _oracle_class_counts(rows, class_index, len(class_values))
+    return ZeroRModel(class_index, class_values, majority=_oracle_majority(counts))
+
+
+def _oracle_naive_bayes(dataset, rows, class_index, features) -> NaiveBayesModel:
+    class_values = dataset.schema[class_index].values
+    n_classes = len(class_values)
+    log_priors = tuple(
+        math.log((sum(1 for row in rows if row[class_index] == c) + 1.0) / (len(rows) + n_classes))
+        for c in range(n_classes)
+    )
+    feature_stats = []
+    for j in features:
+        attr = dataset.schema[j]
+        per_class = []
+        for c in range(n_classes):
+            values = [row[j] for row in rows if row[class_index] == c and row[j] is not None]
+            if attr.kind == "numeric":
+                stats = None
+                if values:
+                    mean = float_mean(values)
+                    var = float_mean([(v - mean) * (v - mean) for v in values])
+                    if math.isfinite(var):
+                        var = max(var, NB_VARIANCE_FLOOR)
+                        stats = (mean, var, math.log(2.0 * math.pi * var))
+                per_class.append(stats)
+            else:
+                domain_size = len(attr.values)
+                per_class.append(tuple(
+                    math.log((values.count(v) + 1.0) / (len(values) + domain_size))
+                    for v in range(domain_size)
+                ))
+        feature_stats.append((j, attr.kind, per_class))
+    return NaiveBayesModel(
+        class_index, class_values, log_priors=log_priors, feature_stats=feature_stats
+    )
 
 
 def _oracle_oner(dataset, rows, class_index, features) -> OneRModel:

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import SURF_TWO_DAYS_DAILY
 from helpers import oracle_fit, posteriors
 from sppam import AttributeSpec, ConfigError, Dataset, fit, parse_arff
-from sppam.classifiers import NB_VARIANCE_FLOOR, PresortedColumns
+from sppam.classifiers import CLASSIFIER_KINDS, NB_VARIANCE_FLOOR, PresortedColumns
 
 
 def single_feature_dataset(rows, feature_kind="numeric", classes=("a", "b")):
@@ -145,6 +145,18 @@ class TestNaiveBayes:
         assert score_a == -math.inf
         assert score_b == pytest.approx(-5e99, rel=1e-9)
         assert model.predict((1e200, None)) == "b"
+
+    def test_all_classes_beyond_the_float_range_pick_the_nearest(self):
+        # x = 1e200 overflows every standardised square; class b's distance
+        # (about 2e200) is far below class a's (about 3e204), so b wins
+        # although it is not class 0
+        rows = [(5.0, 0), (1.0, 1), (2.0, 1)]
+        model = fit("naive-bayes", single_feature_dataset(rows), "label")
+        assert model.class_log_scores((1e200, None)) == [-math.inf, -math.inf]
+        assert model.predict((1e200, None)) == "b"
+        rows = [(1.0, 0), (2.0, 0), (5.0, 1)]
+        model = fit("naive-bayes", single_feature_dataset(rows), "label")
+        assert model.predict((1e200, None)) == "a"
 
     def test_random_datasets_match_brute_force(self):
         rng = random.Random(17)
@@ -332,14 +344,15 @@ OVERFLOW_EDGE = _edge_dataset([
 
 
 @settings(max_examples=1000)
-@given(classifier_datasets(), st.sampled_from(("oner", "decision-stump")), st.randoms())
+@given(classifier_datasets(), st.sampled_from(CLASSIFIER_KINDS), st.randoms())
 @example(ONER_EDGE, "oner", random.Random(0))
 @example(STUMP_EDGE, "decision-stump", random.Random(0))
 @example(OVERFLOW_EDGE, "oner", random.Random(0))
 @example(OVERFLOW_EDGE, "decision-stump", random.Random(0))
 def test_fit_matches_per_row_oracle(dataset, kind, rng):
-    """Class-count errors and presorted columns give the oracle's model,
-    fitted directly and on a training set taken from a presort."""
+    """Every kind fitted from the training set's shared counts and
+    presorted columns equals the oracle's model, fitted directly and on a
+    training set taken from a presort."""
     class_index = dataset.attribute_index("label")
     if all(r[class_index] is None for r in dataset.records):
         with pytest.raises(ConfigError):
@@ -363,17 +376,24 @@ def test_training_set_sorts_each_column_once_for_all_learners():
         AttributeSpec.numeric("x0"),
         AttributeSpec.numeric("x1"),
         AttributeSpec.nominal("label", ("a", "b")),
+        AttributeSpec.nominal("x3", ("u", "v", "w")),
     )
     rows = [
-        (rng.choice([0.5, 1.0, 2.0, None]), rng.uniform(-1.0, 1.0), rng.choice([0, 1, 1, None]))
+        (
+            rng.choice([0.5, 1.0, 2.0, None]),
+            rng.uniform(-1.0, 1.0),
+            rng.choice([0, 1, 1, None]),
+            rng.choice([0, 1, 2, None]),
+        )
         for _ in range(60)
     ]
     train = PresortedColumns(Dataset("shared", schema, tuple(rows)), "label").training_set(
         sorted(rng.sample(range(60), 45))
     )
     before = [train.sorted_column(j) for j in (0, 1)]
-    fit("oner", train, "label")
-    fit("decision-stump", train, "label")
+    table = train.value_counts(3)
+    for kind in CLASSIFIER_KINDS:
+        fit(kind, train, "label")
     for j, first in zip((0, 1), before):
         again = train.sorted_column(j)
         assert again[0] is first[0] and again[1] is first[1]
@@ -381,6 +401,11 @@ def test_training_set_sorts_each_column_once_for_all_learners():
             (r[j], r[2]) for r in train.records if r[j] is not None and r[2] is not None
         )
         assert again == ([v for v, _ in pairs], [c for _, c in pairs])
+    assert train.value_counts(3) is table
+    labelled = [r for r in train.records if r[2] is not None and r[3] is not None]
+    assert table == [
+        [sum(1 for r in labelled if r[3] == v and r[2] == c) for c in (0, 1)] for v in (0, 1, 2)
+    ]
 
 
 def test_presorted_training_set_rejects_repeated_indices():

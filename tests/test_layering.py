@@ -135,6 +135,28 @@ def test_one_fold_plan_per_dataset():
     assert _loop_depths(trees["cli"], "cross_validate") == [0]
 
 
+def _is_sort_call(node) -> bool:
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    return (isinstance(func, ast.Name) and func.id == "sorted") or (
+        isinstance(func, ast.Attribute) and func.attr == "sort"
+    )
+
+
+def test_classifiers_sort_only_in_the_presort():
+    """``PresortedColumns`` is the one route to sorted columns: every
+    learner, fitted in ``cross_validate`` or by ``fit`` on a plain Dataset,
+    reads its numeric columns from a training set taken from a presort."""
+    sorting = {
+        getattr(node, "name", "<module>")
+        for node in _trees()["classifiers"].body
+        for sub in ast.walk(node)
+        if _is_sort_call(sub)
+    }
+    assert sorting == {"PresortedColumns"}
+
+
 def test_public_names_resolve():
     for name in sppam.__all__:
         assert getattr(sppam, name) is not None, name
@@ -159,6 +181,10 @@ def test_removed_names_are_gone():
         (importlib.import_module("sppam.arff"), "format_data_row"),
         (importlib.import_module("sppam.arff"), "_cell_converter"),
         (importlib.import_module("sppam.csvio"), "_numbers"),
+        (importlib.import_module("sppam.csvio"), "_column_kernel"),
+        (importlib.import_module("sppam.arff"), "_column_kernel"),
+        (importlib.import_module("sppam.classifiers"), "_class_counts"),
+        (importlib.import_module("sppam.classifiers"), "_training_errors"),
     ]:
         assert not hasattr(module, name), name
     assert "seed" not in inspect.signature(sppam.fit).parameters
