@@ -11,20 +11,28 @@ UTF-8 text. Which cell texts an attribute accepts is stated once, in
 
 Both directions work on blocks of rows, one column at a time; a block
 holds about a fixed number of cells, so wide files get fewer rows per
-block and the texts held at once stay bounded. The reader splits the
-quote-free lines of a block with ``str.split``, transposes them, and maps
-each column's raw texts to cells through a memo that lives across
-blocks, so that stripping, the ``?`` test and conversion run once per
-distinct text; lines with quotes go through a character scanner. The
-writer formats each column of a block through the distinct cells it
-holds. When a block holds an error, it is read again (or written again)
-one row at a time, so that the error raised is the first in source order.
+block and the texts held at once stay bounded. The reader skips blank and
+comment lines and splits every other data line into its raw cell texts,
+padding and quotes kept: ``str.split`` for a line without quotes, a
+character scanner otherwise. ``model.TextColumns`` keeps each distinct
+raw text of a column once; after the last block each is stripped,
+unquoted and converted once. A bare ``?`` is missing, a quoted ``'?'`` is
+the text "?". When anything fails (a row of the wrong width, a sparse
+row, an open quote, a text its attribute refuses), each block is read
+again on its own and the lines of the first block that fails one at a
+time, so that the ParseError raised is the first in source order and
+names the leftmost bad cell of its line.
+
+The writer formats each column of a block through the distinct cells it
+holds, and redoes a block one cell at a time when it holds an error. It
+quotes a text that is empty, is ``?``, or holds one of ``,'"%{}`` or any
+character ``str.isspace`` accepts, so that the text reads back as
+written. It refuses a text that holds both quote characters or any of
+``LINE_BREAKS``, the characters at which ``str.splitlines``, and so this
+reader, ends a line.
 """
 
 from __future__ import annotations
-
-import operator
-from itertools import filterfalse
 
 from .model import (
     NUMERIC,
@@ -33,6 +41,7 @@ from .model import (
     Cell,
     Dataset,
     SppamError,
+    TextColumns,
     column_kernel,
     no_gc,
     text_blocks,
@@ -40,12 +49,10 @@ from .model import (
 )
 
 _NUMERIC_TYPE_WORDS = {"numeric", "real", "integer"}
-_QUOTE_WORTHY = frozenset(",'\"%{} \t")
+_QUOTE_WORTHY = frozenset(",'\"%{}")  # and every character str.isspace accepts
+# the characters at which str.splitlines, and so this reader, ends a line
+LINE_BREAKS = frozenset("\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
 READ_BLOCK_CELLS = 4096  # lines per block: this over the attribute count
-# first characters of stripped lines that a plain block cannot hold:
-# blank and comment lines are skipped, sparse rows are rejected
-_NOT_PLAIN_HEADS = frozenset(("", "%", "{"))
-_HEAD = operator.itemgetter(slice(None, 1))
 
 
 class ParseError(SppamError):
@@ -87,8 +94,9 @@ def parse_arff(text: str) -> Dataset:
         elif lowered == "@data":
             if not schema:
                 raise ParseError(lineno, "@DATA before any @ATTRIBUTE declaration")
-            columns = _DataColumns(schema).read(lines, lineno)
-            return Dataset(relation_name, tuple(schema), tuple(zip(*columns)))
+            size = max(1, READ_BLOCK_CELLS // len(schema))
+            records = _read_data(lines, lineno, len(lines), schema, size)
+            return Dataset(relation_name, tuple(schema), records)
         else:
             raise ParseError(lineno, f"unexpected content outside the data section: {line!r}")
 
@@ -97,93 +105,50 @@ def parse_arff(text: str) -> Dataset:
     raise ParseError(1, "missing @DATA line")
 
 
-class _DataColumns:
-    """The cell columns of a data section, read block by block."""
-
-    def __init__(self, schema: list[AttributeSpec]):
-        self.schema = schema
-        self.columns: list[list[Cell]] = [[] for _ in schema]
-        # per column: raw cell text -> cell, kept across blocks
-        self.memos: list[dict[str, Cell]] = [{"?": None} for _ in schema]
-
-    def read(self, lines: list[str], start: int) -> list[list[Cell]]:
-        """Read ``lines[start:]``, whose first line is line ``start + 1``."""
-        size = max(1, READ_BLOCK_CELLS // len(self.schema))
-        for first in range(start, len(lines), size):
-            block = lines[first:first + size]
-            joined = "".join(block)
-            if (
-                "'" in joined
-                or '"' in joined
-                or not _NOT_PLAIN_HEADS.isdisjoint(map(_HEAD, map(str.lstrip, block)))
-            ):
-                self._add_mixed(block, first + 1)
-            else:
-                self._add_plain(block, range(first + 1, first + 1 + len(block)))
-        return self.columns
-
-    def _add_mixed(self, block: list[str], first_lineno: int) -> None:
-        """Lines of any kind: runs of plain lines go through ``_add_plain``,
-        the others are skipped or read one by one."""
-        plain: list[str] = []
-        linenos: list[int] = []
-        for lineno, raw in enumerate(block, first_lineno):
-            line = raw.strip()
-            if not line or line[0] == "%":
-                continue
-            if line[0] != "{" and "'" not in line and '"' not in line:
-                plain.append(line)
-                linenos.append(lineno)
-                continue
-            if plain:
-                self._add_plain(plain, linenos)
-                plain, linenos = [], []
-            for column, cell in zip(self.columns, _row_cells(line, lineno, self.schema)):
-                column.append(cell)
-        if plain:
-            self._add_plain(plain, linenos)
-
-    def _add_plain(self, lines: list[str], linenos) -> None:
-        """Data lines without quotes, blank, comment or sparse lines."""
-        rows = [line.split(",") for line in lines]
-        if set(map(len, rows)) != {len(self.schema)}:
-            _raise_first_error(lines, linenos, self.schema)
-        for attr, column, memo, raws in zip(self.schema, self.columns, self.memos, zip(*rows)):
-            new = list(filterfalse(memo.__contains__, dict.fromkeys(raws)))
-            if new:
-                stripped = list(map(str.strip, new))
-                fresh = list(filterfalse(memo.__contains__, dict.fromkeys(stripped)))
-                try:
-                    memo.update(zip(fresh, text_cells(attr, fresh)))
-                except ValueError:
-                    _raise_first_error(lines, linenos, self.schema)
-                memo.update(zip(new, map(memo.__getitem__, stripped)))
-            column.extend(map(memo.__getitem__, raws))
+def _read_data(lines: list[str], first: int, stop: int, schema: list[AttributeSpec], size: int):
+    """The records of the data lines ``lines[first:stop]``, the first of
+    which is line ``first + 1``, read in blocks of ``size`` lines. If that
+    fails, each block is read again on its own, and the lines of a block
+    that fails one at a time: an error belongs to one line, so the
+    ParseError raised is that of the first bad line in source order."""
+    try:
+        return _records((lines[i:min(i + size, stop)] for i in range(first, stop, size)), schema)
+    except ValueError as exc:
+        if stop - first == 1:
+            raise ParseError(first + 1, str(exc)) from None
+    step = size if stop - first > size else 1
+    records = []
+    for i in range(first, stop, step):
+        records += _read_data(lines, i, min(i + step, stop), schema, step)
+    return records
 
 
-def _row_cells(line: str, lineno: int, schema) -> list[Cell]:
-    """The cells of one stripped, non-blank data line."""
-    if line[0] == "{":
-        raise ParseError(lineno, "sparse data rows ('{index value, ...}') are not supported")
-    texts = _split_cells(line, lineno)
-    if len(texts) != len(schema):
-        raise ParseError(
-            lineno, f"row has {len(texts)} values, schema has {len(schema)} attributes"
-        )
-    cells: list[Cell] = []
-    for attr, text in zip(schema, texts):
-        try:
-            cells.extend([None] if text is None else text_cells(attr, (text,)))
-        except ValueError as exc:
-            raise ParseError(lineno, str(exc)) from None
-    return cells
+def _records(blocks, schema: list[AttributeSpec]) -> list[tuple[Cell, ...]]:
+    """The records of blocks of data lines. Blank and comment lines are
+    skipped, every other line is split into raw cell texts, and each
+    distinct text of a column is stripped, unquoted and converted once.
+    Raises ValueError naming a problem: for a one-line block, the leftmost
+    in its line."""
+    table = TextColumns(len(schema))
+    for block in blocks:
+        lines = [line for line in filter(None, map(str.strip, block)) if line[0] != "%"]
+        if "{" in "".join(line[0] for line in lines):
+            raise ValueError("sparse data rows ('{index value, ...}') are not supported")
+        rows = list(map(_raw_cells, lines))
+        if widths := set(map(len, rows)) - {len(schema)}:
+            raise ValueError(f"row has {min(widths)} values, schema has {len(schema)} attributes")
+        table.add(rows)
+        del rows  # frees this block's texts before the next block is split
+    texts = table.present(("?",))  # a quoted '?' is the text "?", not the missing marker
+    return table.records(map(_column_cells, schema, texts))
 
 
-def _raise_first_error(lines: list[str], linenos, schema) -> None:
-    """Raise the ParseError of the first bad line among plain data lines
-    known to hold one."""
-    for line, lineno in zip(lines, linenos):
-        _row_cells(line.strip(), lineno, schema)
+def _column_cells(attr: AttributeSpec, texts) -> dict[str, Cell]:
+    """The cell of each present, stripped cell text of ``attr``, unquoted
+    and converted by ``text_cells``, whose ValueError it raises."""
+    joined = "".join(texts)
+    values = map(_strip_quotes, texts) if "'" in joined or '"' in joined else texts
+    return dict(zip(texts, text_cells(attr, values)))
 
 
 def write_arff(dataset: Dataset, decimals: int | None = None) -> str:
@@ -203,7 +168,8 @@ def write_arff(dataset: Dataset, decimals: int | None = None) -> str:
     kernels = [column_kernel(attr, decimals, _quote_if_needed) for attr in dataset.schema]
     for rows in text_blocks(dataset.records, kernels):
         lines.append("\n".join(map(",".join, rows)))
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final line break, without a second copy of the text
+    return "\n".join(lines)
 
 
 def _keyword_rest(line: str, lowered: str, keyword: str) -> str | None:
@@ -226,9 +192,9 @@ def _type_text(attr: AttributeSpec) -> str:
 
 
 def _quote_if_needed(text: str) -> str:
-    if "\n" in text or "\r" in text:
+    if not LINE_BREAKS.isdisjoint(text):
         raise SppamError(f"cannot write a value containing a line break: {text!r}")
-    if text == "" or text == "?" or not _QUOTE_WORTHY.isdisjoint(text):
+    if text == "?" or text.split() != [text] or not _QUOTE_WORTHY.isdisjoint(text):
         if "'" in text and '"' in text:
             raise SppamError(
                 f"cannot quote a value containing both quote characters: {text!r}"
@@ -255,7 +221,11 @@ def _parse_attribute(rest: str, lineno: int) -> AttributeSpec:
     if remainder.startswith("{"):
         if not remainder.endswith("}"):
             raise ParseError(lineno, "malformed nominal domain: missing closing '}'")
-        values = ["?" if text is None else text for text in _split_cells(remainder[1:-1], lineno)]
+        try:
+            raws = _raw_cells(remainder[1:-1])
+        except ValueError as exc:
+            raise ParseError(lineno, str(exc)) from None
+        values = [_strip_quotes(raw.strip()) for raw in raws]
         if not values or any(v == "" for v in values):
             raise ParseError(lineno, "malformed nominal domain: empty value")
         if len(set(values)) != len(values):
@@ -281,43 +251,37 @@ def _take_token(text: str) -> tuple[str, str]:
     return parts[0], parts[1] if len(parts) > 1 else ""
 
 
-def _split_cells(line: str, lineno: int) -> list[str | None]:
-    """Cell texts of one line, None for the missing marker: an unquoted
-    '?' (a quoted '?' is a literal question mark). A line without quote
-    characters is a plain comma split."""
+def _raw_cells(line: str) -> list[str]:
+    """The raw cell texts of ``line``, split at each comma outside quotes,
+    with their padding and quotes kept. Raises ValueError for an
+    unterminated quote."""
     if "'" not in line and '"' not in line:
-        return [None if (text := raw.strip()) == "?" else text for raw in line.split(",")]
-    return _scan_cells(line, lineno)
-
-
-def _scan_cells(line: str, lineno: int) -> list[str | None]:
-    """``_split_cells`` for any line, one character at a time."""
+        return line.split(",")
     parts: list[str] = []
     current: list[str] = []
     quote: str | None = None
     for ch in line:
         if quote:
-            current.append(ch)
             if ch == quote:
                 quote = None
         elif ch in "'\"":
-            current.append(ch)
             quote = ch
         elif ch == ",":
             parts.append("".join(current))
             current = []
-        else:
-            current.append(ch)
+            continue
+        current.append(ch)
     if quote:
-        raise ParseError(lineno, "unterminated quoted value")
+        raise ValueError("unterminated quoted value")
     parts.append("".join(current))
-    return [_strip_quotes(part) for part in parts]
+    return parts
 
 
-def _strip_quotes(raw: str) -> str | None:
-    text = raw.strip()
+def _strip_quotes(text: str) -> str:
+    """A stripped cell text without the quotes around it, if it has them
+    and they do not recur inside it."""
     if len(text) >= 2 and text[0] == text[-1] and text[0] in "'\"":
         inner = text[1:-1]
         if text[0] not in inner:
             return inner
-    return None if text == "?" else text
+    return text

@@ -10,19 +10,22 @@ Specific columns can be forced to String (typical for a grouping key or a
 record id) or to Nominal (required for a class column whose values look
 numeric). Quoting follows RFC-4180 conventions via the csv module. A
 header name or cell that holds both quote characters, ``'`` and ``"``, or
-a line break (possible inside a ``"``-quoted cell) is a ParseError: the
-ARFF writer cannot write such a value. Every malformed
-input raises ParseError, including what the csv module rejects (such as a
-field longer than its 131072-character limit).
+a line break is a ParseError: the ARFF writer cannot write such a value.
+A line break is any of ``arff.LINE_BREAKS``; ``\n`` and ``\r`` can only
+stand inside a ``"``-quoted cell, the others anywhere, and those at a
+cell's ends are stripped away. Every malformed input raises ParseError,
+including what the csv module rejects (such as a field longer than its
+131072-character limit).
 
 ``parse_csv`` reads the text through line chunks of about
 ``READ_CHUNK_CHARS`` characters, each ending after a line feed, and the
 rows in blocks of ``READ_BLOCK_ROWS``; neither a copy of the whole text nor
-a list of all rows is held. Each block is transposed, and its columns are
-kept as references to one ``str`` per distinct raw text. Once all rows are
-read, it strips, classifies and converts each distinct cell text of a
-column once, and equal texts share one cell object. ``write_csv`` writes
-blocks of records, formatting each column of a block through its distinct
+a list of all rows is held. Each block goes into a ``model.TextColumns``,
+the kernel the ARFF reader uses too, which keeps each column as
+references to one ``str`` per distinct raw text. Once all rows are read,
+it strips, classifies and converts each distinct cell text of a column
+once, and equal texts share one cell object. ``write_csv`` writes blocks
+of records, formatting each column of a block through its distinct
 cells.
 """
 
@@ -30,12 +33,13 @@ from __future__ import annotations
 
 import csv
 import io
-from itertools import filterfalse, islice
+from itertools import islice
 
-from .arff import ParseError
+from .arff import LINE_BREAKS, ParseError
 from .model import (
     AttributeSpec,
     Dataset,
+    TextColumns,
     column_kernel,
     no_gc,
     text_blocks,
@@ -45,6 +49,7 @@ from .model import (
 _MISSING_TEXTS = ("", "?")
 READ_BLOCK_ROWS = 2048  # rows held at a time while reading
 READ_CHUNK_CHARS = 1 << 16  # characters per line chunk of the input text
+_UNWRITABLE_SIGNS = ('"', *sorted(LINE_BREAKS - {"\n", "\r"}))
 
 
 @no_gc
@@ -74,10 +79,7 @@ def parse_csv(
             raise ParseError(header_line, f"forced column {forced!r} is not in the header")
 
     width = len(names)
-    # per column: each distinct raw text once, as its one str, in first-seen
-    # order, and the column as references to those strs
-    raws: list[dict[str, str]] = [{} for _ in names]
-    columns: list[list] = [[] for _ in names]
+    table = TextColumns(width)
     while True:
         rows: list[list[str]] = []  # frees the previous block before the next is read
         read_error = None
@@ -92,35 +94,22 @@ def parse_csv(
             _reject_row_width(text, width)
         if read_error is not None:
             raise read_error
-        for seen, column, texts in zip(raws, columns, zip(*rows)):
-            fresh = dict.fromkeys(filterfalse(seen.__contains__, texts))
-            seen.update(zip(fresh, fresh))
-            column.extend(map(seen.__getitem__, texts))
+        table.add(rows)
 
-    # per column: the stripped text of each distinct raw text, and the
-    # distinct present values; a value's first raw text marks its first
-    # occurrence, so the values keep first-seen order too
-    distinct = []
-    for seen in raws:
-        stripped = list(map(str.strip, seen))
-        values = dict.fromkeys(stripped)
-        for missing in _MISSING_TEXTS:
-            values.pop(missing, None)
-        distinct.append((stripped, values))
-    # a cell can hold both quotes or a line break only in a text with '"'
-    if '"' in text and (
-        any(map(_unwritable, names))
-        or any(any(map(_unwritable, values)) for _, values in distinct)
+    present = list(table.present(_MISSING_TEXTS))
+    # a cell can hold both quotes, a \n or a \r only in a text with '"';
+    # the other line breaks need no quotes
+    if any(map(text.__contains__, _UNWRITABLE_SIGNS)) and (
+        any(map(_unwritable, names)) or any(any(map(_unwritable, values)) for values in present)
     ):
         _reject_unwritable(text, names)
 
-    schema = []
-    for j, (name, seen, (stripped, values)) in enumerate(zip(names, raws, distinct)):
-        attr, cells = _infer_column(name, values, string_columns, nominal_columns, header_line)
-        schema.append(attr)
-        memo = dict(zip(seen, map(cells.get, stripped)))
-        columns[j] = list(map(memo.__getitem__, columns[j]))
-    return Dataset(relation_name, tuple(schema), tuple(zip(*columns)))
+    inferred = [
+        _infer_column(name, values, string_columns, nominal_columns, header_line)
+        for name, values in zip(names, present)
+    ]
+    records = table.records(cells for _, cells in inferred)
+    return Dataset(relation_name, tuple(attr for attr, _ in inferred), records)
 
 
 def _lines(text: str):
@@ -150,7 +139,7 @@ def _unwritable(value: str) -> str | None:
     """What the ARFF writer cannot write in ``value``, or None."""
     if "'" in value and '"' in value:
         return "both quote characters"
-    if "\n" in value or "\r" in value:
+    if not LINE_BREAKS.isdisjoint(value):
         return "a line break"
     return None
 

@@ -141,6 +141,49 @@ def no_gc(function):
     return paused
 
 
+class TextColumns:
+    """The cell texts of a table, added in blocks of rows and kept column
+    by column, each distinct raw text of a column as one str. A reader
+    converts each distinct ``present`` text once; ``records`` maps the
+    columns through those cells."""
+
+    def __init__(self, width: int):
+        self._distinct: list[dict[str, str]] = [{} for _ in range(width)]
+        self._blocks: list[list[list[str]]] = []  # per block, its columns
+
+    def add(self, rows) -> None:
+        """Append a block of rows, each a list of ``width`` raw texts."""
+        self._blocks.append([
+            list(map(seen.setdefault, texts, texts))
+            for seen, texts in zip(self._distinct, zip(*rows))
+        ])
+
+    def present(self, missing):
+        """Per column, one at a time, its distinct stripped texts but those
+        in ``missing``, in first-seen order."""
+        for seen in self._distinct:
+            texts = dict.fromkeys(map(str.strip, seen))
+            for text in missing:
+                texts.pop(text, None)
+            yield texts
+
+    def records(self, cells) -> list[tuple[Cell, ...]]:
+        """The records, built once, through one ``stripped text -> cell``
+        dict per column taken from ``cells``; a text it lacks is None. Each
+        block's records are read off its raw columns, which are then
+        dropped, so the raw texts of all rows are never held beside all
+        the records."""
+        getters = [
+            dict(zip(seen, map(column_cells.get, map(str.strip, seen)))).__getitem__
+            for seen, column_cells in zip(self._distinct, cells)
+        ]
+        records: list[tuple[Cell, ...]] = []
+        self._blocks.reverse()
+        while self._blocks:
+            records += zip(*map(map, getters, self._blocks.pop()))
+        return records
+
+
 def float_mean(values) -> float:
     """``math.fsum(values) / len(values)``, or where that sum overflows,
     the mean of the values scaled down by a power of two >= 2 * len (so

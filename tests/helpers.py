@@ -24,7 +24,6 @@ from sppam.arff import (
     _keyword_rest,
     _parse_attribute,
     _quote_if_needed,
-    _scan_cells,
     _type_text,
     _unquote,
 )
@@ -521,10 +520,7 @@ def oracle_parse_csv(
             rows.append([None if c.strip() in _ORACLE_CSV_MISSING else c.strip() for c in row])
     except csv.Error as exc:
         raise ParseError(reader.line_num, f"malformed CSV: {exc}") from None
-    # a cell can hold both quotes or a line break only in a text with '"'
-    # in it; one C-level scan spares any other text a second pass
-    if '"' in text:
-        _oracle_csv_reject_unwritable(text, names)
+    _oracle_csv_reject_unwritable(text, names)
 
     # float() also reads non-ASCII digits; only a non-ASCII text checks cells
     ascii_text = text.isascii()
@@ -560,7 +556,7 @@ def _oracle_csv_reject_unwritable(text: str, names) -> None:
             value = cell.strip()
             if "'" in value and '"' in value:
                 problem = "both quote characters"
-            elif "\n" in value or "\r" in value:
+            elif len(value.splitlines()) > 1:  # any line break str.splitlines knows
                 problem = "a line break"
             else:
                 continue
@@ -649,7 +645,7 @@ def oracle_parse_arff(text: str) -> Dataset:
 def _oracle_parse_row(line: str, converters, lineno: int) -> tuple[Cell, ...]:
     if line[0] == "{":
         raise ParseError(lineno, "sparse data rows ('{index value, ...}') are not supported")
-    cells = _scan_cells(line, lineno)
+    cells = oracle_scan_cells(line, lineno)
     if len(cells) != len(converters):
         raise ParseError(
             lineno,
@@ -659,6 +655,41 @@ def _oracle_parse_row(line: str, converters, lineno: int) -> tuple[Cell, ...]:
         None if text is None else convert(text, lineno)
         for convert, text in zip(converters, cells)
     ])
+
+
+def oracle_scan_cells(line: str, lineno: int) -> list[str | None]:
+    """The cell texts of one data line, one character at a time: stripped,
+    unquoted, and None for the missing marker, an unquoted '?' (a quoted
+    '?' is a literal question mark)."""
+    parts: list[str] = []
+    current: list[str] = []
+    quote: str | None = None
+    for ch in line:
+        if quote:
+            current.append(ch)
+            if ch == quote:
+                quote = None
+        elif ch in "'\"":
+            current.append(ch)
+            quote = ch
+        elif ch == ",":
+            parts.append("".join(current))
+            current = []
+        else:
+            current.append(ch)
+    if quote:
+        raise ParseError(lineno, "unterminated quoted value")
+    parts.append("".join(current))
+    return [_oracle_strip_quotes(part) for part in parts]
+
+
+def _oracle_strip_quotes(raw: str) -> str | None:
+    text = raw.strip()
+    if len(text) >= 2 and text[0] == text[-1] and text[0] in "'\"":
+        inner = text[1:-1]
+        if text[0] not in inner:
+            return inner
+    return None if text == "?" else text
 
 
 def _oracle_cell_converter(attr: AttributeSpec):

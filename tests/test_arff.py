@@ -9,14 +9,15 @@ from helpers import (
     ZERO_SIGNS,
     decimal_format_number,
     oracle_parse_arff,
+    oracle_scan_cells,
     oracle_write_arff,
     random_plain_dataset,
     write_datasets,
     write_outcome,
 )
-from sppam import AttributeSpec, Dataset, ParseError, parse_arff, write_arff
+from sppam import AttributeSpec, Dataset, ParseError, SppamError, parse_arff, parse_csv, write_arff
 from sppam import arff, model
-from sppam.arff import _scan_cells, _split_cells
+from sppam.arff import _column_cells, _raw_cells
 from sppam.model import format_number
 
 
@@ -100,6 +101,37 @@ def test_errors_carry_line_numbers(text, bad_line):
         parse_arff(text)
     assert info.value.line == bad_line
     assert f"line {bad_line}" in str(info.value)
+
+
+@pytest.mark.parametrize("space", ["\xa0", "\u3000", "\x1f"])
+def test_unicode_whitespace_round_trips(space):
+    texts = (f"{space}x", f"x{space}", f"x{space}y")
+    dataset = Dataset(f"r{space}", (
+        AttributeSpec.numeric(f"a{space}b"),
+        AttributeSpec.numeric(f"{space}n{space}"),
+        AttributeSpec.nominal(f"m{space}", texts),
+        AttributeSpec.string("s"),
+    ), tuple((1.0, None, i, text) for i, text in enumerate(texts)))
+    assert parse_arff(write_arff(dataset)) == dataset
+    from_csv = parse_csv(f"a{space}b,c\n1,x{space}y\n")
+    assert parse_arff(write_arff(from_csv)) == from_csv
+
+
+def test_line_breaks_are_where_splitlines_breaks():
+    assert arff.LINE_BREAKS == {
+        c for c in map(chr, range(0x110000)) if len(f"a{c}b".splitlines()) > 1
+    }
+
+
+@pytest.mark.parametrize("brk", list("\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"))
+def test_writer_refuses_every_line_break(brk):
+    for dataset in (
+        Dataset("unnamed", (AttributeSpec.string("s"),), ((f"x{brk}y",),)),
+        Dataset("unnamed", (AttributeSpec.numeric(f"a{brk}b"),), ()),
+        Dataset("unnamed", (AttributeSpec.nominal("m", ("x", f"y{brk}")),), ()),
+    ):
+        with pytest.raises(SppamError, match="cannot write a value containing a line break"):
+            write_arff(dataset)
 
 
 def test_write_empty_dataset():
@@ -213,11 +245,21 @@ def test_format_number_rejects_negative_decimals():
         format_number(123.0, -1)
 
 
-@given(st.text(st.characters(blacklist_characters="'\""), max_size=40))
+@given(st.text(st.one_of(st.sampled_from(" ,?'\"x\t"), st.characters()), max_size=40))
 @example(" ? , a ,,?")
 @example("1.5,  2 ,\t?\t")
-def test_quote_free_split_matches_scanner(line):
-    assert _split_cells(line, 1) == _scan_cells(line, 1)
+@example("'a, b' ,\"?\", 'it''s',x'y'z, ?")
+@example("1,'open")
+def test_raw_cells_match_the_scanner_oracle(line):
+    string = AttributeSpec.string("s")
+    try:
+        expected = oracle_scan_cells(line, 1)
+    except ParseError:
+        with pytest.raises(ValueError, match="unterminated quoted value"):
+            _raw_cells(line)
+    else:
+        texts = [raw.strip() for raw in _raw_cells(line)]
+        assert [None if t == "?" else _column_cells(string, [t])[t] for t in texts] == expected
 
 
 # ARFF-ish text: header keywords, cell values and separators mixed with noise

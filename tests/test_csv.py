@@ -104,6 +104,16 @@ def test_errors(text, message):
     assert message in str(info.value)
 
 
+@pytest.mark.parametrize("brk", list("\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"))
+def test_line_breaks_that_need_no_quotes_are_rejected(brk):
+    # the csv module reads these unquoted; parse_arff would end a line there
+    with pytest.raises(ParseError, match="line 3: column 'b': a value cannot hold a line break"):
+        parse_csv(f"a,b\n1,x\n2,x{brk}y\n")
+    with pytest.raises(ParseError, match="line 1: column 'b.*c': a value cannot hold a line break"):
+        parse_csv(f"a,b{brk}c\n1,2\n")
+    assert parse_csv(f"a,b\n1,{brk}x{brk}\n").records == ((1.0, 0),)  # stripped away
+
+
 def test_matches_arff_parse_up_to_nominal_domains():
     from_csv = parse_csv(
         SURF_TWO_DAYS_CSV,
@@ -166,7 +176,7 @@ def test_each_quote_character_alone_is_accepted():
 _CSV_FUZZ_TEXT = st.lists(
     st.one_of(
         st.sampled_from(["a", "b", "1", "1.5", "1_0", "nan", "inf", "?", ",", "'", '"', '""',
-                         " ", "\r", "\n", "\r\n", "\x00", "\u0661"]),
+                         " ", "\r", "\n", "\r\n", "\x00", "\u0661", "\x0b", "\u2028"]),
         st.text(max_size=3),
     ),
     max_size=30,
@@ -195,9 +205,11 @@ _SAFE_CELLS = [
     "1_000", "nan", "inf", "-inf", "1e400", "1e-5", "\u0661\u0662", "x", " x ", "y",
     '"a, b"', '"x"', '" 1 "', '"?"', "it's", '"say ""hi"""',
 ]
-_RISKY_CELLS = ['"two\nlines"', '"cr\rhere"', '"it\'s ""x"""', "x\ry", '"open']
+_RISKY_CELLS = [
+    '"two\nlines"', '"cr\rhere"', '"it\'s ""x"""', "x\ry", '"open', "x\x0by", '"p\u2028q"',
+]
 _HEADER_NAMES = ["a", "b", " c ", "d e", "it's", '"n,m"']
-_BAD_HEADER_NAMES = ["a", "", '"n\nm"', '"q\'""x"""']
+_BAD_HEADER_NAMES = ["a", "", '"n\nm"', '"q\'""x"""', "n\x1cm"]
 
 
 @st.composite

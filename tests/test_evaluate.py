@@ -9,6 +9,7 @@ from sppam import (
     CLASSIFIER_KINDS,
     ConfigError,
     Dataset,
+    SppamError,
     TransformConfig,
     compare_datasets,
     cross_validate,
@@ -240,3 +241,13 @@ def test_compare_assigns_folds_once_per_dataset_and_repeat(monkeypatch):
 def test_kinds_must_be_a_sequence_not_a_string():
     with pytest.raises(ConfigError, match="sequence of names"):
         cross_validate(labeled_dataset(20), "oner", "label", k=5, repeats=1)
+
+
+def test_compare_rejects_an_unsupported_alpha_before_cross_validating(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("cross_validate ran")
+
+    monkeypatch.setattr(sppam.evaluate, "cross_validate", refuse)
+    dataset = labeled_dataset(20)
+    with pytest.raises(SppamError, match="unsupported significance level 0.02"):
+        compare_datasets(dataset, dataset, CLASSIFIER_KINDS, "label", k=4, repeats=1, alpha=0.02)

@@ -66,6 +66,15 @@ def test_only_no_gc_switches_the_collector():
     assert switching == {("model", "no_gc")}
 
 
+def _model_imports(tree) -> set[str]:
+    return {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "model"
+        for alias in node.names
+    }
+
+
 @pytest.mark.parametrize("module", ["arff", "csvio"])
 def test_readers_take_the_numeric_rule_from_model(module):
     tree = _trees()[module]
@@ -78,13 +87,19 @@ def test_readers_take_the_numeric_rule_from_model(module):
     names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     assert "isfinite" not in names
-    imported = {
-        alias.name
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "model"
-        for alias in node.names
+    assert "text_cells" in _model_imports(tree)
+
+
+@pytest.mark.parametrize("module", ["arff", "csvio"])
+def test_readers_intern_through_the_model_kernel(module):
+    """Both readers keep their raw cell texts in a ``model.TextColumns``,
+    built outside any loop, and define no kernel of their own."""
+    tree = _trees()[module]
+    assert "TextColumns" in _model_imports(tree)
+    assert _loop_depths(tree, "TextColumns") == [0]
+    assert "TextColumns" not in {
+        node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
     }
-    assert "text_cells" in imported
 
 
 def test_csv_reader_copies_the_input_only_in_chunks():
@@ -185,6 +200,12 @@ def test_removed_names_are_gone():
         (importlib.import_module("sppam.arff"), "_column_kernel"),
         (importlib.import_module("sppam.classifiers"), "_class_counts"),
         (importlib.import_module("sppam.classifiers"), "_training_errors"),
+        (importlib.import_module("sppam.arff"), "_DataColumns"),
+        (importlib.import_module("sppam.arff"), "_raise_first_error"),
+        (importlib.import_module("sppam.arff"), "_NOT_PLAIN_HEADS"),
+        (importlib.import_module("sppam.arff"), "_HEAD"),
+        (importlib.import_module("sppam.arff"), "_split_cells"),
+        (importlib.import_module("sppam.arff"), "_scan_cells"),
     ]:
         assert not hasattr(module, name), name
     assert "seed" not in inspect.signature(sppam.fit).parameters
