@@ -15,13 +15,15 @@ block and the texts held at once stay bounded. The reader skips blank and
 comment lines and splits every other data line into its raw cell texts,
 padding and quotes kept: ``str.split`` for a line without quotes, a
 character scanner otherwise. ``model.TextColumns`` keeps each distinct
-raw text of a column once; after the last block each is stripped,
-unquoted and converted once. A bare ``?`` is missing, a quoted ``'?'`` is
-the text "?". When anything fails (a row of the wrong width, a sparse
-row, an open quote, a text its attribute refuses), each block is read
-again on its own and the lines of the first block that fails one at a
-time, so that the ParseError raised is the first in source order and
-names the leftmost bad cell of its line.
+raw text of a column once; each is stripped, unquoted and converted once,
+in the block that first holds it, so that reading stops at the first
+block with a bad text (a string column refuses no text, so its texts wait
+for the last block). A bare ``?`` is missing, a quoted ``'?'`` is the
+text "?". When anything fails (a row of the wrong width, a sparse row, an
+open quote, a text its attribute refuses), each block is read again on
+its own and the lines of the first block that fails one at a time, so
+that the ParseError raised is the first in source order and names the
+leftmost bad cell of its line.
 
 The writer formats each column of a block through the distinct cells it
 holds, and redoes a block one cell at a time when it holds an error. It
@@ -33,6 +35,8 @@ reader, ends a line.
 """
 
 from __future__ import annotations
+
+from itertools import filterfalse
 
 from .model import (
     NUMERIC,
@@ -126,10 +130,12 @@ def _read_data(lines: list[str], first: int, stop: int, schema: list[AttributeSp
 def _records(blocks, schema: list[AttributeSpec]) -> list[tuple[Cell, ...]]:
     """The records of blocks of data lines. Blank and comment lines are
     skipped, every other line is split into raw cell texts, and each
-    distinct text of a column is stripped, unquoted and converted once.
-    Raises ValueError naming a problem: for a one-line block, the leftmost
-    in its line."""
+    distinct text of a column is stripped, unquoted and converted once: in
+    the block that first holds it, or for a string column, which refuses no
+    text, after the last block. Raises ValueError naming a problem as soon
+    as a block has one: for a one-line block, the leftmost in its line."""
     table = TextColumns(len(schema))
+    cells: list[dict[str, Cell]] = [{} for _ in schema]  # per column, stripped text -> cell
     for block in blocks:
         lines = [line for line in filter(None, map(str.strip, block)) if line[0] != "%"]
         if "{" in "".join(line[0] for line in lines):
@@ -137,10 +143,17 @@ def _records(blocks, schema: list[AttributeSpec]) -> list[tuple[Cell, ...]]:
         rows = list(map(_raw_cells, lines))
         if widths := set(map(len, rows)) - {len(schema)}:
             raise ValueError(f"row has {min(widths)} values, schema has {len(schema)} attributes")
-        table.add(rows)
+        fresh = table.add(rows)
         del rows  # frees this block's texts before the next block is split
-    texts = table.present(("?",))  # a quoted '?' is the text "?", not the missing marker
-    return table.records(map(_column_cells, schema, texts))
+        for attr, column_cells, raw in zip(schema, cells, fresh):
+            if raw and attr.kind != STRING:
+                texts = dict.fromkeys(filterfalse(column_cells.__contains__, map(str.strip, raw)))
+                texts.pop("?", None)  # a quoted '?' is the text "?", not the missing marker
+                column_cells.update(_column_cells(attr, list(texts)))
+    for attr, column_cells, texts in zip(schema, cells, table.present(("?",))):
+        if attr.kind == STRING:
+            column_cells.update(_column_cells(attr, list(texts)))
+    return table.records(cells)
 
 
 def _column_cells(attr: AttributeSpec, texts) -> dict[str, Cell]:

@@ -26,7 +26,7 @@ from .evaluate import (
 )
 from .folds import group_stratified_folds
 from .generator import gen_surf
-from .model import ConfigError, Dataset, SppamError
+from .model import STRING, ConfigError, Dataset, SppamError
 from .transform import (
     TransformConfig,
     attribute_count,
@@ -245,6 +245,12 @@ def _cmd_compare(args) -> int:
         nominal_columns=(args.class_attr,),
     )
     transformed = _load_dataset(args.transformed, nominal_columns=(args.class_attr,))
+    names = transformed.attribute_names
+    if args.pivot in names and transformed.attribute(args.pivot).kind != STRING:
+        # a CSV carries no types: read the group keys as text, as an ARFF declares them
+        transformed = _load_dataset(
+            args.transformed, string_columns=(args.pivot,), nominal_columns=(args.class_attr,)
+        )
     report = compare_datasets(
         original,
         transformed,

@@ -21,7 +21,7 @@ from . import classifiers
 from .folds import group_stratified_folds
 from .metrics import MetricsReport, ConfusionMatrix, average_metrics, classification_metrics, matrix_from_pairs
 from .model import ConfigError, Dataset, SppamError
-from .ttest import A_BETTER, B_BETTER, TTestResult, corrected_t_test, critical_value
+from .ttest import A_BETTER, B_BETTER, TTestResult, check_alpha, corrected_t_test
 
 REFERENCE_CLASSIFIER = "oner"
 
@@ -154,7 +154,7 @@ def compare_datasets(
             "class domains differ between datasets: "
             f"{class_a.values} vs {class_b.values}"
         )
-    critical_value(1, alpha)  # rejects an unsupported alpha before any fold is fitted
+    check_alpha(alpha)  # before any fold is fitted
     kinds = list(classifier_kinds)
     results_orig = cross_validate(
         original, kinds, class_attribute, k, repeats, seed,

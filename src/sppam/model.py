@@ -20,7 +20,7 @@ import gc
 import math
 import operator
 from dataclasses import dataclass, field
-from itertools import filterfalse, repeat
+from itertools import filterfalse, islice, repeat
 
 NUMERIC = "numeric"
 NOMINAL = "nominal"
@@ -144,19 +144,28 @@ def no_gc(function):
 class TextColumns:
     """The cell texts of a table, added in blocks of rows and kept column
     by column, each distinct raw text of a column as one str. A reader
-    converts each distinct ``present`` text once; ``records`` maps the
+    converts each distinct text once: block by block as ``add`` returns
+    the new ones, or all at once from ``present``; ``records`` maps the
     columns through those cells."""
 
     def __init__(self, width: int):
         self._distinct: list[dict[str, str]] = [{} for _ in range(width)]
         self._blocks: list[list[list[str]]] = []  # per block, its columns
 
-    def add(self, rows) -> None:
-        """Append a block of rows, each a list of ``width`` raw texts."""
+    def add(self, rows) -> list[list[str]]:
+        """Append a block of rows, each a list of ``width`` raw texts, and
+        return per column the distinct raw texts that no earlier block
+        held, in first-seen order."""
+        sizes = list(map(len, self._distinct))
         self._blocks.append([
             list(map(seen.setdefault, texts, texts))
             for seen, texts in zip(self._distinct, zip(*rows))
         ])
+        # a dict keeps insertion order, so the new texts are its last keys
+        return [
+            list(islice(reversed(seen), len(seen) - size))[::-1]
+            for seen, size in zip(self._distinct, sizes)
+        ]
 
     def present(self, missing):
         """Per column, one at a time, its distinct stripped texts but those

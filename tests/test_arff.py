@@ -387,6 +387,19 @@ def test_parse_arff_matches_oracle_over_many_full_blocks():
     assert outcome[2].endswith("unparseable numeric value '1_000' for attribute 'k'")
 
 
+def test_a_bad_block_raises_before_the_next_block_is_read():
+    pulled = []
+
+    def blocks():
+        for block in (["1", " 2.5", "zz"], ["3"]):
+            pulled.append(block)
+            yield block
+
+    with pytest.raises(ValueError, match="unparseable numeric value 'zz'"):
+        arff._records(blocks(), [AttributeSpec.numeric("a")])
+    assert pulled == [["1", " 2.5", "zz"]]
+
+
 def test_equal_texts_share_one_cell_across_blocks():
     text = "@ATTRIBUTE a numeric\n@DATA\n" + "1.5\n" * (arff.READ_BLOCK_CELLS + 3)
     column = parse_arff(text).column("a")

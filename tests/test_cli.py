@@ -233,6 +233,26 @@ def test_compare_same_file_reports_zero_deltas(run_cli, tmp_path):
     assert "oner (reference)" in stdout
 
 
+@pytest.mark.parametrize("form", [[], ["--csv"]])
+def test_compare_scores_a_csv_transform_as_its_arff_twin(run_cli, tmp_path, form):
+    # the CSV's Date texts would otherwise be read as a nominal feature with
+    # one value per record, which OneR picks and then never matches
+    src = tmp_path / "surf.arff"
+    run_cli("gen-surf", "-o", src, "--days", "60", "--labels", "group-mean")
+    outputs = []
+    for name in ("days.arff", "daily.csv"):  # names of one length, so columns align alike
+        run_cli("transform", src, "--pivot", "Date", "--class", "Sets", "--decimals", "2",
+                "-o", tmp_path / name)
+        code, stdout, _ = run_cli(
+            "compare", src, tmp_path / name, "--class", "Sets", "--pivot", "Date",
+            "--repeats", "2", *form,
+        )
+        assert code == 0
+        outputs.append(stdout.replace(name, "<transformed>"))
+    assert outputs[0] == outputs[1]
+    assert "transformed-better" in outputs[0]
+
+
 def test_transform_then_eval_matches_in_process_compare(run_cli, tmp_path):
     # no drift between the file path and the in-process path
     from sppam import compare_datasets

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import inspect
+import sys
 from pathlib import Path
 
 import pytest
@@ -38,6 +39,20 @@ def test_config_error_is_defined_only_in_model():
     ]
     assert defining == ["model"]
     assert sppam.ConfigError is importlib.import_module("sppam.model").ConfigError
+
+
+def test_package_imports_only_the_standard_library():
+    outside = set()
+    for module, tree in _trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                tops = [alias.name.partition(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                tops = [node.module.partition(".")[0]]
+            else:
+                continue
+            outside.update((module, top) for top in tops if top not in sys.stdlib_module_names)
+    assert outside == set()
 
 
 def test_only_cli_folds_and_init_import_transform():
@@ -206,6 +221,9 @@ def test_removed_names_are_gone():
         (importlib.import_module("sppam.arff"), "_HEAD"),
         (importlib.import_module("sppam.arff"), "_split_cells"),
         (importlib.import_module("sppam.arff"), "_scan_cells"),
+        (importlib.import_module("sppam.ttest"), "critical_value"),
+        (importlib.import_module("sppam.ttest"), "_TABLES"),
+        (importlib.import_module("sppam.ttest"), "_NORMAL_APPROX"),
     ]:
         assert not hasattr(module, name), name
     assert "seed" not in inspect.signature(sppam.fit).parameters
