@@ -27,21 +27,24 @@ overflows to infinity, the candidate's errors are counted row by row.
 
 Every learner reads one training set, which computes each fact it needs
 once for all of them: the labelled rows, the features, the class counts,
-each nominal value-by-class table and each numeric column's (value, class)
-pairs in sorted order. The sorted pairs come from ``PresortedColumns``,
-which sorts each numeric column once per dataset; every training set
-filters that order down to its own records. ``cross_validate`` takes one
-training set per fold from one presort per dataset, and ``fit`` turns a
-plain Dataset into a training set of all its records.
+each nominal value-by-class table and each numeric column's runs of equal
+values with their class counts, in sorted order. The counts come from
+``PresortedColumns``, which counts each column over the labelled records
+once per dataset; a training set's counts are those totals minus the
+labelled records it leaves out, about one fold in ``cross_validate``.
+``cross_validate`` takes one training set per fold from one presort per
+dataset, and ``fit`` turns a plain Dataset into a training set of all its
+records.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import islice
+from itertools import accumulate, compress, filterfalse, repeat
+from operator import sub
 
 from .model import ConfigError, Dataset, float_mean
 
@@ -73,60 +76,81 @@ def fit(kind: str, dataset: Dataset, class_attribute: str):
 
 
 class PresortedColumns:
-    """A dataset's labelled record indices in (value, class) order, one
-    list per numeric column, sorted on first use and shared by every
-    training set taken from it."""
+    """A dataset's class totals over its labelled records, counted on first
+    use and shared by every training set taken from it: the class totals,
+    and per column either a nominal ``table[value][class]`` or a numeric
+    column's sorted distinct values, their ``value -> run index`` map and
+    ``counts[class][run]``."""
 
     def __init__(self, dataset: Dataset, class_attribute: str) -> None:
         self.dataset = dataset
         self.class_index = dataset.attribute_index(class_attribute)
-        self._labelled: list[int] | None = None
-        self._orders: dict[int, list[int]] = {}
+        self._columns: dict[int, object] = {}
 
-    def order(self, j: int) -> list[int]:
-        order = self._orders.get(j)
-        if order is None:
+    @cached_property
+    def labelled(self) -> list[int]:
+        """Indices of the records with a class value."""
+        c = self.class_index
+        return [i for i, r in enumerate(self.dataset.records) if r[c] is not None]
+
+    @cached_property
+    def class_totals(self) -> list[int]:
+        records, c = self.dataset.records, self.class_index
+        totals = [0] * len(self.dataset.schema[c].values)
+        for i in self.labelled:
+            totals[records[i][c]] += 1
+        return totals
+
+    def column_totals(self, j: int):
+        """Column j's class totals: ``table[value][class]`` for a nominal
+        column, ``(values, run_of, counts)`` for a numeric one."""
+        totals = self._columns.get(j)
+        if totals is None:
             records, c = self.dataset.records, self.class_index
-            if self._labelled is None:
-                # one int object per record, referenced by every column's order
-                self._labelled = [i for i, r in enumerate(records) if r[c] is not None]
-            # stable sorts by class, then by value: (value, class) order
-            # without a key tuple per record
-            order = sorted(
-                (i for i in self._labelled if records[i][j] is not None),
-                key=lambda i: records[i][c],
-            )
-            order.sort(key=lambda i: records[i][j])
-            self._orders[j] = order
-        return order
+            rows = map(records.__getitem__, self.labelled)
+            cells = [(r[j], r[c]) for r in rows if r[j] is not None]
+            n_classes = len(self.dataset.schema[c].values)
+            if self.dataset.schema[j].kind == "nominal":
+                totals = [[0] * n_classes for _ in self.dataset.schema[j].values]
+                for v, k in cells:
+                    totals[v][k] += 1
+            else:
+                # 0.0 and -0.0 are equal, so they share one run
+                values = sorted({v for v, _ in cells})
+                run_of = {v: r for r, v in enumerate(values)}
+                counts = [[0] * len(values) for _ in range(n_classes)]
+                for v, k in cells:
+                    counts[k][run_of[v]] += 1
+                totals = values, run_of, counts
+            self._columns[j] = totals
+        return totals
 
     def training_set(self, indices) -> Dataset:
         """The records at ``indices`` (ascending, each once) as a Dataset
-        that ``fit`` reads its columns and counts from, its numeric columns
-        filtered from this presort."""
-        records = self.dataset.records
-        in_train = bytearray(len(records))
-        for i in indices:
-            in_train[i] = 1
-        if in_train.count(1) != len(indices):
+        that ``fit`` reads its counts from: these totals minus the labelled
+        records that ``indices`` leave out."""
+        kept = set(indices)
+        if len(kept) != len(indices):
             raise ValueError("training set indices must be distinct")
+        record_at = self.dataset.records.__getitem__
         return _TrainingSet(
             self.dataset.relation_name,
             self.dataset.schema,
-            tuple(records[i] for i in indices),
+            tuple(map(record_at, indices)),
             presorted=self,
-            in_train=bytes(in_train),
+            left_out=tuple(map(record_at, filterfalse(kept.__contains__, self.labelled))),
         )
 
 
 @dataclass(frozen=True)
 class _TrainingSet(Dataset):
     """Training records of one fold, with the presort they were taken from
-    and one byte per record of the presorted dataset, 1 for those kept.
-    Each fact below is computed on first use; learners only read them."""
+    and the presorted dataset's labelled records that they leave out. Each
+    count below is the presort's total minus the left-out records, computed
+    on first use; learners only read them."""
 
     presorted: PresortedColumns | None = field(default=None, repr=False, compare=False)
-    in_train: bytes = field(default=b"", repr=False, compare=False)
+    left_out: tuple[tuple, ...] = field(default=(), repr=False, compare=False)
     _columns: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -151,34 +175,40 @@ class _TrainingSet(Dataset):
 
     @cached_property
     def class_counts(self) -> list[int]:
-        counts, c = [0] * len(self.class_values), self.class_index
-        for row in self.rows:
-            counts[row[c]] += 1
+        counts, c = self.presorted.class_totals[:], self.class_index
+        for r in self.left_out:
+            counts[r[c]] -= 1
         return counts
-
-    def sorted_column(self, j: int) -> tuple[list, list]:
-        """Numeric column j's (value, class) pairs in sorted order, as two
-        lists: the presorted order filtered to this training set, which
-        equals sorting the training set's own pairs."""
-        column = self._columns.get(j)
-        if column is None:
-            presorted, keep = self.presorted, self.in_train
-            records, c = presorted.dataset.records, presorted.class_index
-            kept = [i for i in presorted.order(j) if keep[i]]
-            column = self._columns[j] = [records[i][j] for i in kept], [records[i][c] for i in kept]
-        return column
 
     def value_counts(self, j: int) -> list[list[int]]:
         """Nominal column j's counts, ``table[value][class]``, over the rows
         that have a value."""
         table = self._columns.get(j)
         if table is None:
+            table = self._columns[j] = [row[:] for row in self.presorted.column_totals(j)]
             c = self.class_index
-            table = self._columns[j] = [[0] * len(self.class_values) for _ in self.schema[j].values]
-            for row in self.rows:
-                if row[j] is not None:
-                    table[row[j]][row[c]] += 1
+            for r in self.left_out:
+                if r[j] is not None:
+                    table[r[j]][r[c]] -= 1
         return table
+
+    def runs(self, j: int) -> tuple[list, list[list[int]]]:
+        """Numeric column j's distinct values in ascending order, and per
+        class the count of each value, over the rows that have a value;
+        values without a training row are dropped."""
+        column = self._columns.get(j)
+        if column is None:
+            values, run_of, totals = self.presorted.column_totals(j)
+            counts, c = [run_counts[:] for run_counts in totals], self.class_index
+            for r in self.left_out:
+                if r[j] is not None:
+                    counts[r[c]][run_of[r[j]]] -= 1
+            kept = bytes(map(any, zip(*counts)))
+            column = self._columns[j] = (
+                list(compress(values, kept)),
+                [list(compress(run_counts, kept)) for run_counts in counts],
+            )
+        return column
 
 
 @dataclass
@@ -232,27 +262,38 @@ class NaiveBayesModel(_BaseModel):
     #           or (j, "nominal", [per-class tuple of log P(value|class)])
     feature_stats: list = field(default_factory=list)
 
-    def class_log_scores(self, record) -> list[float]:
-        scores = list(self.log_priors)
+    @cached_property
+    def _class_terms(self) -> list[list[tuple]]:
+        """``feature_stats`` per class: ``(j, mean, var, log_norm, None)``
+        for each Gaussian and ``(j, None, None, None, log_probs)`` for each
+        nominal feature, in feature order, leaving out missing Gaussians."""
+        terms = [[] for _ in self.log_priors]
         for j, kind, per_class in self.feature_stats:
-            v = record[j]
-            if v is None:
-                continue
-            if kind == "numeric":
-                for c, stats in enumerate(per_class):
-                    if stats is None:
-                        continue
-                    mean, var, log_norm = stats
-                    d = v - mean
-                    q = d * d / var
-                    if q == math.inf:
-                        # d * d overflows before the division; (d / sd)^2 may not
-                        z = d / math.sqrt(var)
-                        q = z * z
-                    scores[c] += -0.5 * (log_norm + q)
-            else:
-                for c, log_probs in enumerate(per_class):
-                    scores[c] += log_probs[v]
+            for class_terms, stats in zip(terms, per_class):
+                if kind == "nominal":
+                    class_terms.append((j, None, None, None, stats))
+                elif stats is not None:
+                    class_terms.append((j, *stats, None))
+        return terms
+
+    def class_log_scores(self, record) -> list[float]:
+        scores = []
+        for score, terms in zip(self.log_priors, self._class_terms):
+            for j, mean, var, log_norm, log_probs in terms:
+                v = record[j]
+                if v is None:
+                    continue
+                if log_probs is not None:
+                    score += log_probs[v]
+                    continue
+                d = v - mean
+                q = d * d / var
+                if q == math.inf:
+                    # d * d overflows before the division; (d / sd)^2 may not
+                    z = d / math.sqrt(var)
+                    q = z * z
+                score += -0.5 * (log_norm + q)
+            scores.append(score)
         return scores
 
     def predict_index(self, record) -> int:
@@ -359,32 +400,32 @@ def _oner_nominal(train, j):
 
 
 def _oner_numeric(train, j):
-    """OneR candidate from column j's (value, class) pairs in sorted order."""
-    values, classes = train.sorted_column(j)
-    n = len(values)
-    if not n:
+    """OneR candidate from column j's runs of equal values."""
+    values, counts = train.runs(j)
+    if not values:
         return None
+    ends = list(accumulate(map(sum, zip(*counts))))  # where each run ends
+    n = ends[-1]
     n_bins = min(ONER_MAX_BINS, max(1, n // ONER_MIN_BUCKET))
-    # equal-frequency cuts, never splitting a run of identical values
-    cut_positions: list[int] = []
+    # equal-frequency cuts, each after the run that reaches its target:
+    # a cut never splits a run of identical values
+    cuts: list[int] = []
     next_target = n / n_bins
     pos = 0
-    while len(cut_positions) < n_bins - 1 and pos < n - 1:
-        pos = max(pos + 1, round(next_target))
-        while pos < n and values[pos] == values[pos - 1]:
-            pos += 1
+    while len(cuts) < n_bins - 1 and pos < n - 1:
+        r = bisect_left(ends, max(pos + 1, round(next_target)))
+        pos = ends[r]
         if pos >= n:
             break
-        cut_positions.append(pos)
+        cuts.append(r)
         next_target += n / n_bins
-    bounds = [0, *cut_positions, n]
-    thresholds = tuple((values[p - 1] + values[p]) / 2.0 for p in cut_positions)
-    bin_counts = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        segment = classes[lo:hi]
-        bin_counts.append([segment.count(c) for c in range(len(train.class_values))])
-    rule = tuple(_majority(counts) for counts in bin_counts)
-    largest = max(range(len(bin_counts)), key=lambda b: (bounds[b + 1] - bounds[b], -b))
+    thresholds = tuple((values[r] + values[r + 1]) / 2.0 for r in cuts)
+    bounds = [0, *(r + 1 for r in cuts), len(values)]
+    bin_counts = [
+        [sum(run_counts[lo:hi]) for run_counts in counts] for lo, hi in zip(bounds, bounds[1:])
+    ]
+    rule = tuple(map(_majority, bin_counts))
+    largest = max(range(len(bin_counts)), key=lambda b: (sum(bin_counts[b]), -b))
     model = OneRModel(
         train.class_index,
         train.class_values,
@@ -394,16 +435,17 @@ def _oner_numeric(train, j):
         bin_rule=rule,
         majority_branch=rule[largest],
     )
-    observed = [sum(column) for column in zip(*bin_counts)]
+    observed = list(map(sum, counts))
     # bisect_right puts value v in bin b only if threshold b-1 <= v < threshold b
-    separates = all(values[p - 1] < t <= values[p] for p, t in zip(cut_positions, thresholds))
-    errors = n - sum(counts[r] for counts, r in zip(bin_counts, rule)) if separates else None
+    separates = all(values[r] < t <= values[r + 1] for r, t in zip(cuts, thresholds))
+    errors = n - sum(b[r] for b, r in zip(bin_counts, rule)) if separates else None
     return model, observed, errors
 
 
 def _fit_naive_bayes(train) -> NaiveBayesModel:
     n_classes = len(train.class_values)
-    # each class's rows in training order, the order float_mean sums them in
+    # each class's rows; float_mean sums with math.fsum, which is correctly
+    # rounded, so their order does not matter
     by_class = [[] for _ in range(n_classes)]
     for row in train.rows:
         by_class[row[train.class_index]].append(row)
@@ -444,25 +486,23 @@ def _fit_decision_stump(train) -> DecisionStumpModel:
 
 
 def _stump_numeric(train, j):
-    """Stump candidate from column j's (value, class) pairs in sorted order."""
-    values, classes = train.sorted_column(j)
-    n = len(values)
-    if n < 2 or values[0] == values[-1]:
+    """Stump candidate from column j's runs of equal values."""
+    values, counts = train.runs(j)
+    if len(values) < 2:
         return None
-    n_classes = len(train.class_values)
-    right = [classes.count(c) for c in range(n_classes)]
-    observed = right[:]
-    left = [0] * n_classes
-    # a split between two differing neighbours errs n - max(left) - max(right) times
-    best = (n + 1,)  # (errors, below, above, left_size, left_class, right_class)
-    for below, above, c in zip(values, islice(values, 1, None), classes):
-        left[c] += 1
-        right[c] -= 1
-        if below != above:
-            errors = n - max(left) - max(right)
-            if errors < best[0]:
-                best = (errors, below, above, sum(left), _majority(left), _majority(right))
-    errors, below, above, left_size, lc, rc = best
+    observed = list(map(sum, counts))
+    n = sum(observed)
+    # per class, the counts left and right of each boundary between two runs
+    lefts = [list(accumulate(run_counts[:-1])) for run_counts in counts]
+    rights = [map(sub, repeat(total), left) for total, left in zip(observed, lefts)]
+    # a split errs n - max(left) - max(right) times; repeat(0) serves one class
+    most_left, most_right = map(max, *lefts, repeat(0)), map(max, *rights, repeat(0))
+    errors = list(map(sub, map(sub, repeat(n), most_left), most_right))
+    r = errors.index(min(errors))  # the first of the fewest
+    left = [left[r] for left in lefts]
+    lc = _majority(left)
+    rc = _majority([total - seen for total, seen in zip(observed, left)])
+    below, above = values[r], values[r + 1]
     threshold = (below + above) / 2.0
     model = DecisionStumpModel(
         train.class_index,
@@ -472,10 +512,10 @@ def _stump_numeric(train, j):
         threshold=threshold,
         left_class=lc,
         right_class=rc,
-        majority_branch_class=lc if left_size >= n - left_size else rc,
+        majority_branch_class=lc if 2 * sum(left) >= n else rc,
     )
     # v <= threshold sends v left; the count holds only if below <= t < above
-    return model, observed, errors if below <= threshold < above else None
+    return model, observed, errors[r] if below <= threshold < above else None
 
 
 def _stump_nominal(train, j):

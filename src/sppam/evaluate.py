@@ -5,8 +5,8 @@ group-aware, so correlated records never straddle a train/test boundary)
 of several classifiers at once and reports, per classifier, the per-run
 test accuracies plus a metric suite averaged over the repeats. All the
 classifiers share one fold plan: each repeat's fold assignment, and each
-fold's training set with its sorted numeric columns, are built once and
-every classifier is fitted and scored on them. ``compare_datasets``
+fold's training set with its class counts per column value, are built once
+and every classifier is fitted and scored on them. ``compare_datasets``
 evaluates the same classifiers on an original dataset and its aggregated
 counterpart, with one ``cross_validate`` call per dataset, and attaches a
 corrected resampled t-test verdict per classifier.
@@ -89,7 +89,8 @@ def cross_validate(
     if not labeled.records:
         raise ConfigError("no labeled records to evaluate")
     class_values = labeled.schema[class_index].values
-    # numeric columns are sorted once here, not once per fold and candidate
+    # each column's class counts are totalled once here; a fold subtracts
+    # only the records it leaves out
     presorted = classifiers.PresortedColumns(labeled, class_attribute)
 
     records = labeled.records

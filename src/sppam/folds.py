@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import compress
 
 from .model import ConfigError, Dataset
 from .transform import group_records
@@ -27,10 +28,10 @@ class FoldAssignment:
 
     def split(self, fold: int) -> tuple[list[int], list[int]]:
         """(train_indices, test_indices) for one held-out fold."""
-        train, test = [], []
-        for i, f in enumerate(self.fold_of_record):
-            (test if f == fold else train).append(i)
-        return train, test
+        in_test = bytes(map(fold.__eq__, self.fold_of_record))
+        in_train = bytes(map(fold.__ne__, self.fold_of_record))
+        indices = range(len(self.fold_of_record))
+        return list(compress(indices, in_train)), list(compress(indices, in_test))
 
 
 def group_stratified_folds(

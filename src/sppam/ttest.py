@@ -43,7 +43,7 @@ def check_alpha(alpha: float) -> None:
 
 
 def corrected_t_test(scores_a, scores_b, test_fraction: float, alpha: float = 0.01) -> TTestResult:
-    """Compare two equal-length paired score vectors.
+    """Compare two equal-length paired vectors of finite scores.
 
     ``test_fraction`` is n_test/n_train of the underlying splits (1/9 for
     10-fold). The verdict is a-better or b-better, by the sign of t, when
@@ -59,8 +59,12 @@ def corrected_t_test(scores_a, scores_b, test_fraction: float, alpha: float = 0.
     m = len(scores_a)
     if m < 2:
         raise SppamError(f"need at least 2 paired scores, got {m}")
-    if test_fraction <= 0:
-        raise SppamError(f"test fraction must be positive, got {test_fraction}")
+    if not (math.isfinite(test_fraction) and test_fraction > 0):
+        raise SppamError(f"test fraction must be finite and positive, got {test_fraction}")
+    for i, pair in enumerate(zip(scores_a, scores_b)):
+        for name, score in zip("ab", pair):
+            if not math.isfinite(score):
+                raise SppamError(f"score {i} of vector {name} is not finite: {score}")
 
     diffs = [a - b for a, b in zip(scores_a, scores_b)]
     mean = math.fsum(diffs) / m
@@ -84,6 +88,8 @@ def two_sided_p_value(t: float, df: int) -> float:
     the regularized incomplete beta I_x(a, b) at x = df / (df + t^2),
     a = df/2 and b = 1/2, from its continued fraction on whichever side of
     the mean that converges fast (Numerical Recipes, 3rd ed., section 6.4)."""
+    if math.isnan(t):
+        return math.nan
     square = t * t
     x, y = df / (df + square), square / (df + square)  # y = 1 - x, without cancellation
     if x == 0.0:  # t is infinite

@@ -221,6 +221,31 @@ def posteriors(model, record) -> list[float]:
     return [w / total for w in weights]
 
 
+def oracle_class_log_scores(model, record) -> list[float]:
+    """A naive-Bayes model's class log scores computed feature by feature
+    from ``feature_stats``, each feature adding its term to every class."""
+    scores = list(model.log_priors)
+    for j, kind, per_class in model.feature_stats:
+        v = record[j]
+        if v is None:
+            continue
+        if kind == "numeric":
+            for c, stats in enumerate(per_class):
+                if stats is None:
+                    continue
+                mean, var, log_norm = stats
+                d = v - mean
+                q = d * d / var
+                if q == math.inf:
+                    z = d / math.sqrt(var)
+                    q = z * z
+                scores[c] += -0.5 * (log_norm + q)
+        else:
+            for c, log_probs in enumerate(per_class):
+                scores[c] += log_probs[v]
+    return scores
+
+
 def _oracle_majority(counts) -> int:
     best = 0
     for c in range(1, len(counts)):

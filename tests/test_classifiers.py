@@ -2,10 +2,10 @@ import math
 import random
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import SURF_TWO_DAYS_DAILY
-from helpers import oracle_fit, posteriors
+from helpers import oracle_class_log_scores, oracle_fit, posteriors
 from sppam import AttributeSpec, ConfigError, Dataset, fit, parse_arff
 from sppam.classifiers import CLASSIFIER_KINDS, NB_VARIANCE_FLOOR, PresortedColumns
 
@@ -370,7 +370,43 @@ def test_fit_matches_per_row_oracle(dataset, kind, rng):
     assert fit(kind, training_set, "label") == oracle_fit(kind, subset, "label")
 
 
-def test_training_set_sorts_each_column_once_for_all_learners():
+_FAR_CELLS = (None, 1e200, -1e200, LARGEST, -LARGEST)
+
+
+@settings(max_examples=500)
+@given(classifier_datasets(), st.data())
+def test_class_log_scores_match_the_per_feature_oracle(dataset, data):
+    """The per-class compiled scorer adds the same terms in the same order
+    as scoring feature by feature, so every score is bit-identical, also
+    for missing cells and distances whose square overflows."""
+    class_index = dataset.attribute_index("label")
+    assume(any(r[class_index] is not None for r in dataset.records))
+    model = fit("naive-bayes", dataset, "label")
+    far = tuple(
+        data.draw(st.sampled_from(_FAR_CELLS if attr.kind == "numeric" else (None, 0)))
+        for attr in dataset.schema
+    )
+    for record in (*dataset.records, far):
+        expected = oracle_class_log_scores(model, record)
+        assert list(map(float.hex, model.class_log_scores(record))) == list(map(float.hex, expected))
+
+
+def direct_counts(train, j):
+    """Column j's class counts over the training set's labelled rows with a
+    value, counted row by row: ``{value: per-class counts}``."""
+    counts = {}
+    for r in train.records:
+        if r[j] is not None and r[2] is not None:
+            counts.setdefault(r[j], [0, 0])[r[2]] += 1
+    return counts
+
+
+def runs_as_counts(runs):
+    values, per_class = runs
+    return dict(zip(values, map(list, zip(*per_class))))
+
+
+def test_training_set_counts_each_column_once_for_all_learners():
     rng = random.Random(21)
     schema = (
         AttributeSpec.numeric("x0"),
@@ -390,22 +426,52 @@ def test_training_set_sorts_each_column_once_for_all_learners():
     train = PresortedColumns(Dataset("shared", schema, tuple(rows)), "label").training_set(
         sorted(rng.sample(range(60), 45))
     )
-    before = [train.sorted_column(j) for j in (0, 1)]
+    before = [train.runs(j) for j in (0, 1)]
     table = train.value_counts(3)
+    counts = train.class_counts
     for kind in CLASSIFIER_KINDS:
         fit(kind, train, "label")
     for j, first in zip((0, 1), before):
-        again = train.sorted_column(j)
-        assert again[0] is first[0] and again[1] is first[1]
-        pairs = sorted(
-            (r[j], r[2]) for r in train.records if r[j] is not None and r[2] is not None
-        )
-        assert again == ([v for v, _ in pairs], [c for _, c in pairs])
+        assert train.runs(j) is first
+        assert first[0] == sorted(first[0])
+        assert runs_as_counts(first) == direct_counts(train, j)
     assert train.value_counts(3) is table
-    labelled = [r for r in train.records if r[2] is not None and r[3] is not None]
-    assert table == [
-        [sum(1 for r in labelled if r[3] == v and r[2] == c) for c in (0, 1)] for v in (0, 1, 2)
-    ]
+    assert train.class_counts is counts
+    labelled = [r for r in train.records if r[2] is not None]
+    assert counts == [sum(1 for r in labelled if r[2] == c) for c in (0, 1)]
+    by_value = direct_counts(train, 3)
+    assert table == [by_value.get(v, [0, 0]) for v in (0, 1, 2)]
+
+
+_SIGNED_ZEROS = st.sampled_from([0.0, -0.0, 1.0, -2.5, None])
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(
+        st.tuples(_SIGNED_ZEROS, st.sampled_from([0, 1, 2, None]), st.sampled_from([0, 1, None])),
+        min_size=1, max_size=30,
+    ),
+    st.randoms(),
+)
+def test_training_set_counts_equal_direct_counts(rows, rng):
+    """Totals minus the left-out records equal counting the training rows,
+    with unlabelled records, missing cells and both signed zeros."""
+    schema = (
+        AttributeSpec.numeric("x"),
+        AttributeSpec.nominal("m", ("u", "v", "w")),
+        AttributeSpec.nominal("label", ("a", "b")),
+    )
+    indices = sorted(rng.sample(range(len(rows)), rng.randint(0, len(rows))))
+    train = PresortedColumns(Dataset("counts", schema, tuple(rows)), "label").training_set(indices)
+    assert train.records == tuple(rows[i] for i in indices)
+    labelled = [r for r in train.records if r[2] is not None]
+    assert train.class_counts == [sum(1 for r in labelled if r[2] == c) for c in (0, 1)]
+    by_value = direct_counts(train, 1)
+    assert train.value_counts(1) == [by_value.get(v, [0, 0]) for v in (0, 1, 2)]
+    values, per_class = train.runs(0)
+    assert values == sorted(direct_counts(train, 0))
+    assert runs_as_counts((values, per_class)) == direct_counts(train, 0)
 
 
 def test_presorted_training_set_rejects_repeated_indices():

@@ -165,6 +165,31 @@ def test_one_fold_plan_per_dataset():
     assert _loop_depths(trees["cli"], "cross_validate") == [0]
 
 
+def test_cross_validate_fits_and_predicts_through_the_traced_hooks():
+    """``bench/tracer.py`` times fits by replacing the module attribute
+    ``classifiers.fit`` and predictions by wrapping each fitted model's
+    ``predict_index``: ``cross_validate`` must call the first through the
+    module and the second once per test record, in one comprehension, or
+    the per-layer fit and predict metrics go missing."""
+    [function] = [
+        node for node in ast.walk(_trees()["evaluate"])
+        if isinstance(node, ast.FunctionDef) and node.name == "cross_validate"
+    ]
+    calls = [node.func for node in ast.walk(function) if isinstance(node, ast.Call)]
+    fits = [f for f in calls if isinstance(f, ast.Attribute) and f.attr == "fit"]
+    assert [ast.unparse(f) for f in fits] == ["classifiers.fit"]
+    model_calls = [
+        f for f in calls
+        if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name) and f.value.id == "model"
+    ]
+    assert [f.attr for f in model_calls] == ["predict_index"]
+    [comprehension] = [
+        node for node in ast.walk(function)
+        if isinstance(node, ast.ListComp) and any(sub is model_calls[0] for sub in ast.walk(node))
+    ]
+    assert ast.unparse(comprehension.elt) == f"model.predict_index({comprehension.generators[0].target.id})"
+
+
 def _is_sort_call(node) -> bool:
     if not isinstance(node, ast.Call):
         return False
@@ -224,6 +249,9 @@ def test_removed_names_are_gone():
         (importlib.import_module("sppam.ttest"), "critical_value"),
         (importlib.import_module("sppam.ttest"), "_TABLES"),
         (importlib.import_module("sppam.ttest"), "_NORMAL_APPROX"),
+        (importlib.import_module("sppam.classifiers").PresortedColumns, "order"),
+        (importlib.import_module("sppam.classifiers")._TrainingSet, "sorted_column"),
+        (importlib.import_module("sppam.classifiers")._TrainingSet, "in_train"),
     ]:
         assert not hasattr(module, name), name
     assert "seed" not in inspect.signature(sppam.fit).parameters

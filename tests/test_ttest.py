@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+import sppam.ttest
 from sppam import corrected_t_test
 from sppam.model import SppamError
 from sppam.ttest import SUPPORTED_ALPHAS, two_sided_p_value
@@ -86,6 +87,29 @@ def test_length_mismatch_rejected():
 def test_needs_two_scores():
     with pytest.raises(SppamError):
         corrected_t_test([0.1], [0.2], TEN_FOLD_FRACTION)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_scores_rejected(bad):
+    with pytest.raises(SppamError, match=rf"score 2 of vector a is not finite: {bad}"):
+        corrected_t_test([0.1, 0.2, bad, 0.4], [0.1, 0.2, 0.3, bad], TEN_FOLD_FRACTION)
+    with pytest.raises(SppamError, match=rf"score 1 of vector b is not finite: {bad}"):
+        corrected_t_test([0.1, 0.2, bad, 0.4], [0.1, bad, 0.3, 0.4], TEN_FOLD_FRACTION)
+
+
+@pytest.mark.parametrize("fraction", [0.0, -0.1, math.nan, math.inf])
+def test_test_fraction_must_be_finite_and_positive(fraction):
+    with pytest.raises(SppamError, match="test fraction must be finite and positive"):
+        corrected_t_test([0.1, 0.2], [0.3, 0.5], fraction)
+
+
+def test_nan_t_has_a_nan_p_value_at_once(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the continued fraction ran")
+
+    monkeypatch.setattr(sppam.ttest, "_beta_fraction", refuse)
+    for df in (1, 5, 299):
+        assert math.isnan(two_sided_p_value(math.nan, df))
 
 
 def _brackets(value, df, alpha, tolerance=5e-5):
