@@ -17,16 +17,12 @@ the mean, in units of the variance, overflows. When every class scores
 is predicted.
 
 OneR and the stump pick the candidate attribute with the fewest training
-errors. A candidate's errors are counted from the per-bin or per-side
-class counts it is built from, plus the rows with a missing value whose
-class differs from its majority branch's. The class counts equal
-predicting every row only when each midpoint threshold separates its two
-neighbouring values (``a < t <= b`` for OneR's bins, ``a <= t < b`` for
-the stump's ``<=``); for a midpoint that rounds onto a neighbour or
-overflows to infinity, the candidate's errors are counted row by row.
+errors. A candidate's errors are counted from the class counts of the runs
+of equal values that its own thresholds send to each bin or side, plus the
+rows with a missing value whose class differs from its majority branch's.
 
 Every learner reads one training set, which computes each fact it needs
-once for all of them: the labelled rows, the features, the class counts,
+once for all of them: the features, the class counts,
 each nominal value-by-class table and each numeric column's runs of equal
 values with their class counts, in sorted order. The counts come from
 ``PresortedColumns``, which counts each column over the labelled records
@@ -57,20 +53,26 @@ NB_VARIANCE_FLOOR = 1e-9
 _FAR_SCALE = 2.0 ** -600
 
 
-def fit(kind: str, dataset: Dataset, class_attribute: str):
-    """Train a classifier of the given kind (all four are deterministic)."""
+def check_kind(kind: str) -> str:
+    """``kind`` in lower case, if it names one of ``CLASSIFIER_KINDS``."""
     normalized = kind.lower()
-    if normalized not in _FITTERS:
+    if normalized not in CLASSIFIER_KINDS:
         raise ConfigError(
             f"unknown classifier {kind!r}; valid kinds: {', '.join(CLASSIFIER_KINDS)}"
         )
+    return normalized
+
+
+def fit(kind: str, dataset: Dataset, class_attribute: str):
+    """Train a classifier of the given kind (all four are deterministic)."""
+    normalized = check_kind(kind)
     class_index = dataset.attribute_index(class_attribute)
     if dataset.schema[class_index].kind != "nominal":
         raise ConfigError(f"class attribute {class_attribute!r} must be nominal")
     if not (isinstance(dataset, _TrainingSet) and dataset.presorted.class_index == class_index):
         presorted = PresortedColumns(dataset, class_attribute)
         dataset = presorted.training_set(range(len(dataset.records)))
-    if not dataset.rows:
+    if not any(dataset.class_counts):
         raise ConfigError("empty training set")
     return _FITTERS[normalized](dataset)
 
@@ -160,12 +162,6 @@ class _TrainingSet(Dataset):
     @property
     def class_values(self) -> tuple[str, ...]:
         return self.schema[self.class_index].values
-
-    @cached_property
-    def rows(self) -> list[tuple]:
-        """The records with a class value, in training order."""
-        c = self.class_index
-        return [r for r in self.records if r[c] is not None]
 
     @cached_property
     def features(self) -> list[int]:
@@ -349,22 +345,16 @@ def _best_candidate(train, nominal, numeric, model_class):
 
     A kernel returns None or ``(model, observed, observed_errors)``: the
     class counts of the rows that have a value and the errors on them; the
-    rows with a missing value all get the model's missing-value class. When
-    ``observed_errors`` is None (a threshold does not separate its
-    neighbours), every row is predicted.
+    rows with a missing value all get the model's missing-value class.
     """
-    c = train.class_index
     best, best_errors = None, None
     for j in train.features:
         found = (nominal if train.schema[j].kind == "nominal" else numeric)(train, j)
         if found is None:
             continue
         candidate, observed, errors = found
-        if errors is None:
-            errors = sum(1 for row in train.rows if candidate.predict_index(row) != row[c])
-        else:
-            missing = [total - seen for total, seen in zip(train.class_counts, observed)]
-            errors += sum(missing) - missing[candidate.predict_index((None,) * len(train.schema))]
+        missing = [total - seen for total, seen in zip(train.class_counts, observed)]
+        errors += sum(missing) - missing[candidate.predict_index((None,) * len(train.schema))]
         if best_errors is None or errors < best_errors:
             best, best_errors = candidate, errors
     if best is None:
@@ -386,14 +376,13 @@ def _fit_oner(train) -> OneRModel:
 def _oner_nominal(train, j):
     buckets = train.value_counts(j)
     rule = tuple(_majority(b) for b in buckets)
-    largest = max(range(len(buckets)), key=lambda v: (sum(buckets[v]), -v))
     model = OneRModel(
         train.class_index,
         train.class_values,
         attribute=j,
         kind="nominal",
         nominal_rule=rule,
-        majority_branch=rule[largest],
+        majority_branch=rule[_majority(list(map(sum, buckets)))],
     )
     observed = [sum(column) for column in zip(*buckets)]
     return model, observed, sum(observed) - sum(b[r] for b, r in zip(buckets, rule))
@@ -425,7 +414,6 @@ def _oner_numeric(train, j):
         [sum(run_counts[lo:hi]) for run_counts in counts] for lo, hi in zip(bounds, bounds[1:])
     ]
     rule = tuple(map(_majority, bin_counts))
-    largest = max(range(len(bin_counts)), key=lambda b: (sum(bin_counts[b]), -b))
     model = OneRModel(
         train.class_index,
         train.class_values,
@@ -433,23 +421,25 @@ def _oner_numeric(train, j):
         kind="numeric",
         thresholds=thresholds,
         bin_rule=rule,
-        majority_branch=rule[largest],
+        majority_branch=rule[_majority(list(map(sum, bin_counts)))],
     )
-    observed = list(map(sum, counts))
-    # bisect_right puts value v in bin b only if threshold b-1 <= v < threshold b
-    separates = all(values[r] < t <= values[r + 1] for r, t in zip(cuts, thresholds))
-    errors = n - sum(b[r] for b, r in zip(bin_counts, rule)) if separates else None
-    return model, observed, errors
+    # predict_index puts v in bin b when threshold b-1 <= v < threshold b, so
+    # bin b holds runs held[b]:held[b+1], even where a midpoint rounds onto a
+    # neighbour or overflows
+    held = [0, *(bisect_left(values, t) for t in thresholds), len(values)]
+    correct = sum(sum(counts[k][lo:hi]) for k, lo, hi in zip(rule, held, held[1:]))
+    return model, list(map(sum, counts)), n - correct
 
 
 def _fit_naive_bayes(train) -> NaiveBayesModel:
-    n_classes = len(train.class_values)
+    n_classes, c = len(train.class_values), train.class_index
     # each class's rows; float_mean sums with math.fsum, which is correctly
     # rounded, so their order does not matter
     by_class = [[] for _ in range(n_classes)]
-    for row in train.rows:
-        by_class[row[train.class_index]].append(row)
-    total = len(train.rows)
+    for row in train.records:
+        if row[c] is not None:
+            by_class[row[c]].append(row)
+    total = sum(train.class_counts)
     log_priors = tuple(
         math.log((count + 1.0) / (total + n_classes)) for count in train.class_counts
     )
@@ -502,8 +492,7 @@ def _stump_numeric(train, j):
     left = [left[r] for left in lefts]
     lc = _majority(left)
     rc = _majority([total - seen for total, seen in zip(observed, left)])
-    below, above = values[r], values[r + 1]
-    threshold = (below + above) / 2.0
+    threshold = (values[r] + values[r + 1]) / 2.0
     model = DecisionStumpModel(
         train.class_index,
         train.class_values,
@@ -514,8 +503,10 @@ def _stump_numeric(train, j):
         right_class=rc,
         majority_branch_class=lc if 2 * sum(left) >= n else rc,
     )
-    # v <= threshold sends v left; the count holds only if below <= t < above
-    return model, observed, errors[r] if below <= threshold < above else None
+    # v <= threshold sends the first k runs left: k == r + 1 unless the
+    # midpoint rounds onto a neighbour or overflows
+    k = bisect_right(values, threshold)
+    return model, observed, n - sum(counts[lc][:k]) - sum(counts[rc][k:])
 
 
 def _stump_nominal(train, j):

@@ -14,7 +14,7 @@ import warnings
 from pathlib import Path
 
 from .arff import ParseError, parse_arff, write_arff
-from .classifiers import CLASSIFIER_KINDS
+from .classifiers import CLASSIFIER_KINDS, check_kind
 from .csvio import parse_csv, write_csv
 from .evaluate import (
     compare_datasets,
@@ -128,41 +128,40 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_dataset(path: str, string_columns=(), nominal_columns=()) -> Dataset:
+def _format(path: str) -> str:
+    """The dataset format that ``path``'s suffix names: ``.arff`` or ``.csv``."""
     suffix = Path(path).suffix.lower()
+    if suffix not in (".arff", ".csv"):
+        raise ConfigError(f"cannot infer format of {path!r}; use a .arff or .csv extension")
+    return suffix
+
+
+def _load_dataset(path: str, string_columns=(), nominal_columns=()) -> Dataset:
+    suffix = _format(path)
     text = Path(path).read_text(encoding="utf-8")
     if suffix == ".arff":
         return parse_arff(text)
-    if suffix == ".csv":
-        return parse_csv(
-            text,
-            string_columns=tuple(c for c in string_columns if c),
-            nominal_columns=tuple(c for c in nominal_columns if c),
-        )
-    raise ConfigError(f"cannot infer format of {path!r}; use a .arff or .csv extension")
+    return parse_csv(
+        text,
+        string_columns=tuple(c for c in string_columns if c),
+        nominal_columns=tuple(c for c in nominal_columns if c),
+    )
 
 
 def _write_dataset(path: str, dataset: Dataset, decimals: int | None = None) -> None:
-    suffix = Path(path).suffix.lower()
-    if suffix == ".csv":
-        Path(path).write_text(write_csv(dataset, decimals), encoding="utf-8")
-    else:
-        Path(path).write_text(write_arff(dataset, decimals), encoding="utf-8")
+    write = write_csv if _format(path) == ".csv" else write_arff
+    Path(path).write_text(write(dataset, decimals), encoding="utf-8")
 
 
 def _split_kinds(text: str) -> list[str]:
     kinds = [kind.strip().lower() for kind in text.split(",") if kind.strip()]
     if not kinds:
         raise ConfigError("no classifiers given")
-    for kind in kinds:
-        if kind not in CLASSIFIER_KINDS:
-            raise ConfigError(
-                f"unknown classifier {kind!r}; valid kinds: {', '.join(CLASSIFIER_KINDS)}"
-            )
-    return kinds
+    return list(map(check_kind, kinds))
 
 
 def _cmd_transform(args) -> int:
+    _format(args.output)  # before the input is read
     if args.decimals is not None and args.decimals < 0:
         raise ConfigError(f"--decimals must be 0 or more, got {args.decimals}")
     dataset = _load_dataset(
@@ -269,6 +268,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_gen_surf(args) -> int:
+    _format(args.output)  # before any record is generated
     dataset = gen_surf(
         days=args.days,
         per_day=args.per_day,

@@ -57,7 +57,6 @@ def parse_csv(
     text: str,
     string_columns=(),
     nominal_columns=(),
-    relation_name: str = "unnamed",
 ) -> Dataset:
     """Parse CSV text into a Dataset, inferring a schema from the cells."""
     reader = csv.reader(_lines(text))
@@ -109,7 +108,7 @@ def parse_csv(
         for name, values in zip(names, present)
     ]
     records = table.records(cells for _, cells in inferred)
-    return Dataset(relation_name, tuple(attr for attr, _ in inferred), records)
+    return Dataset("unnamed", tuple(attr for attr, _ in inferred), records)
 
 
 def _lines(text: str):

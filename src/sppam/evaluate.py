@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from . import classifiers
 from .folds import group_stratified_folds
 from .metrics import MetricsReport, ConfusionMatrix, average_metrics, classification_metrics, matrix_from_pairs
-from .model import ConfigError, Dataset, SppamError
+from .model import NOMINAL, ConfigError, Dataset, SppamError, text_cells
 from .ttest import A_BETTER, B_BETTER, TTestResult, check_alpha, corrected_t_test
 
 REFERENCE_CLASSIFIER = "oner"
@@ -79,7 +79,7 @@ def cross_validate(
     """
     if isinstance(classifier_kinds, str):
         raise ConfigError(f"classifier kinds must be a sequence of names, not {classifier_kinds!r}")
-    kinds = list(classifier_kinds)
+    kinds = list(map(classifiers.check_kind, classifier_kinds))  # before any fold
     if repeats < 1:
         raise ConfigError(f"repeats must be at least 1, got {repeats}")
     class_index = dataset.attribute_index(class_attribute)
@@ -119,7 +119,7 @@ def cross_validate(
             kind_matrices.append(matrix_from_pairs(class_values, zip(actual, kind_predicted)))
     return [
         CrossValResult(
-            classifier=kind.lower(),
+            classifier=kind,
             class_values=class_values,
             fold_accuracies=tuple(kind_accuracies),
             repeat_matrices=tuple(kind_matrices),
@@ -151,9 +151,18 @@ def compare_datasets(
     class_a = original.attribute(class_attribute)
     class_b = transformed.attribute(class_attribute)
     if class_a.values != class_b.values:
-        raise SppamError(
-            "class domains differ between datasets: "
-            f"{class_a.values} vs {class_b.values}"
+        if class_b.kind != NOMINAL or not set(class_b.values) <= set(class_a.values):
+            raise SppamError(
+                "class domains differ between datasets: "
+                f"{class_a.values} vs {class_b.values}"
+            )
+        # a CSV lists a domain in first-seen order: index its labels as the original does
+        j = transformed.attribute_index(class_attribute)
+        index_of = {None: None, **dict(enumerate(text_cells(class_a, class_b.values)))}
+        transformed = Dataset(
+            transformed.relation_name,
+            (*transformed.schema[:j], class_a, *transformed.schema[j + 1:]),
+            ((*r[:j], index_of[r[j]], *r[j + 1:]) for r in transformed.records),
         )
     check_alpha(alpha)  # before any fold is fitted
     kinds = list(classifier_kinds)
@@ -163,7 +172,7 @@ def compare_datasets(
     )
     results_tr = cross_validate(transformed, kinds, class_attribute, k, repeats, seed)
     rows = []
-    for kind, result_orig, result_tr in zip(kinds, results_orig, results_tr):
+    for result_orig, result_tr in zip(results_orig, results_tr):
         ttest = corrected_t_test(
             result_tr.fold_accuracies,
             result_orig.fold_accuracies,
@@ -172,7 +181,7 @@ def compare_datasets(
         )
         rows.append(
             ComparisonRow(
-                classifier=kind.lower(),
+                classifier=result_orig.classifier,
                 original=result_orig,
                 transformed=result_tr,
                 cci_delta=result_tr.metrics.cci_percent - result_orig.metrics.cci_percent,

@@ -507,7 +507,6 @@ def oracle_parse_csv(
     text: str,
     string_columns=(),
     nominal_columns=(),
-    relation_name: str = "unnamed",
 ) -> Dataset:
     """Reference for ``parse_csv``: its row-at-a-time version, which strips
     and converts every cell on its own and tests every numeric cell with
@@ -569,7 +568,7 @@ def oracle_parse_csv(
             else:
                 cells.append(raw)
         records.append(tuple(cells))
-    return Dataset(relation_name, schema, tuple(records))
+    return Dataset("unnamed", schema, tuple(records))
 
 
 def _oracle_csv_reject_unwritable(text: str, names) -> None:

@@ -47,6 +47,22 @@ def test_transform_unknown_extension_exits_2(run_cli, tmp_path):
     assert "extension" in stderr
 
 
+@pytest.mark.parametrize("output", ["y.json", "y.txt", "y"])
+@pytest.mark.parametrize("command", [
+    ["transform", "missing.arff", "--pivot", "Date", "--class", "Sets"],
+    ["gen-surf"],
+])
+def test_output_suffix_other_than_arff_or_csv_exits_2_before_any_work(
+    run_cli, tmp_path, command, output
+):
+    # the input does not exist: reading it first would exit 3
+    code, stdout, stderr = run_cli(*command, "-o", tmp_path / output)
+    assert code == 2
+    assert "cannot infer format" in stderr and "use a .arff or .csv extension" in stderr
+    assert stdout == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_transform_parse_error_exits_1(run_cli, tmp_path):
     src = tmp_path / "broken.arff"
     src.write_text("@ATTRIBUTE a numeric\n@DATA\n1,2\n")
@@ -233,12 +249,15 @@ def test_compare_same_file_reports_zero_deltas(run_cli, tmp_path):
     assert "oner (reference)" in stdout
 
 
-@pytest.mark.parametrize("form", [[], ["--csv"]])
-def test_compare_scores_a_csv_transform_as_its_arff_twin(run_cli, tmp_path, form):
+@pytest.mark.parametrize(
+    "form, seed", [([], "0"), (["--csv"], "0"), ([], "1")], ids=["form0", "form1", "seed1"]
+)
+def test_compare_scores_a_csv_transform_as_its_arff_twin(run_cli, tmp_path, form, seed):
     # the CSV's Date texts would otherwise be read as a nominal feature with
-    # one value per record, which OneR picks and then never matches
+    # one value per record, which OneR picks and then never matches; at seed 1
+    # the first day's class is 1, so the CSV lists the class domain as (1, 0)
     src = tmp_path / "surf.arff"
-    run_cli("gen-surf", "-o", src, "--days", "60", "--labels", "group-mean")
+    run_cli("gen-surf", "-o", src, "--days", "60", "--labels", "group-mean", "--seed", seed)
     outputs = []
     for name in ("days.arff", "daily.csv"):  # names of one length, so columns align alike
         run_cli("transform", src, "--pivot", "Date", "--class", "Sets", "--decimals", "2",

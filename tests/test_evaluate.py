@@ -238,6 +238,56 @@ def test_compare_assigns_folds_once_per_dataset_and_repeat(monkeypatch):
     assert calls == [5, 6, 5, 6]  # 2 datasets x 2 repeats, not x 4 kinds as well
 
 
+def _reversed_class_domain(dataset, class_attribute):
+    j = dataset.attribute_index(class_attribute)
+    values = dataset.schema[j].values
+    schema = list(dataset.schema)
+    schema[j] = AttributeSpec.nominal(class_attribute, values[::-1])
+    return Dataset(dataset.relation_name, schema, (
+        (*r[:j], None if r[j] is None else len(values) - 1 - r[j], *r[j + 1:])
+        for r in dataset.records
+    ))
+
+
+def test_compare_reads_a_reordered_class_domain_in_the_original_order():
+    original = gen_surf(days=40, labels="group-mean", seed=1)
+    daily = transform(original, TransformConfig("Date", "Sets"))
+    reordered = _reversed_class_domain(daily, "Sets")
+    assert reordered.attribute("Sets").values == ("1", "0")
+    args = (CLASSIFIER_KINDS, "Sets")
+    kwargs = dict(k=4, repeats=2, seed=2, group_attribute="Date")
+    assert (
+        compare_datasets(original, reordered, *args, **kwargs)
+        == compare_datasets(original, daily, *args, **kwargs)
+    )
+
+
+def test_compare_rejects_a_class_label_missing_from_the_original():
+    original = labeled_dataset(20)
+    widened = Dataset("unnamed", (
+        AttributeSpec.numeric("x"), AttributeSpec.nominal("label", ("b", "a", "c")),
+    ), original.records)
+    with pytest.raises(SppamError, match=r"class domains differ between datasets: \('a', 'b'\) vs \('b', 'a', 'c'\)"):
+        compare_datasets(original, widened, ["oner"], "label", k=4, repeats=1)
+
+
+def test_unknown_kind_rejected_before_any_fold(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("folds were assigned")
+
+    monkeypatch.setattr(sppam.evaluate, "group_stratified_folds", refuse)
+    with pytest.raises(ConfigError, match="unknown classifier 'J48'; valid kinds: zeror, oner"):
+        cross_validate(labeled_dataset(20), ["oner", "J48"], "label", k=5, repeats=1)
+
+
+def test_kinds_are_reported_in_lower_case():
+    dataset = labeled_dataset(20)
+    [result] = cross_validate(dataset, ["OneR"], "label", k=4, repeats=1)
+    assert result.classifier == "oner"
+    [row] = compare_datasets(dataset, dataset, ["ZeroR"], "label", k=4, repeats=1).rows
+    assert row.classifier == row.original.classifier == row.transformed.classifier == "zeror"
+
+
 def test_kinds_must_be_a_sequence_not_a_string():
     with pytest.raises(ConfigError, match="sequence of names"):
         cross_validate(labeled_dataset(20), "oner", "label", k=5, repeats=1)

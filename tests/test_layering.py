@@ -190,6 +190,44 @@ def test_cross_validate_fits_and_predicts_through_the_traced_hooks():
     assert ast.unparse(comprehension.elt) == f"model.predict_index({comprehension.generators[0].target.id})"
 
 
+def test_candidate_errors_come_from_counts_not_from_predicting_rows():
+    """``_best_candidate`` predicts only the one all-missing record per
+    candidate, for its missing-value class; each kernel counts a
+    candidate's errors over the runs its thresholds send to each side."""
+    [function] = [
+        node for node in ast.walk(_trees()["classifiers"])
+        if isinstance(node, ast.FunctionDef) and node.name == "_best_candidate"
+    ]
+    assert _loop_depths(function, "predict_index") == [1]
+
+
+def test_cli_reads_and_writes_through_the_traced_hooks(tmp_path, monkeypatch):
+    """``bench/tracer.py`` times parsing and writing by replacing the
+    module attributes ``cli.parse_arff``, ``cli.parse_csv``,
+    ``cli.write_arff`` and ``cli.write_csv``: the CLI must look each up at
+    call time, or the per-layer parse and write metrics go missing."""
+    called = []
+
+    def hook(name):
+        original = getattr(cli, name)
+
+        def traced(*args, **kwargs):
+            called.append(name)
+            return original(*args, **kwargs)
+
+        return traced
+
+    for name in ("parse_arff", "parse_csv", "write_arff", "write_csv"):
+        monkeypatch.setattr(cli, name, hook(name))
+    surf, daily = tmp_path / "surf.arff", tmp_path / "daily.csv"
+    assert cli.main(["gen-surf", "-o", str(surf), "--days", "6", "--zero-days", "2"]) == 0
+    assert called == ["write_arff"]
+    args = ["--pivot", "Date", "--class", "Sets"]
+    assert cli.main(["transform", str(surf), *args, "-o", str(daily)]) == 0
+    assert cli.main(["transform", str(daily), *args, "-o", str(tmp_path / "again.arff")]) == 0
+    assert called == ["write_arff", "parse_arff", "write_csv", "parse_csv", "write_arff"]
+
+
 def _is_sort_call(node) -> bool:
     if not isinstance(node, ast.Call):
         return False
@@ -252,6 +290,7 @@ def test_removed_names_are_gone():
         (importlib.import_module("sppam.classifiers").PresortedColumns, "order"),
         (importlib.import_module("sppam.classifiers")._TrainingSet, "sorted_column"),
         (importlib.import_module("sppam.classifiers")._TrainingSet, "in_train"),
+        (importlib.import_module("sppam.classifiers")._TrainingSet, "rows"),
     ]:
         assert not hasattr(module, name), name
     assert "seed" not in inspect.signature(sppam.fit).parameters
