@@ -12,7 +12,6 @@ from .metrics import ConfusionMatrix, MetricsReport, classification_metrics
 from .model import AttributeSpec, ConfigError, Dataset, DatasetError, SppamError
 from .transform import (
     Group,
-    MixedClassGroupWarning,
     TransformConfig,
     aggregate_nominal,
     aggregate_numeric,
@@ -38,7 +37,6 @@ __all__ = [
     "FoldAssignment",
     "Group",
     "MetricsReport",
-    "MixedClassGroupWarning",
     "ParseError",
     "SppamError",
     "TTestResult",

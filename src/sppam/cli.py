@@ -2,15 +2,17 @@
 
 Subcommands wire parsing, transformation, fold generation, evaluation and
 dataset comparison into reproducible batch runs. Every subcommand is
-deterministic for a given flag set; the seed defaults to 0. Exit codes:
-1 parse error, 2 configuration/usage error, 3 I/O error.
+deterministic for a given flag set; the seed defaults to 0. Every
+diagnostic is a record on the ``sppam`` logger; ``main`` writes each one
+to stderr as ``warning: ...`` or ``error: ...``. Exit codes: 1 parse
+error, 2 configuration/usage error, 3 I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
-import warnings
 from pathlib import Path
 
 from .arff import ParseError, parse_arff, write_arff
@@ -39,21 +41,28 @@ EXIT_PARSE = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
 
+log = logging.getLogger("sppam")
+
+
+class _LevelPrefix(logging.Formatter):
+    def format(self, record) -> str:
+        return f"{record.levelname.lower()}: {record.getMessage()}"
+
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(_LevelPrefix())
+    log.addHandler(handler)
     try:
         return args.handler(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except SppamError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    except (SppamError, OSError) as exc:
+        log.error("%s", exc)
+        if isinstance(exc, ParseError):  # a SppamError too
+            return EXIT_PARSE
+        return EXIT_CONFIG if isinstance(exc, SppamError) else EXIT_IO
+    finally:
+        log.removeHandler(handler)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -172,15 +181,11 @@ def _cmd_transform(args) -> int:
     if args.sort_by:
         dataset = sort_records(dataset, args.sort_by)
     config = TransformConfig(args.pivot, args.class_attr, args.id_attr)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        result = transform(dataset, config)
+    result = transform(dataset, config)
     width = len(dataset.schema)
     del dataset  # frees the input records before the output text is built
     _write_dataset(args.output, result, args.decimals)
     print(f"{len(result.records)} groups, {width} -> {len(result.schema)} attributes")
-    for warning in caught:
-        print(f"warning: {warning.message}", file=sys.stderr)
     return 0
 
 
@@ -205,6 +210,8 @@ def _cmd_schema(args) -> int:
 
 
 def _cmd_folds(args) -> int:
+    if Path(args.output).suffix.lower() != ".csv":  # before the input is read
+        raise ConfigError(f"folds are written as CSV; use a .csv extension for {args.output!r}")
     group_cols = (args.group_by,) if args.group_by else ()
     dataset = _load_dataset(
         args.input,

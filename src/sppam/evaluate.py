@@ -9,11 +9,14 @@ fold's training set with its class counts per column value, are built once
 and every classifier is fitted and scored on them. ``compare_datasets``
 evaluates the same classifiers on an original dataset and its aggregated
 counterpart, with one ``cross_validate`` call per dataset, and attaches a
-corrected resampled t-test verdict per classifier.
+corrected resampled t-test verdict per classifier. Both log a warning
+when the run cannot keep correlated records apart: a nominal feature that
+tells every record apart, or folds on the original that ignore groups.
 """
 
 from __future__ import annotations
 
+import logging
 import operator
 from dataclasses import dataclass
 
@@ -24,6 +27,8 @@ from .model import NOMINAL, ConfigError, Dataset, SppamError, text_cells
 from .ttest import A_BETTER, B_BETTER, TTestResult, check_alpha, corrected_t_test
 
 REFERENCE_CLASSIFIER = "oner"
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -117,6 +122,7 @@ def cross_validate(
                 kind_predicted += fold_predicted
         for kind_matrices, kind_predicted in zip(repeat_matrices, predicted):
             kind_matrices.append(matrix_from_pairs(class_values, zip(actual, kind_predicted)))
+    _log_identifier_features(presorted)
     return [
         CrossValResult(
             classifier=kind,
@@ -127,6 +133,21 @@ def cross_validate(
         )
         for kind, kind_accuracies, kind_matrices in zip(kinds, accuracies, repeat_matrices)
     ]
+
+
+def _log_identifier_features(presorted: classifiers.PresortedColumns) -> None:
+    """Warn about each non-class nominal attribute with a different value on
+    every labelled record: as a feature it can only memorise the records."""
+    n = len(presorted.labelled)
+    for j, attr in enumerate(presorted.dataset.schema):
+        if attr.kind != NOMINAL or j == presorted.class_index:
+            continue
+        per_value = [sum(row) for row in presorted.column_totals(j)]
+        if sum(per_value) == n and max(per_value) == 1:
+            log.warning(
+                "attribute %r has a different value on each of the %d labelled records; "
+                "as a feature it can only memorise the records", attr.name, n,
+            )
 
 
 def compare_datasets(
@@ -165,6 +186,11 @@ def compare_datasets(
             ((*r[:j], index_of[r[j]], *r[j + 1:]) for r in transformed.records),
         )
     check_alpha(alpha)  # before any fold is fitted
+    if group_attribute is None:
+        log.warning(
+            "no group attribute: the folds on %s ignore groups, so records of one group "
+            "can land on both sides of a split", original_name,
+        )
     kinds = list(classifier_kinds)
     results_orig = cross_validate(
         original, kinds, class_attribute, k, repeats, seed,

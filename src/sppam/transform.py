@@ -25,7 +25,7 @@ order and returns that column's output cells, in output schema order.
 
 from __future__ import annotations
 
-import warnings
+import logging
 from dataclasses import dataclass
 
 from .model import (
@@ -40,8 +40,7 @@ from .model import (
 )
 
 
-class MixedClassGroupWarning(UserWarning):
-    """A group's members disagree on the class; the last value wins."""
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -224,8 +223,8 @@ def transform(dataset: Dataset, config: TransformConfig) -> Dataset:
     """Collapse each pivot group of ``dataset`` into one aggregate record.
 
     Output records appear in group first-appearance order; the output
-    schema is ``derive_output_schema``. Emits MixedClassGroupWarning when
-    a group's members carry more than one class value.
+    schema is ``derive_output_schema``. Logs a warning naming the groups
+    whose members carry more than one class value.
     """
     schema = dataset.schema
     pivot_index, class_index = config.resolve(schema)
@@ -260,11 +259,8 @@ def transform(dataset: Dataset, config: TransformConfig) -> Dataset:
         out_records.append(tuple(out_row))
 
     if mixed_groups:
-        warnings.warn(
-            f"{len(mixed_groups)} group(s) have mixed class values "
-            f"(last value wins): {', '.join(mixed_groups[:10])}"
-            + ("..." if len(mixed_groups) > 10 else ""),
-            MixedClassGroupWarning,
-            stacklevel=3,  # past no_gc's wrapper, to the caller
+        log.warning(
+            "%d group(s) have mixed class values (last value wins): %s%s",
+            len(mixed_groups), ", ".join(mixed_groups[:10]), "..." if len(mixed_groups) > 10 else "",
         )
     return Dataset(dataset.relation_name, out_schema, tuple(out_records))

@@ -42,9 +42,6 @@ from sppam.generator import SURF_SCHEMA
 from sppam.metrics import ConfusionMatrix
 from test_classifiers import _random_labeled_dataset, brute_force_posteriors
 
-pytestmark = pytest.mark.filterwarnings("ignore::sppam.MixedClassGroupWarning")
-
-
 def report(criterion, ok, detail=""):
     print(f"criterion {criterion}: {'PASS' if ok else 'FAIL'} {detail}".rstrip())
     assert ok, f"criterion {criterion} failed: {detail}"

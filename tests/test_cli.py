@@ -1,3 +1,5 @@
+import logging
+
 import pytest
 
 from conftest import GOLDEN_DATA_SECTION, SURF_TWO_DAYS_CSV
@@ -186,6 +188,38 @@ def test_folds_k_above_group_count_exits_2(run_cli, surf_file, tmp_path):
     )
     assert code == 2
     assert "group count" in stderr
+
+
+@pytest.mark.parametrize("output", ["f.arff", "f.CSV.txt", "f"])
+def test_folds_output_other_than_csv_exits_2_before_reading(run_cli, tmp_path, output):
+    # the input does not exist: reading it first would exit 3
+    code, stdout, stderr = run_cli("folds", tmp_path / "missing.arff", "--k", "2",
+                                   "-o", tmp_path / output)
+    assert (code, stdout) == (2, "")
+    assert stderr == f"error: folds are written as CSV; use a .csv extension for {str(tmp_path / output)!r}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_diagnostics_are_one_stderr_line_each_and_leave_no_handler(run_cli, surf_file, tmp_path):
+    """``main`` writes every diagnostic as one ``level: message`` line and
+    removes its handler on return, so a second run prints each line once."""
+    broken = tmp_path / "broken.arff"
+    broken.write_text("@ATTRIBUTE a numeric\n@ATTRIBUTE c {x,y}\n@DATA\n1,x\nq,y\n")
+    missing = tmp_path / "missing.arff"
+    runs = [
+        (("transform", surf_file, "--pivot", "Date", "--class", "Surf", "-o", tmp_path / "d.arff"),
+         0, "warning: 1 group(s) have mixed class values (last value wins): 19-11-2010\n"),
+        (("eval", broken, "--class", "c"),
+         1, "error: line 5: unparseable numeric value 'q' for attribute 'a'\n"),
+        (("eval", surf_file, "--class", "Surf", "--k", "1"),
+         2, "error: fold count must be at least 2, got 1\n"),
+        (("eval", missing, "--class", "c"),
+         3, f"error: [Errno 2] No such file or directory: {str(missing)!r}\n"),
+    ]
+    for _ in range(2):
+        for args, code, stderr in runs:
+            assert run_cli(*args)[::2] == (code, stderr)
+    assert logging.getLogger("sppam").handlers == []
 
 
 def test_eval_text_report(run_cli, tmp_path):

@@ -130,7 +130,6 @@ def test_matches_arff_parse_up_to_nominal_domains():
     assert cells_as_text(from_csv) == cells_as_text(from_arff)
 
 
-@pytest.mark.filterwarnings("ignore::sppam.MixedClassGroupWarning")
 def test_transform_agrees_across_parse_paths():
     config = TransformConfig("Date", "Surf")
     out_csv = transform(

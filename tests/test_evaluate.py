@@ -16,7 +16,11 @@ from sppam import (
     fit,
     gen_surf,
     group_stratified_folds,
+    parse_arff,
+    parse_csv,
     transform,
+    write_arff,
+    write_csv,
 )
 from sppam.evaluate import render_compare_csv, render_compare_text, render_eval_csv, render_eval_text
 from sppam.metrics import matrix_from_pairs
@@ -110,7 +114,6 @@ def test_compare_same_dataset_is_a_wash():
         assert row.verdict == "no-difference"
 
 
-@pytest.mark.filterwarnings("ignore::sppam.MixedClassGroupWarning")
 def test_group_mean_labels_reward_aggregation():
     original = gen_surf(days=24, per_day=4, seed=1, labels="group-mean")
     daily = transform(original, TransformConfig("Date", "Sets"))
@@ -301,3 +304,59 @@ def test_compare_rejects_an_unsupported_alpha_before_cross_validating(monkeypatc
     dataset = labeled_dataset(20)
     with pytest.raises(SppamError, match="unsupported significance level 0.02"):
         compare_datasets(dataset, dataset, CLASSIFIER_KINDS, "label", k=4, repeats=1, alpha=0.02)
+
+
+def _messages(caplog):
+    return [(r.levelname, r.getMessage()) for r in caplog.records]
+
+
+def test_an_identifier_feature_is_reported_once_per_call(caplog):
+    """A CSV carries no types, so a transform's group key read back from
+    CSV is a nominal with one value per record; its ARFF twin declares it
+    a string, which no learner reads."""
+    original = gen_surf(days=30, labels="group-mean", seed=1)
+    daily = transform(original, TransformConfig("Date", "Sets"))
+    as_csv = parse_csv(write_csv(daily, 2), nominal_columns=("Sets",))
+    as_arff = parse_arff(write_arff(daily, 2))
+    assert as_csv.attribute("Date").kind == "nominal"
+    caplog.clear()
+    cross_validate(as_arff, ["oner"], "Sets", k=5, repeats=2)
+    assert _messages(caplog) == []
+    cross_validate(as_csv, ["oner", "zeror"], "Sets", k=5, repeats=2)
+    assert _messages(caplog) == [(
+        "WARNING",
+        "attribute 'Date' has a different value on each of the 30 labelled records; "
+        "as a feature it can only memorise the records",
+    )]
+
+
+def test_a_nominal_missing_or_shared_on_a_labelled_record_is_not_reported(caplog):
+    rng = random.Random(0)
+    names = [f"r{i}" for i in range(20)]
+    schema = (AttributeSpec.nominal("id", names), AttributeSpec.nominal("label", ("a", "b")))
+    records = [(i, rng.randrange(2)) for i in range(20)]
+    dataset = Dataset("unnamed", schema, records)
+    cross_validate(dataset, ["oner"], "label", k=4, repeats=1)
+    assert "'id'" in caplog.text
+    caplog.clear()
+    records[0] = (None, records[0][1])
+    cross_validate(dataset.replace_records(records), ["oner"], "label", k=4, repeats=1)
+    records[0] = (1, records[0][1])  # r1 now on two records
+    cross_validate(dataset.replace_records(records), ["oner"], "label", k=4, repeats=1)
+    assert _messages(caplog) == []
+
+
+def test_compare_without_groups_says_its_folds_ignore_them(caplog):
+    original = gen_surf(days=24, labels="group-mean", seed=1)
+    daily = transform(original, TransformConfig("Date", "Sets"))
+    caplog.clear()
+    args = (original, daily, ["zeror"], "Sets")
+    kwargs = dict(k=4, repeats=1, original_name="surf.arff")
+    compare_datasets(*args, group_attribute="Date", **kwargs)
+    assert _messages(caplog) == []
+    compare_datasets(*args, **kwargs)
+    assert _messages(caplog) == [(
+        "WARNING",
+        "no group attribute: the folds on surf.arff ignore groups, so records of one "
+        "group can land on both sides of a split",
+    )]

@@ -29,7 +29,6 @@ def test_deterministic():
     assert gen_surf(seed=3) != gen_surf(seed=4)
 
 
-@pytest.mark.filterwarnings("ignore::sppam.MixedClassGroupWarning")
 def test_record_mode_day_class_counts_survive_transform():
     dataset = gen_surf(days=48, per_day=4, seed=0, labels="record", zero_days=18)
     class_j = dataset.attribute_index("Sets")

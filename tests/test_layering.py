@@ -64,6 +64,38 @@ def test_only_cli_folds_and_init_import_transform():
     assert importers == {"cli", "folds", "__init__"}
 
 
+def test_no_module_imports_warnings():
+    importing = {
+        module
+        for module, tree in _trees().items()
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Import) and any(a.name == "warnings" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "warnings")
+    }
+    assert importing == set()
+
+
+def test_only_the_cli_handler_writes_to_stderr():
+    """Diagnostics are records on the ``sppam`` logger; the one handler
+    that ``cli.main`` installs is the only code that names stderr."""
+    naming = set()
+    for module, tree in _trees().items():
+        for node in tree.body:
+            for sub in ast.walk(node):
+                if (
+                    isinstance(sub, ast.Attribute)
+                    and sub.attr == "stderr"
+                    and isinstance(sub.value, ast.Name)
+                    and sub.value.id == "sys"
+                ) or (
+                    isinstance(sub, ast.ImportFrom)
+                    and sub.module == "sys"
+                    and any(a.name == "stderr" for a in sub.names)
+                ):
+                    naming.add((module, getattr(node, "name", "<module>")))
+    assert naming == {("cli", "main")}
+
+
 def test_only_no_gc_switches_the_collector():
     switching = set()
     for module, tree in _trees().items():
@@ -258,6 +290,8 @@ def test_public_names_resolve():
 def test_removed_names_are_gone():
     transform_module = importlib.import_module("sppam.transform")
     for module, name in [
+        (sppam, "MixedClassGroupWarning"),
+        (transform_module, "MixedClassGroupWarning"),
         (sppam, "predict"),
         (sppam, "NumericAggregate"),
         (sppam, "NominalAggregate"),

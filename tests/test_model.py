@@ -46,7 +46,6 @@ CALLS = {
 }
 
 
-@pytest.mark.filterwarnings("ignore::sppam.MixedClassGroupWarning")
 @pytest.mark.parametrize("enabled", [True, False])
 @pytest.mark.parametrize("name", sorted(CALLS))
 def test_collector_state_is_restored(name, enabled):
@@ -63,7 +62,6 @@ def test_collector_state_is_restored(name, enabled):
         gc.enable() if was_enabled else gc.disable()
 
 
-@pytest.mark.filterwarnings("ignore::sppam.MixedClassGroupWarning")
 def test_collector_is_paused_inside_transform(monkeypatch):
     seen = []
     group_records = transform_module.group_records
