@@ -2,14 +2,14 @@
 with a cross-validation harness to compare learning on original and
 aggregated datasets."""
 
-from .arff import ParseError, parse_arff, write_arff
+from .arff import parse_arff, write_arff
 from .classifiers import CLASSIFIER_KINDS, fit
 from .csvio import parse_csv, write_csv
 from .evaluate import CrossValResult, EvalReport, compare_datasets, cross_validate
 from .folds import FoldAssignment, group_stratified_folds
 from .generator import gen_surf
 from .metrics import ConfusionMatrix, MetricsReport, classification_metrics
-from .model import AttributeSpec, ConfigError, Dataset, DatasetError, SppamError
+from .model import AttributeSpec, ConfigError, Dataset, DatasetError, ParseError, SppamError
 from .transform import (
     Group,
     TransformConfig,

@@ -17,8 +17,7 @@ padding and quotes kept: ``str.split`` for a line without quotes, a
 character scanner otherwise. ``model.TextColumns`` keeps each distinct
 raw text of a column once; each is stripped, unquoted and converted once,
 in the block that first holds it, so that reading stops at the first
-block with a bad text (a string column refuses no text, so its texts wait
-for the last block). A bare ``?`` is missing, a quoted ``'?'`` is the
+block with a bad text. A bare ``?`` is missing, a quoted ``'?'`` is the
 text "?". When anything fails (a row of the wrong width, a sparse row, an
 open quote, a text its attribute refuses), each block is read again on
 its own and the lines of the first block that fails one at a time, so
@@ -29,9 +28,9 @@ The writer formats each column of a block through the distinct cells it
 holds, and redoes a block one cell at a time when it holds an error. It
 quotes a text that is empty, is ``?``, or holds one of ``,'"%{}`` or any
 character ``str.isspace`` accepts, so that the text reads back as
-written. It refuses a text that holds both quote characters or any of
-``LINE_BREAKS``, the characters at which ``str.splitlines``, and so this
-reader, ends a line.
+written. It refuses a text that ``model.unwritable`` names: one that
+holds any of ``LINE_BREAKS``, the characters at which ``str.splitlines``,
+and so this reader, ends a line, or both quote characters.
 """
 
 from __future__ import annotations
@@ -39,32 +38,25 @@ from __future__ import annotations
 from itertools import filterfalse
 
 from .model import (
+    LINE_BREAKS,  # also arff.LINE_BREAKS, where this reader ends a line
     NUMERIC,
     STRING,
     AttributeSpec,
     Cell,
     Dataset,
+    ParseError,
     SppamError,
     TextColumns,
     column_kernel,
     no_gc,
     text_blocks,
     text_cells,
+    unwritable,
 )
 
 _NUMERIC_TYPE_WORDS = {"numeric", "real", "integer"}
 _QUOTE_WORTHY = frozenset(",'\"%{}")  # and every character str.isspace accepts
-# the characters at which str.splitlines, and so this reader, ends a line
-LINE_BREAKS = frozenset("\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
 READ_BLOCK_CELLS = 4096  # lines per block: this over the attribute count
-
-
-class ParseError(SppamError):
-    """Malformed input text; ``line`` is the 1-based source line number."""
-
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
 
 
 @no_gc
@@ -130,10 +122,10 @@ def _read_data(lines: list[str], first: int, stop: int, schema: list[AttributeSp
 def _records(blocks, schema: list[AttributeSpec]) -> list[tuple[Cell, ...]]:
     """The records of blocks of data lines. Blank and comment lines are
     skipped, every other line is split into raw cell texts, and each
-    distinct text of a column is stripped, unquoted and converted once: in
-    the block that first holds it, or for a string column, which refuses no
-    text, after the last block. Raises ValueError naming a problem as soon
-    as a block has one: for a one-line block, the leftmost in its line."""
+    distinct text of a column is stripped, unquoted and converted once, in
+    the block that first holds it. Raises ValueError naming a problem as
+    soon as a block has one: for a one-line block, the leftmost in its
+    line."""
     table = TextColumns(len(schema))
     cells: list[dict[str, Cell]] = [{} for _ in schema]  # per column, stripped text -> cell
     for block in blocks:
@@ -146,13 +138,10 @@ def _records(blocks, schema: list[AttributeSpec]) -> list[tuple[Cell, ...]]:
         fresh = table.add(rows)
         del rows  # frees this block's texts before the next block is split
         for attr, column_cells, raw in zip(schema, cells, fresh):
-            if raw and attr.kind != STRING:
+            if raw:
                 texts = dict.fromkeys(filterfalse(column_cells.__contains__, map(str.strip, raw)))
                 texts.pop("?", None)  # a quoted '?' is the text "?", not the missing marker
                 column_cells.update(_column_cells(attr, list(texts)))
-    for attr, column_cells, texts in zip(schema, cells, table.present(("?",))):
-        if attr.kind == STRING:
-            column_cells.update(_column_cells(attr, list(texts)))
     return table.records(cells)
 
 
@@ -205,13 +194,9 @@ def _type_text(attr: AttributeSpec) -> str:
 
 
 def _quote_if_needed(text: str) -> str:
-    if not LINE_BREAKS.isdisjoint(text):
-        raise SppamError(f"cannot write a value containing a line break: {text!r}")
+    if (problem := unwritable(text)) is not None:
+        raise SppamError(f"cannot write a value containing {problem}: {text!r}")
     if text == "?" or text.split() != [text] or not _QUOTE_WORTHY.isdisjoint(text):
-        if "'" in text and '"' in text:
-            raise SppamError(
-                f"cannot quote a value containing both quote characters: {text!r}"
-            )
         quote = "'" if "'" not in text else '"'
         return f"{quote}{text}{quote}"
     return text

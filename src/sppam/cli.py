@@ -15,7 +15,7 @@ import logging
 import sys
 from pathlib import Path
 
-from .arff import ParseError, parse_arff, write_arff
+from .arff import parse_arff, write_arff
 from .classifiers import CLASSIFIER_KINDS, check_kind
 from .csvio import parse_csv, write_csv
 from .evaluate import (
@@ -28,7 +28,7 @@ from .evaluate import (
 )
 from .folds import group_stratified_folds
 from .generator import gen_surf
-from .model import STRING, ConfigError, Dataset, SppamError
+from .model import ConfigError, Dataset, ParseError, SppamError
 from .transform import (
     TransformConfig,
     attribute_count,
@@ -245,18 +245,11 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    original = _load_dataset(
-        args.original,
-        string_columns=(args.pivot,) if args.pivot else (),
-        nominal_columns=(args.class_attr,),
+    # a CSV carries no types: both files read the group keys as text, as an ARFF declares them
+    original, transformed = (
+        _load_dataset(path, string_columns=(args.pivot,), nominal_columns=(args.class_attr,))
+        for path in (args.original, args.transformed)
     )
-    transformed = _load_dataset(args.transformed, nominal_columns=(args.class_attr,))
-    names = transformed.attribute_names
-    if args.pivot in names and transformed.attribute(args.pivot).kind != STRING:
-        # a CSV carries no types: read the group keys as text, as an ARFF declares them
-        transformed = _load_dataset(
-            args.transformed, string_columns=(args.pivot,), nominal_columns=(args.class_attr,)
-        )
     report = compare_datasets(
         original,
         transformed,

@@ -9,9 +9,9 @@ are empty or ``?``.
 Specific columns can be forced to String (typical for a grouping key or a
 record id) or to Nominal (required for a class column whose values look
 numeric). Quoting follows RFC-4180 conventions via the csv module. A
-header name or cell that holds both quote characters, ``'`` and ``"``, or
-a line break is a ParseError: the ARFF writer cannot write such a value.
-A line break is any of ``arff.LINE_BREAKS``; ``\n`` and ``\r`` can only
+header name or cell that holds a line break, else both quote characters
+(``model.unwritable``), is a ParseError: the ARFF writer cannot write it.
+A line break is any of ``model.LINE_BREAKS``; ``\n`` and ``\r`` can only
 stand inside a ``"``-quoted cell, the others anywhere, and those at a
 cell's ends are stripped away. Every malformed input raises ParseError,
 including what the csv module rejects (such as a field longer than its
@@ -22,11 +22,11 @@ including what the csv module rejects (such as a field longer than its
 rows in blocks of ``READ_BLOCK_ROWS``; neither a copy of the whole text nor
 a list of all rows is held. Each block goes into a ``model.TextColumns``,
 the kernel the ARFF reader uses too, which keeps each column as
-references to one ``str`` per distinct raw text. Once all rows are read,
-it strips, classifies and converts each distinct cell text of a column
-once, and equal texts share one cell object. ``write_csv`` writes blocks
-of records, formatting each column of a block through its distinct
-cells.
+references to one ``str`` per distinct raw text and returns the new
+ones, whose stripped forms the reader gathers. Once all rows are read, it
+classifies and converts each distinct text of a column once, and equal
+texts share one cell object. ``write_csv`` writes blocks of records,
+formatting each column of a block through its distinct cells.
 """
 
 from __future__ import annotations
@@ -35,15 +35,17 @@ import csv
 import io
 from itertools import islice
 
-from .arff import LINE_BREAKS, ParseError
 from .model import (
+    LINE_BREAKS,
     AttributeSpec,
     Dataset,
+    ParseError,
     TextColumns,
     column_kernel,
     no_gc,
     text_blocks,
     text_cells,
+    unwritable,
 )
 
 _MISSING_TEXTS = ("", "?")
@@ -79,6 +81,7 @@ def parse_csv(
 
     width = len(names)
     table = TextColumns(width)
+    present = [{} for _ in names]  # per column, its distinct stripped texts, first seen first
     while True:
         rows: list[list[str]] = []  # frees the previous block before the next is read
         read_error = None
@@ -93,13 +96,16 @@ def parse_csv(
             _reject_row_width(text, width)
         if read_error is not None:
             raise read_error
-        table.add(rows)
+        for texts, fresh in zip(present, table.add(rows)):
+            texts.update(dict.fromkeys(map(str.strip, fresh)))
 
-    present = list(table.present(_MISSING_TEXTS))
+    for texts in present:
+        for missing in _MISSING_TEXTS:
+            texts.pop(missing, None)
     # a cell can hold both quotes, a \n or a \r only in a text with '"';
     # the other line breaks need no quotes
     if any(map(text.__contains__, _UNWRITABLE_SIGNS)) and (
-        any(map(_unwritable, names)) or any(any(map(_unwritable, values)) for values in present)
+        any(map(unwritable, names)) or any(any(map(unwritable, values)) for values in present)
     ):
         _reject_unwritable(text, names)
 
@@ -134,24 +140,14 @@ def _reject_row_width(text: str, width: int) -> None:
             )
 
 
-def _unwritable(value: str) -> str | None:
-    """What the ARFF writer cannot write in ``value``, or None."""
-    if "'" in value and '"' in value:
-        return "both quote characters"
-    if not LINE_BREAKS.isdisjoint(value):
-        return "a line break"
-    return None
-
-
 def _reject_unwritable(text: str, names) -> None:
-    """ParseError for the first header name or cell holding both ' and " or
-    a line break."""
+    """ParseError for the first header name or cell that ``unwritable``
+    refuses."""
     reader = csv.reader(_lines(text))
     for row in reader:
         for name, cell in zip(names, row):
             value = cell.strip()
-            problem = _unwritable(value)
-            if problem is not None:
+            if (problem := unwritable(value)) is not None:
                 message = f"column {name!r}: a value cannot hold {problem}: {value!r}"
                 raise ParseError(reader.line_num, message)
 

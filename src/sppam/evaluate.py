@@ -167,7 +167,8 @@ def compare_datasets(
 
     Folds on the original respect ``group_attribute`` (correlated records
     stay together); the transformed dataset has one record per group, so
-    plain stratified folds apply.
+    plain stratified folds apply. A transformed dataset without
+    ``group_attribute`` is refused with ConfigError before any fold.
     """
     class_a = original.attribute(class_attribute)
     class_b = transformed.attribute(class_attribute)
@@ -191,6 +192,8 @@ def compare_datasets(
             "no group attribute: the folds on %s ignore groups, so records of one group "
             "can land on both sides of a split", original_name,
         )
+    elif group_attribute not in transformed.attribute_names:
+        raise ConfigError(f"{transformed_name} has no group attribute {group_attribute!r}")
     kinds = list(classifier_kinds)
     results_orig = cross_validate(
         original, kinds, class_attribute, k, repeats, seed,

@@ -11,6 +11,11 @@ records. Cell values are stored as plain Python objects:
 Record order is preserved verbatim from the source and is semantically
 meaningful: "last" aggregates are defined by it. Datasets and attribute
 specs are immutable after construction and safe to share across threads.
+
+The read contract of both formats lives here, for every layer to import:
+the error types, ``unwritable`` (what no reader accepts, as no writer can
+write it back), ``text_cells`` (which texts an attribute accepts) and
+``TextColumns``, whose ``add`` alone hands a reader its new cell texts.
 """
 
 from __future__ import annotations
@@ -39,6 +44,28 @@ class DatasetError(SppamError):
 
 class ConfigError(SppamError):
     """A transform/evaluation configuration does not fit the dataset."""
+
+
+class ParseError(SppamError):
+    """Malformed input text; ``line`` is the 1-based source line number."""
+
+    def __init__(self, line: int, message: str):
+        super().__init__(f"line {line}: {message}")
+        self.line = line
+
+
+# the characters at which str.splitlines, and so the ARFF reader, ends a line
+LINE_BREAKS = frozenset("\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
+
+
+def unwritable(text: str) -> str | None:
+    """What no writer can write back in ``text``: "a line break" (any of
+    ``LINE_BREAKS``), else "both quote characters", else None."""
+    if not LINE_BREAKS.isdisjoint(text):
+        return "a line break"
+    if "'" in text and '"' in text:
+        return "both quote characters"
+    return None
 
 
 @dataclass(frozen=True)
@@ -143,10 +170,10 @@ def no_gc(function):
 
 class TextColumns:
     """The cell texts of a table, added in blocks of rows and kept column
-    by column, each distinct raw text of a column as one str. A reader
-    converts each distinct text once: block by block as ``add`` returns
-    the new ones, or all at once from ``present``; ``records`` maps the
-    columns through those cells."""
+    by column, each distinct raw text of a column as one str. ``add``
+    hands a reader each distinct text once, in the block that first holds
+    it; ``records`` maps the columns through the cells the reader made of
+    them."""
 
     def __init__(self, width: int):
         self._distinct: list[dict[str, str]] = [{} for _ in range(width)]
@@ -166,15 +193,6 @@ class TextColumns:
             list(islice(reversed(seen), len(seen) - size))[::-1]
             for seen, size in zip(self._distinct, sizes)
         ]
-
-    def present(self, missing):
-        """Per column, one at a time, its distinct stripped texts but those
-        in ``missing``, in first-seen order."""
-        for seen in self._distinct:
-            texts = dict.fromkeys(map(str.strip, seen))
-            for text in missing:
-                texts.pop(text, None)
-            yield texts
 
     def records(self, cells) -> list[tuple[Cell, ...]]:
         """The records, built once, through one ``stripped text -> cell``

@@ -572,16 +572,16 @@ def oracle_parse_csv(
 
 
 def _oracle_csv_reject_unwritable(text: str, names) -> None:
-    """ParseError for the first header name or cell holding both ' and " or
-    a line break."""
+    """ParseError for the first header name or cell holding a line break or
+    both ' and ", named in that order."""
     reader = csv.reader(io.StringIO(text))
     for row in reader:
         for name, cell in zip(names, row):
             value = cell.strip()
-            if "'" in value and '"' in value:
-                problem = "both quote characters"
-            elif len(value.splitlines()) > 1:  # any line break str.splitlines knows
+            if len(value.splitlines()) > 1:  # any line break str.splitlines knows
                 problem = "a line break"
+            elif "'" in value and '"' in value:
+                problem = "both quote characters"
             else:
                 continue
             message = f"column {name!r}: a value cannot hold {problem}: {value!r}"

@@ -134,6 +134,19 @@ def test_writer_refuses_every_line_break(brk):
             write_arff(dataset)
 
 
+def test_writer_refuses_both_quote_characters():
+    for dataset in (
+        Dataset("unnamed", (AttributeSpec.string("s"),), (("it's \"x\"",),)),
+        Dataset("unnamed", (AttributeSpec.numeric("a'\"b"),), ()),
+        Dataset("unnamed", (AttributeSpec.nominal("m", ("x", "y'\"")),), ()),
+    ):
+        with pytest.raises(SppamError, match="cannot write a value containing both quote characters"):
+            write_arff(dataset)
+    # a line break is named first
+    with pytest.raises(SppamError, match="cannot write a value containing a line break"):
+        write_arff(Dataset("unnamed", (AttributeSpec.string("s"),), (("'\n\"",),)))
+
+
 def test_write_empty_dataset():
     dataset = Dataset("unnamed", (AttributeSpec.numeric("a"),), ())
     assert write_arff(dataset) == "@ATTRIBUTE a NUMERIC\n@DATA\n"

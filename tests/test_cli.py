@@ -2,8 +2,9 @@ import logging
 
 import pytest
 
+import sppam
 from conftest import GOLDEN_DATA_SECTION, SURF_TWO_DAYS_CSV
-from sppam import parse_arff
+from sppam import Dataset, TransformConfig, cli, parse_arff, transform
 
 
 def test_transform_writes_expected_file(run_cli, surf_file, tmp_path):
@@ -304,6 +305,47 @@ def test_compare_scores_a_csv_transform_as_its_arff_twin(run_cli, tmp_path, form
         outputs.append(stdout.replace(name, "<transformed>"))
     assert outputs[0] == outputs[1]
     assert "transformed-better" in outputs[0]
+
+
+def test_compare_parses_a_csv_transform_once(run_cli, tmp_path, monkeypatch):
+    src, daily = tmp_path / "surf.arff", tmp_path / "daily.csv"
+    run_cli("gen-surf", "-o", src, "--days", "12", "--zero-days", "4")
+    run_cli("transform", src, "--pivot", "Date", "--class", "Sets", "-o", daily)
+    parse, calls = cli.parse_csv, []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["string_columns"])
+        return parse(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "parse_csv", counting)
+    code, _, _ = run_cli(
+        "compare", src, daily, "--class", "Sets", "--pivot", "Date",
+        "--classifiers", "oner", "--k", "3", "--repeats", "1",
+    )
+    assert code == 0
+    assert calls == [("Date",)]
+
+
+@pytest.mark.parametrize("name, code, message", [
+    ("daily.csv", 1, "forced column 'Date' is not in the header"),
+    ("daily.arff", 2, "daily.arff has no group attribute 'Date'"),
+], ids=["csv", "arff"])
+def test_compare_refuses_a_transform_without_the_pivot(run_cli, tmp_path, monkeypatch, name, code, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("folds were assigned")
+
+    src = tmp_path / "surf.arff"
+    run_cli("gen-surf", "-o", src, "--days", "12", "--zero-days", "4")
+    daily = transform(parse_arff(src.read_text()), TransformConfig("Date", "Sets"))
+    j = daily.attribute_index("Date")
+    undated = Dataset(daily.relation_name, daily.schema[:j] + daily.schema[j + 1:], (
+        record[:j] + record[j + 1:] for record in daily.records
+    ))
+    cli._write_dataset(str(tmp_path / name), undated)
+    monkeypatch.setattr(sppam.evaluate, "group_stratified_folds", refuse)
+    result = run_cli("compare", src, tmp_path / name, "--class", "Sets", "--pivot", "Date")
+    assert result[0] == code
+    assert message in result[2]
 
 
 def test_transform_then_eval_matches_in_process_compare(run_cli, tmp_path):

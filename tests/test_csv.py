@@ -18,6 +18,7 @@ from sppam import (
     parse_arff,
     parse_csv,
     transform,
+    write_arff,
     write_csv,
 )
 from sppam.model import cell_text
@@ -94,6 +95,8 @@ def test_forced_columns():
         ("a,b\n1,\"it's \"\"x\"\"\"\n", "line 2: column 'b': a value cannot hold both quote characters"),
         ("a,\"b'\"\"\"\n1,2\n", "line 1: column 'b\\'\"': a value cannot hold both quote characters"),
         ("a,b\n1,\"two\nlines\"\n", "line 3: column 'b': a value cannot hold a line break"),
+        # a line break is named first, as the ARFF writer names it
+        ("a,b\n1,\"it's\n\"\"x\"\"\"\n", "line 3: column 'b': a value cannot hold a line break"),
         ("a,\"b\rc\"\n1,2\n", "line 1: column 'b\\rc': a value cannot hold a line break"),
         ("a\n1\n" + "x" * 131073 + "\n", "line 3: malformed CSV: field larger than field limit"),
     ],
@@ -191,10 +194,13 @@ _CSV_FUZZ_TEXT = st.lists(
 @example("a\n" + "x" * 131073 + "\n")
 @example("a,b\n\"it's \"\"x\"\"\",1\n")
 def test_parse_csv_raises_only_parse_error(text):
+    """``parse_csv`` raises nothing but ParseError, and what it accepts the
+    ARFF writer writes back."""
     try:
-        parse_csv(text)
+        dataset = parse_csv(text)
     except ParseError:
-        pass
+        return
+    assert parse_arff(write_arff(dataset)) == dataset
 
 
 # raw CSV field texts: values that parse alike, missing markers, numbers
@@ -206,6 +212,7 @@ _SAFE_CELLS = [
 ]
 _RISKY_CELLS = [
     '"two\nlines"', '"cr\rhere"', '"it\'s ""x"""', "x\ry", '"open', "x\x0by", '"p\u2028q"',
+    '"it\'s\r""x"""',
 ]
 _HEADER_NAMES = ["a", "b", " c ", "d e", "it's", '"n,m"']
 _BAD_HEADER_NAMES = ["a", "", '"n\nm"', '"q\'""x"""', "n\x1cm"]

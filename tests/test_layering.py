@@ -1,6 +1,7 @@
 """Module layering and the public surface, checked on the package source."""
 
 import ast
+import builtins
 import importlib
 import inspect
 import sys
@@ -18,27 +19,69 @@ def _trees():
     return {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
 
 
-def _imports_transform(node) -> bool:
-    if isinstance(node, ast.ImportFrom):
-        if node.level == 1:
-            return node.module == "transform" or (
-                node.module is None and any(a.name == "transform" for a in node.names)
-            )
-        return node.module == "sppam.transform"
-    if isinstance(node, ast.Import):
-        return any(a.name == "sppam.transform" for a in node.names)
-    return False
+def _exception_classes(tree, known=frozenset()) -> set[str]:
+    """The classes defined in ``tree`` that derive, by base name, from a
+    built-in exception, from a class named in ``known`` or from one found
+    earlier in ``tree``."""
+    found = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for base in (ast.unparse(base).rpartition(".")[2] for base in node.bases):
+            builtin = getattr(builtins, base, None)
+            if base in known or base in found or (
+                isinstance(builtin, type) and issubclass(builtin, BaseException)
+            ):
+                found.add(node.name)
+    return found
 
 
-def test_config_error_is_defined_only_in_model():
-    defining = [
+def test_every_exception_is_defined_in_model():
+    """Every layer can import the error types without importing another
+    layer: each exception class of the package is defined in ``model``."""
+    trees = _trees()
+    model_errors = _exception_classes(trees["model"])
+    assert {"SppamError", "DatasetError", "ConfigError", "ParseError"} <= model_errors
+    defining = {
         module
-        for module, tree in _trees().items()
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ClassDef) and node.name == "ConfigError"
-    ]
-    assert defining == ["model"]
-    assert sppam.ConfigError is importlib.import_module("sppam.model").ConfigError
+        for module, tree in trees.items()
+        if _exception_classes(tree, model_errors)
+    }
+    assert defining == {"model"}
+    model = importlib.import_module("sppam.model")
+    assert sppam.ConfigError is model.ConfigError
+    assert sppam.ParseError is model.ParseError is importlib.import_module("sppam.arff").ParseError
+    assert importlib.import_module("sppam.arff").LINE_BREAKS is model.LINE_BREAKS
+
+
+def _imported_siblings(tree) -> set[str]:
+    """The package modules that ``tree`` imports, however it names them."""
+    siblings = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:
+                siblings.update(alias.name for alias in node.names)
+            else:
+                siblings.add(node.module.partition(".")[0])
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("sppam"):
+            module = node.module.partition(".")[2]
+            siblings.update([module] if module else [alias.name for alias in node.names])
+        elif isinstance(node, ast.Import):
+            siblings.update(
+                alias.name.split(".")[1] for alias in node.names
+                if alias.name.startswith("sppam.")
+            )
+    return siblings
+
+
+def test_the_format_modules_do_not_import_each_other():
+    """``arff`` and ``csvio`` take the read contract (``ParseError``,
+    ``LINE_BREAKS``, ``unwritable``) from ``model``, not from each other."""
+    trees = _trees()
+    assert "csvio" not in _imported_siblings(trees["arff"])
+    assert "arff" not in _imported_siblings(trees["csvio"])
+    for module in ("arff", "csvio"):
+        assert {"ParseError", "LINE_BREAKS", "unwritable"} <= _model_imports(trees[module])
 
 
 def test_package_imports_only_the_standard_library():
@@ -57,9 +100,7 @@ def test_package_imports_only_the_standard_library():
 
 def test_only_cli_folds_and_init_import_transform():
     importers = {
-        module
-        for module, tree in _trees().items()
-        if any(_imports_transform(node) for node in ast.walk(tree))
+        module for module, tree in _trees().items() if "transform" in _imported_siblings(tree)
     }
     assert importers == {"cli", "folds", "__init__"}
 
@@ -325,6 +366,8 @@ def test_removed_names_are_gone():
         (importlib.import_module("sppam.classifiers")._TrainingSet, "sorted_column"),
         (importlib.import_module("sppam.classifiers")._TrainingSet, "in_train"),
         (importlib.import_module("sppam.classifiers")._TrainingSet, "rows"),
+        (importlib.import_module("sppam.model").TextColumns, "present"),
+        (importlib.import_module("sppam.csvio"), "_unwritable"),
     ]:
         assert not hasattr(module, name), name
     assert "seed" not in inspect.signature(sppam.fit).parameters
