@@ -12,16 +12,25 @@ counterpart, with one ``cross_validate`` call per dataset, and attaches a
 corrected resampled t-test verdict per classifier. Both log a warning
 when the run cannot keep correlated records apart: a nominal feature that
 tells every record apart, or folds on the original that ignore groups.
+
+Where ``os.fork`` exists and the process runs one thread,
+``compare_datasets`` cross-validates the transformed dataset in a forked
+child while the calling process cross-validates the original, so the two
+overlap on a machine with at least 2 usable CPUs. The report, the log
+records and their order (the original's first) and any exception are
+those of running the two in order, which it does anywhere else.
 """
 
 from __future__ import annotations
 
 import logging
 import operator
+import os
+import threading
 from dataclasses import dataclass
 
 from . import classifiers
-from .folds import group_stratified_folds
+from .folds import check_fold_count, group_stratified_folds
 from .metrics import MetricsReport, ConfusionMatrix, average_metrics, classification_metrics, matrix_from_pairs
 from .model import NOMINAL, ConfigError, Dataset, SppamError, text_cells
 from .ttest import A_BETTER, B_BETTER, TTestResult, check_alpha, corrected_t_test
@@ -82,11 +91,7 @@ def cross_validate(
     a missing class value are left out entirely: they can neither train
     nor be scored.
     """
-    if isinstance(classifier_kinds, str):
-        raise ConfigError(f"classifier kinds must be a sequence of names, not {classifier_kinds!r}")
-    kinds = list(map(classifiers.check_kind, classifier_kinds))  # before any fold
-    if repeats < 1:
-        raise ConfigError(f"repeats must be at least 1, got {repeats}")
+    kinds = _check_plan(classifier_kinds, k, repeats)  # before any fold
     class_index = dataset.attribute_index(class_attribute)
     labeled = dataset.replace_records(
         r for r in dataset.records if r[class_index] is not None
@@ -133,6 +138,18 @@ def cross_validate(
         )
         for kind, kind_accuracies, kind_matrices in zip(kinds, accuracies, repeat_matrices)
     ]
+
+
+def _check_plan(classifier_kinds, k: int, repeats: int) -> list[str]:
+    """The kinds in lower case, once the kinds, ``k`` and ``repeats`` are
+    known to be valid."""
+    if isinstance(classifier_kinds, str):
+        raise ConfigError(f"classifier kinds must be a sequence of names, not {classifier_kinds!r}")
+    kinds = list(map(classifiers.check_kind, classifier_kinds))
+    if repeats < 1:
+        raise ConfigError(f"repeats must be at least 1, got {repeats}")
+    check_fold_count(k)
+    return kinds
 
 
 def _log_identifier_features(presorted: classifiers.PresortedColumns) -> None:
@@ -194,12 +211,14 @@ def compare_datasets(
         )
     elif group_attribute not in transformed.attribute_names:
         raise ConfigError(f"{transformed_name} has no group attribute {group_attribute!r}")
-    kinds = list(classifier_kinds)
-    results_orig = cross_validate(
-        original, kinds, class_attribute, k, repeats, seed,
-        group_attribute=group_attribute,
+    kinds = _check_plan(classifier_kinds, k, repeats)  # before the fork
+    results_orig, results_tr = _both(
+        lambda: cross_validate(
+            original, kinds, class_attribute, k, repeats, seed,
+            group_attribute=group_attribute,
+        ),
+        lambda: cross_validate(transformed, kinds, class_attribute, k, repeats, seed),
     )
-    results_tr = cross_validate(transformed, kinds, class_attribute, k, repeats, seed)
     rows = []
     for result_orig, result_tr in zip(results_orig, results_tr):
         ttest = corrected_t_test(
@@ -218,6 +237,76 @@ def compare_datasets(
             )
         )
     return EvalReport(original_name, transformed_name, tuple(rows))
+
+
+def _both(first, second) -> tuple:
+    """``(first(), second())``, with ``second`` run in a forked child while
+    this process runs ``first``; in order where forking is unsafe (threads),
+    missing or fails. A spawned interpreter would import the package again,
+    which costs more than the overlap saves on small inputs.
+
+    The child's ``sppam`` log records are handled here after ``first``'s,
+    then its exception, if any, is raised. An exception from ``first``
+    kills the child; no child outlives the call.
+    """
+    if not hasattr(os, "fork") or threading.active_count() != 1:
+        return first(), second()
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare
+        os.close(read_fd)
+        os.close(write_fd)
+        return first(), second()
+    if pid == 0:
+        sent = False
+        try:
+            os.close(read_fd)
+            records = _hold_log_records()
+            try:
+                payload = (True, second(), records)
+            except BaseException as exc:
+                payload = (False, exc, records)
+            # imported only where a fork needs it, after the work, into memory it freed
+            import pickle
+            with open(write_fd, "wb") as pipe:
+                pipe.write(pickle.dumps(payload, pickle.HIGHEST_PROTOCOL))
+            sent = True
+        finally:  # never flush inherited buffers nor return into the caller
+            os._exit(0 if sent else 1)
+    os.close(write_fd)
+    try:
+        with open(read_fd, "rb") as pipe:
+            result = first()
+            import pickle  # as in the child
+
+            data = pipe.read()
+    except BaseException:
+        import signal
+
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        _, status = os.waitpid(pid, 0)
+    code = os.waitstatus_to_exitcode(status)
+    if code != 0:
+        raise ChildProcessError(f"a forked child ended without a result (return code {code})")
+    ok, value, records = pickle.loads(data)
+    for record in records:
+        logging.getLogger(record.name).handle(record)
+    if not ok:
+        raise value
+    return result, value
+
+
+def _hold_log_records() -> list[logging.LogRecord]:
+    """In a forked child: keep every record of the ``sppam`` loggers in the
+    list returned, and handle none of them."""
+    records = []
+    for name, logger in logging.root.manager.loggerDict.items():
+        if isinstance(logger, logging.Logger) and name.partition(".")[0] == "sppam":
+            logger.handle = records.append
+    return records
 
 
 def _classifier_label(kind: str) -> str:

@@ -34,6 +34,11 @@ class FoldAssignment:
         return list(compress(indices, in_train)), list(compress(indices, in_test))
 
 
+def check_fold_count(k: int) -> None:
+    if k < 2:
+        raise ConfigError(f"fold count must be at least 2, got {k}")
+
+
 def group_stratified_folds(
     dataset: Dataset,
     k: int,
@@ -48,8 +53,7 @@ def group_stratified_folds(
     With it, whole groups are assigned so no group ever spans two folds;
     stratification is then best effort.
     """
-    if k < 2:
-        raise ConfigError(f"fold count must be at least 2, got {k}")
+    check_fold_count(k)
     class_index = dataset.attribute_index(class_attribute)
     n = len(dataset.records)
     rng = random.Random(seed)

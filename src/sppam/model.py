@@ -50,8 +50,11 @@ class ParseError(SppamError):
     """Malformed input text; ``line`` is the 1-based source line number."""
 
     def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
+        super().__init__(line, message)  # both, so that a pickled copy is rebuilt whole
         self.line = line
+
+    def __str__(self) -> str:
+        return f"line {self.line}: {self.args[1]}"
 
 
 # the characters at which str.splitlines, and so the ARFF reader, ends a line

@@ -1,4 +1,8 @@
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -346,6 +350,47 @@ def test_compare_refuses_a_transform_without_the_pivot(run_cli, tmp_path, monkey
     result = run_cli("compare", src, tmp_path / name, "--class", "Sets", "--pivot", "Date")
     assert result[0] == code
     assert message in result[2]
+
+
+def _run_module(cwd, *args):
+    env = dict(os.environ, PYTHONPATH=str(Path(sppam.__file__).parent.parent))
+    done = subprocess.run([sys.executable, "-m", "sppam", *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    return done.returncode, done.stdout, done.stderr
+
+
+@pytest.mark.parametrize("labelled", [True, False], ids=["exit0", "exit2"])
+def test_compare_as_a_process_prints_what_it_prints_in_order(
+    run_cli, tmp_path, monkeypatch, labelled
+):
+    """``compare`` forks to cross-validate the transformed file; the child
+    writes nothing itself, so the report appears once and stderr holds the
+    warnings of both sides in order, as when nothing forks. Without
+    ``--pivot`` a CSV transform's Date is a nominal that tells every record
+    apart, which the child warns about."""
+    monkeypatch.chdir(tmp_path)
+    run_cli("gen-surf", "-o", "surf.arff", "--days", "30", "--labels", "group-mean")
+    daily = transform(parse_arff(Path("surf.arff").read_text()), TransformConfig("Date", "Sets"))
+    name = "daily.csv"
+    if not labelled:  # an error of the child's side; a CSV cannot hold this class column
+        j, name = daily.attribute_index("Sets"), "daily.arff"
+        daily = daily.replace_records((*r[:j], None, *r[j + 1:]) for r in daily.records)
+    cli._write_dataset(name, daily, 2)
+    args = ("compare", "surf.arff", name, "--class", "Sets", "--k", "3", "--repeats", "2")
+    forked = _run_module(tmp_path, *args)
+    monkeypatch.delattr(os, "fork")
+    assert forked == run_cli(*args)
+    code, stdout, stderr = forked
+    assert stderr.startswith("warning: no group attribute: the folds on surf.arff ignore groups")
+    if labelled:
+        assert code == 0 and stdout.count("comparison: surf.arff vs daily.csv") == 1
+        assert stderr.splitlines()[1] == (
+            "warning: attribute 'Date' has a different value on each of the 30 labelled "
+            "records; as a feature it can only memorise the records"
+        )
+    else:
+        assert (code, stdout) == (2, "")
+        assert stderr.splitlines()[1:] == ["error: no labeled records to evaluate"]
 
 
 def test_transform_then_eval_matches_in_process_compare(run_cli, tmp_path):

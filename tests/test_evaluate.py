@@ -1,4 +1,5 @@
 import math
+import os
 import random
 
 import pytest
@@ -236,6 +237,7 @@ def test_compare_assigns_folds_once_per_dataset_and_repeat(monkeypatch):
         return group_stratified_folds(*args, **kwargs)
 
     monkeypatch.setattr(sppam.evaluate, "group_stratified_folds", counting)
+    monkeypatch.delattr(os, "fork")  # in order: a forked child's calls are not counted here
     dataset = labeled_dataset(48)
     compare_datasets(dataset, dataset, CLASSIFIER_KINDS, "label", k=4, repeats=2, seed=5)
     assert calls == [5, 6, 5, 6]  # 2 datasets x 2 repeats, not x 4 kinds as well
@@ -360,3 +362,125 @@ def test_compare_without_groups_says_its_folds_ignore_them(caplog):
         "no group attribute: the folds on surf.arff ignore groups, so records of one "
         "group can land on both sides of a split",
     )]
+
+
+def _counting_forks(monkeypatch):
+    forks, fork = [], os.fork
+
+    def counting():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting)
+    return forks
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _unlabelled(dataset, class_attribute):
+    j = dataset.attribute_index(class_attribute)
+    return dataset.replace_records((*r[:j], None, *r[j + 1:]) for r in dataset.records)
+
+
+def test_compare_in_a_forked_child_matches_compare_in_order(monkeypatch):
+    original = gen_surf(days=40, labels="group-mean", seed=3)
+    daily = transform(original, TransformConfig("Date", "Sets"))
+    args = (original, daily, CLASSIFIER_KINDS, "Sets")
+    kwargs = dict(k=5, repeats=2, seed=1, group_attribute="Date")
+    forks = _counting_forks(monkeypatch)
+    forked = compare_datasets(*args, **kwargs)
+    assert forks == [1]
+    _assert_no_child_left()
+    monkeypatch.delattr(os, "fork")
+    assert forked == compare_datasets(*args, **kwargs)
+
+
+def test_compare_runs_in_order_when_the_fork_fails(monkeypatch):
+    def refuse():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    dataset = labeled_dataset(40)
+    args = (dataset, dataset, ["oner", "naive-bayes"], "label")
+    expected = compare_datasets(*args, k=4, repeats=2)
+    monkeypatch.setattr(os, "fork", refuse)
+    assert compare_datasets(*args, k=4, repeats=2) == expected
+
+
+def test_an_error_of_the_transformed_side_reaches_the_caller(monkeypatch):
+    original = gen_surf(days=20, labels="group-mean", seed=3)
+    daily = _unlabelled(transform(original, TransformConfig("Date", "Sets")), "Sets")
+    args = (original, daily, ["oner"], "Sets")
+    forks = _counting_forks(monkeypatch)
+    with pytest.raises(ConfigError) as forked:
+        compare_datasets(*args, k=4, repeats=1, group_attribute="Date")
+    assert forks == [1]
+    _assert_no_child_left()
+    monkeypatch.delattr(os, "fork")
+    with pytest.raises(ConfigError) as in_order:
+        compare_datasets(*args, k=4, repeats=1, group_attribute="Date")
+    assert type(forked.value) is type(in_order.value)
+    assert str(forked.value) == str(in_order.value) == "no labeled records to evaluate"
+
+
+def test_an_error_of_the_original_side_stops_the_child(monkeypatch):
+    original = gen_surf(days=20, labels="group-mean", seed=3)
+    daily = transform(original, TransformConfig("Date", "Sets"))
+    forks = _counting_forks(monkeypatch)
+    with pytest.raises(ConfigError, match="no labeled records to evaluate"):
+        compare_datasets(_unlabelled(original, "Sets"), daily, ["oner"], "Sets",
+                         k=4, repeats=1, group_attribute="Date")
+    assert forks == [1]
+    _assert_no_child_left()
+
+
+def test_a_child_that_ends_without_a_result_is_an_error(monkeypatch):
+    original = gen_surf(days=20, labels="group-mean", seed=3)
+    daily = transform(original, TransformConfig("Date", "Sets"))
+    cross_validate_, parent = sppam.evaluate.cross_validate, os.getpid()
+
+    def dying(dataset, *args, **kwargs):
+        if dataset is daily:
+            assert os.getpid() != parent, "the transformed side did not fork"
+            os._exit(3)
+        return cross_validate_(dataset, *args, **kwargs)
+
+    monkeypatch.setattr(sppam.evaluate, "cross_validate", dying)
+    with pytest.raises(ChildProcessError, match="ended without a result"):
+        compare_datasets(original, daily, ["oner"], "Sets", k=4, repeats=1, group_attribute="Date")
+    _assert_no_child_left()
+
+
+def _with_identifier(n, seed):
+    """A labelled dataset whose nominal ``id`` tells its ``n`` records apart."""
+    dataset = labeled_dataset(n, seed=seed)
+    ids = AttributeSpec.nominal("id", tuple(f"r{i}" for i in range(n)))
+    return Dataset("unnamed", (ids, *dataset.schema), (
+        (i, *record) for i, record in enumerate(dataset.records)
+    ))
+
+
+def test_warnings_of_both_sides_arrive_original_first(monkeypatch, caplog):
+    args = (_with_identifier(40, 1), _with_identifier(20, 2), ["oner"], "label")
+    kwargs = dict(k=4, repeats=1, original_name="a", transformed_name="b")
+    forks = _counting_forks(monkeypatch)
+    caplog.clear()
+    compare_datasets(*args, **kwargs)
+    assert forks == [1]
+    forked = [(r.name, r.levelname, r.getMessage()) for r in caplog.records]
+    identifier = (
+        "attribute 'id' has a different value on each of the {} labelled records; "
+        "as a feature it can only memorise the records"
+    )
+    assert forked == [
+        ("sppam.evaluate", "WARNING", "no group attribute: the folds on a ignore groups, "
+         "so records of one group can land on both sides of a split"),
+        ("sppam.evaluate", "WARNING", identifier.format(40)),
+        ("sppam.evaluate", "WARNING", identifier.format(20)),
+    ]
+    monkeypatch.delattr(os, "fork")
+    caplog.clear()
+    compare_datasets(*args, **kwargs)
+    assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == forked

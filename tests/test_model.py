@@ -1,5 +1,6 @@
 import gc
 import importlib
+import pickle
 from unittest import mock
 
 import pytest
@@ -99,3 +100,33 @@ def test_writers_keep_the_sign_of_zero_across_blocks(write, decimals):
     with mock.patch.object(model, "WRITE_BLOCK_CELLS", 2):  # two records per block
         text = write(dataset, decimals)
     assert text.splitlines()[-4:] == ["0.0", "2.5", "-0.0", "2.5"]
+
+
+# one example of every error type the package defines
+ERRORS = (
+    model.SppamError("bad"),
+    model.DatasetError("bad"),
+    model.ConfigError("bad"),
+    model.ParseError(3, "bad"),
+)
+
+
+def test_every_error_type_has_an_example():
+    defined = {
+        value for value in vars(model).values()
+        if isinstance(value, type) and issubclass(value, SppamError)
+    }
+    assert {type(error) for error in ERRORS} == defined
+
+
+@pytest.mark.parametrize("error", ERRORS, ids=lambda error: type(error).__name__)
+def test_errors_survive_pickling(error):
+    """A forked child sends its exception back to ``compare`` pickled."""
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is type(error)
+    assert (str(copy), copy.args, vars(copy)) == (str(error), error.args, vars(error))
+
+
+def test_a_parse_error_keeps_its_line_and_message_through_pickling():
+    copy = pickle.loads(pickle.dumps(model.ParseError(3, "bad")))
+    assert (copy.line, str(copy)) == (3, "line 3: bad")
