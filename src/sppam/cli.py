@@ -11,6 +11,7 @@ error, 2 configuration/usage error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import sys
 from pathlib import Path
@@ -34,7 +35,8 @@ from .transform import (
     attribute_count,
     derive_output_schema,
     sort_records,
-    transform,
+    transform,  # not called: bench/tracer.py wraps cli.transform
+    transform_text,
 )
 
 EXIT_PARSE = 1
@@ -157,9 +159,14 @@ def _load_dataset(path: str, string_columns=(), nominal_columns=()) -> Dataset:
     )
 
 
+def _writer(path: str):
+    """``write_arff`` or ``write_csv``, as ``path``'s suffix names, looked up in
+    this module at call time."""
+    return write_csv if _format(path) == ".csv" else write_arff
+
+
 def _write_dataset(path: str, dataset: Dataset, decimals: int | None = None) -> None:
-    write = write_csv if _format(path) == ".csv" else write_arff
-    Path(path).write_text(write(dataset, decimals), encoding="utf-8")
+    Path(path).write_text(_writer(path)(dataset, decimals), encoding="utf-8")
 
 
 def _split_kinds(text: str) -> list[str]:
@@ -170,7 +177,7 @@ def _split_kinds(text: str) -> list[str]:
 
 
 def _cmd_transform(args) -> int:
-    _format(args.output)  # before the input is read
+    write = _writer(args.output)  # before the input is read
     if args.decimals is not None and args.decimals < 0:
         raise ConfigError(f"--decimals must be 0 or more, got {args.decimals}")
     dataset = _load_dataset(
@@ -181,11 +188,18 @@ def _cmd_transform(args) -> int:
     if args.sort_by:
         dataset = sort_records(dataset, args.sort_by)
     config = TransformConfig(args.pivot, args.class_attr, args.id_attr)
-    result = transform(dataset, config)
-    width = len(dataset.schema)
-    del dataset  # frees the input records before the output text is built
-    _write_dataset(args.output, result, args.decimals)
-    print(f"{len(result.records)} groups, {width} -> {len(result.schema)} attributes")
+    _, class_index = config.resolve(dataset.schema)
+    if write is write_csv and all(record[class_index] is None for record in dataset.records):
+        # parse_csv builds a nominal domain from the values it sees
+        raise ConfigError(
+            f"class attribute {args.class_attr!r} has no labelled record, so a CSV of it "
+            "could not be read back; use a .arff output"
+        )
+    width, out_width = len(dataset.schema), attribute_count(dataset.schema, config)
+    groups, text = transform_text(dataset, config, functools.partial(write, decimals=args.decimals))
+    del dataset  # frees the input records before the text is encoded
+    Path(args.output).write_text(text, encoding="utf-8")
+    print(f"{groups} groups, {width} -> {out_width} attributes")
     return 0
 
 

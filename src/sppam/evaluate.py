@@ -13,11 +13,11 @@ corrected resampled t-test verdict per classifier. Both log a warning
 when the run cannot keep correlated records apart: a nominal feature that
 tells every record apart, or folds on the original that ignore groups.
 
-Where ``os.fork`` exists and the process runs one thread,
-``compare_datasets`` cross-validates the transformed dataset in a forked
-child while the calling process cross-validates the original, so the two
-overlap on a machine with at least 2 usable CPUs. The report, the log
-records and their order (the original's first) and any exception are
+Through ``model.run_both``, where ``os.fork`` exists and the process runs
+one thread, ``compare_datasets`` cross-validates the transformed dataset in
+a forked child while the calling process cross-validates the original, so
+the two overlap on a machine with at least 2 usable CPUs. The report, the
+log records and their order (the original's first) and any exception are
 those of running the two in order, which it does anywhere else.
 """
 
@@ -25,14 +25,12 @@ from __future__ import annotations
 
 import logging
 import operator
-import os
-import threading
 from dataclasses import dataclass
 
 from . import classifiers
 from .folds import check_fold_count, group_stratified_folds
 from .metrics import MetricsReport, ConfusionMatrix, average_metrics, classification_metrics, matrix_from_pairs
-from .model import NOMINAL, ConfigError, Dataset, SppamError, text_cells
+from .model import NOMINAL, ConfigError, Dataset, SppamError, run_both, text_cells
 from .ttest import A_BETTER, B_BETTER, TTestResult, check_alpha, corrected_t_test
 
 REFERENCE_CLASSIFIER = "oner"
@@ -212,7 +210,7 @@ def compare_datasets(
     elif group_attribute not in transformed.attribute_names:
         raise ConfigError(f"{transformed_name} has no group attribute {group_attribute!r}")
     kinds = _check_plan(classifier_kinds, k, repeats)  # before the fork
-    results_orig, results_tr = _both(
+    results_orig, results_tr = run_both(
         lambda: cross_validate(
             original, kinds, class_attribute, k, repeats, seed,
             group_attribute=group_attribute,
@@ -237,76 +235,6 @@ def compare_datasets(
             )
         )
     return EvalReport(original_name, transformed_name, tuple(rows))
-
-
-def _both(first, second) -> tuple:
-    """``(first(), second())``, with ``second`` run in a forked child while
-    this process runs ``first``; in order where forking is unsafe (threads),
-    missing or fails. A spawned interpreter would import the package again,
-    which costs more than the overlap saves on small inputs.
-
-    The child's ``sppam`` log records are handled here after ``first``'s,
-    then its exception, if any, is raised. An exception from ``first``
-    kills the child; no child outlives the call.
-    """
-    if not hasattr(os, "fork") or threading.active_count() != 1:
-        return first(), second()
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:  # no process to spare
-        os.close(read_fd)
-        os.close(write_fd)
-        return first(), second()
-    if pid == 0:
-        sent = False
-        try:
-            os.close(read_fd)
-            records = _hold_log_records()
-            try:
-                payload = (True, second(), records)
-            except BaseException as exc:
-                payload = (False, exc, records)
-            # imported only where a fork needs it, after the work, into memory it freed
-            import pickle
-            with open(write_fd, "wb") as pipe:
-                pipe.write(pickle.dumps(payload, pickle.HIGHEST_PROTOCOL))
-            sent = True
-        finally:  # never flush inherited buffers nor return into the caller
-            os._exit(0 if sent else 1)
-    os.close(write_fd)
-    try:
-        with open(read_fd, "rb") as pipe:
-            result = first()
-            import pickle  # as in the child
-
-            data = pipe.read()
-    except BaseException:
-        import signal
-
-        os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        _, status = os.waitpid(pid, 0)
-    code = os.waitstatus_to_exitcode(status)
-    if code != 0:
-        raise ChildProcessError(f"a forked child ended without a result (return code {code})")
-    ok, value, records = pickle.loads(data)
-    for record in records:
-        logging.getLogger(record.name).handle(record)
-    if not ok:
-        raise value
-    return result, value
-
-
-def _hold_log_records() -> list[logging.LogRecord]:
-    """In a forked child: keep every record of the ``sppam`` loggers in the
-    list returned, and handle none of them."""
-    records = []
-    for name, logger in logging.root.manager.loggerDict.items():
-        if isinstance(logger, logging.Logger) and name.partition(".")[0] == "sppam":
-            logger.handle = records.append
-    return records
 
 
 def _classifier_label(kind: str) -> str:

@@ -16,14 +16,21 @@ The read contract of both formats lives here, for every layer to import:
 the error types, ``unwritable`` (what no reader accepts, as no writer can
 write it back), ``text_cells`` (which texts an attribute accepts) and
 ``TextColumns``, whose ``add`` alone hands a reader its new cell texts.
+
+``run_both`` runs two independent computations at once, the second in a
+forked child, with the result, log records and exceptions of running them
+in order; ``compare`` and the CLI ``transform`` split their work with it.
 """
 
 from __future__ import annotations
 
 import functools
 import gc
+import logging
 import math
 import operator
+import os
+import threading
 from dataclasses import dataclass, field
 from itertools import filterfalse, islice, repeat
 
@@ -169,6 +176,76 @@ def no_gc(function):
                 gc.enable()
 
     return paused
+
+
+def run_both(first, second) -> tuple:
+    """``(first(), second())``, with ``second`` run in a forked child while
+    this process runs ``first``; in order where forking is unsafe (threads),
+    missing or fails. A spawned interpreter would import the package again,
+    which costs more than the overlap saves on small inputs.
+
+    The child's ``sppam`` log records are handled here after ``first``'s,
+    then its exception, if any, is raised. An exception from ``first``
+    kills the child; no child outlives the call.
+    """
+    if not hasattr(os, "fork") or threading.active_count() != 1:
+        return first(), second()
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare
+        os.close(read_fd)
+        os.close(write_fd)
+        return first(), second()
+    if pid == 0:
+        sent = False
+        try:
+            os.close(read_fd)
+            records = _hold_log_records()
+            try:
+                payload = (True, second(), records)
+            except BaseException as exc:
+                payload = (False, exc, records)
+            # imported only where a fork needs it, after the work, into memory it freed
+            import pickle
+            with open(write_fd, "wb") as pipe:
+                pipe.write(pickle.dumps(payload, pickle.HIGHEST_PROTOCOL))
+            sent = True
+        finally:  # never flush inherited buffers nor return into the caller
+            os._exit(0 if sent else 1)
+    os.close(write_fd)
+    try:
+        with open(read_fd, "rb") as pipe:
+            result = first()
+            import pickle  # as in the child
+
+            data = pipe.read()
+    except BaseException:
+        import signal
+
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        _, status = os.waitpid(pid, 0)
+    code = os.waitstatus_to_exitcode(status)
+    if code != 0:
+        raise ChildProcessError(f"a forked child ended without a result (return code {code})")
+    ok, value, records = pickle.loads(data)
+    for record in records:
+        logging.getLogger(record.name).handle(record)
+    if not ok:
+        raise value
+    return result, value
+
+
+def _hold_log_records() -> list[logging.LogRecord]:
+    """In a forked child: keep every record of the ``sppam`` loggers in the
+    list returned, and handle none of them."""
+    records = []
+    for name, logger in logging.root.manager.loggerDict.items():
+        if isinstance(logger, logging.Logger) and name.partition(".")[0] == "sppam":
+            logger.handle = records.append
+    return records
 
 
 class TextColumns:

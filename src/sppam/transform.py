@@ -21,12 +21,18 @@ for an attribute yields missing output cells.
 Each aggregate (``aggregate_numeric``, ``aggregate_nominal`` and the
 "last" of strings and the class) takes one column of a group in source
 order and returns that column's output cells, in output schema order.
+
+``transform`` returns the output records and runs in the calling process.
+``transform_text``, which the CLI uses, returns the written text of the
+same output and aggregates and writes the second half of the groups in a
+forked child (``model.run_both``), which sends back only its text.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .model import (
     NOMINAL,
@@ -34,9 +40,11 @@ from .model import (
     AttributeSpec,
     ConfigError,
     Dataset,
-    cell_text,
+    SppamError,
     float_mean,
+    format_number,
     no_gc,
+    run_both,
 )
 
 
@@ -140,12 +148,17 @@ def group_records(dataset: Dataset, pivot_attribute: str) -> list[Group]:
     """
     pivot_index = dataset.attribute_index(pivot_attribute)
     attr = dataset.schema[pivot_index]
+    cells = [record[pivot_index] for record in dataset.records]
+    if None in cells:
+        raise ConfigError(f"record {cells.index(None)}: missing pivot value")
+    if attr.kind == NOMINAL:
+        keys = map(attr.values.__getitem__, cells)
+    elif attr.kind == NUMERIC:  # no memo: -0.0 and 0.0 hash alike but read apart
+        keys = map(format_number, cells)
+    else:
+        keys = cells
     members: dict[str, list[int]] = {}
-    for i, record in enumerate(dataset.records):
-        cell = record[pivot_index]
-        if cell is None:
-            raise ConfigError(f"record {i}: missing pivot value")
-        key = cell_text(attr, cell)
+    for i, key in enumerate(keys):
         bucket = members.get(key)
         if bucket is None:
             members[key] = [i]
@@ -218,21 +231,8 @@ def sort_records(dataset: Dataset, attribute: str) -> Dataset:
     return dataset.replace_records(dataset.records[i] for i in indexed)
 
 
-@no_gc
-def transform(dataset: Dataset, config: TransformConfig) -> Dataset:
-    """Collapse each pivot group of ``dataset`` into one aggregate record.
-
-    Output records appear in group first-appearance order; the output
-    schema is ``derive_output_schema``. Logs a warning naming the groups
-    whose members carry more than one class value.
-    """
-    schema = dataset.schema
-    pivot_index, class_index = config.resolve(schema)
-    out_schema = derive_output_schema(schema, config)
-    groups = group_records(dataset, config.pivot_attribute)
-    records = dataset.records
-
-    # each non-class attribute's aggregate, chosen once
+def _plan(schema: tuple[AttributeSpec, ...], class_index: int) -> list:
+    """``(column index, aggregate)`` of each non-class attribute, in order."""
     plan = []
     for j, attr in enumerate(schema):
         if j == class_index:
@@ -244,7 +244,12 @@ def transform(dataset: Dataset, config: TransformConfig) -> Dataset:
             plan.append((j, lambda values, n=len(attr.values): aggregate_nominal(values, n)))
         else:
             plan.append((j, _last))
+    return plan
 
+
+def _aggregate(records, groups, plan, class_index: int) -> tuple[list, list[str]]:
+    """The output record of each of ``groups``, in order, and the keys of
+    the groups whose members carry more than one class value."""
     mixed_groups: list[str] = []
     out_records = []
     for group in groups:
@@ -257,10 +262,75 @@ def transform(dataset: Dataset, config: TransformConfig) -> Dataset:
             mixed_groups.append(group.key)
         out_row.extend(_last(classes))
         out_records.append(tuple(out_row))
+    return out_records, mixed_groups
 
+
+def _log_mixed(mixed_groups: list[str]) -> None:
     if mixed_groups:
         log.warning(
             "%d group(s) have mixed class values (last value wins): %s%s",
             len(mixed_groups), ", ".join(mixed_groups[:10]), "..." if len(mixed_groups) > 10 else "",
         )
+
+
+@no_gc
+def transform(dataset: Dataset, config: TransformConfig) -> Dataset:
+    """Collapse each pivot group of ``dataset`` into one aggregate record.
+
+    Output records appear in group first-appearance order; the output
+    schema is ``derive_output_schema``. Logs a warning naming the groups
+    whose members carry more than one class value. Runs in this process:
+    unlike ``transform_text`` it returns records, which a forked child
+    could only send back as a second copy.
+    """
+    _, class_index = config.resolve(dataset.schema)
+    out_schema = derive_output_schema(dataset.schema, config)
+    groups = group_records(dataset, config.pivot_attribute)
+    out_records, mixed_groups = _aggregate(
+        dataset.records, groups, _plan(dataset.schema, class_index), class_index
+    )
+    _log_mixed(mixed_groups)
     return Dataset(dataset.relation_name, out_schema, tuple(out_records))
+
+
+@no_gc
+def transform_text(dataset: Dataset, config: TransformConfig, write) -> tuple[int, str]:
+    """``(group count, write(transform(dataset, config)))``, with the same
+    log records and exceptions, computed in two halves.
+
+    ``write`` maps a Dataset to its text, and the text of a Dataset must
+    start with the text of its schema alone,
+    ``write(d.replace_records(()))``. The groups are cut at the first whose
+    members, with those of the groups before it, reach half the records.
+    This process aggregates and writes the groups up to the cut; through
+    ``model.run_both`` a forked child aggregates and writes the rest and
+    sends back only its text after the schema's, so no output record
+    crosses the pipe. One group, or a cut after the last, runs in order.
+    """
+    _, class_index = config.resolve(dataset.schema)
+    out_schema = derive_output_schema(dataset.schema, config)
+    groups = group_records(dataset, config.pivot_attribute)
+    plan = _plan(dataset.schema, class_index)
+
+    def text_of(part, schema_text: bool = True) -> tuple[list[str], str | Exception]:
+        records, mixed_groups = _aggregate(dataset.records, part, plan, class_index)
+        output = Dataset(dataset.relation_name, out_schema, records)
+        try:
+            text = write(output)
+            if not schema_text:
+                text = text[len(write(output.replace_records(()))):]
+        except (SppamError, ValueError) as exc:  # raised once the warning is logged, as in order
+            return mixed_groups, exc
+        return mixed_groups, text
+
+    totals = accumulate(len(group.member_indices) for group in groups)
+    cut = next((n for n, total in enumerate(totals, 1) if 2 * total >= len(dataset.records)), 0)
+    if cut == len(groups):
+        halves = [text_of(groups)]
+    else:
+        halves = run_both(lambda: text_of(groups[:cut]), lambda: text_of(groups[cut:], False))
+    _log_mixed([key for mixed_groups, _ in halves for key in mixed_groups])
+    for _, text in halves:
+        if isinstance(text, Exception):
+            raise text
+    return len(groups), "".join(text for _, text in halves)

@@ -5,9 +5,11 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 import random
 from decimal import ROUND_HALF_UP, Decimal, localcontext
 
+import pytest
 from hypothesis import strategies as st
 
 from sppam.classifiers import (
@@ -846,3 +848,20 @@ def write_outcome(write, dataset, decimals):
 ZERO_SIGNS = Dataset("unnamed", (AttributeSpec.numeric("a"), AttributeSpec.numeric("b")), (
     (0.0, -0.0), (-0.0, 1.0), (0.0, 0.0), (None, -0.0), (-0.0, 0.0),
 ))
+
+
+def counting_forks(monkeypatch):
+    """A list that gains one item per ``os.fork`` call, until the test ends."""
+    forks, fork = [], os.fork
+
+    def counting():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting)
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -126,6 +126,25 @@ def test_transform_csv_cell_with_line_break_exits_1_without_output(run_cli, tmp_
     assert not out.exists()
 
 
+def test_transform_refuses_a_csv_of_a_class_without_labels(run_cli, tmp_path):
+    """``parse_csv`` builds a nominal domain from the values it sees, so a
+    CSV whose class column is all missing could not be read back."""
+    src = tmp_path / "surf.arff"
+    run_cli("gen-surf", "-o", src, "--days", "6", "--zero-days", "2")
+    dataset = parse_arff(src.read_text())
+    j = dataset.attribute_index("Sets")
+    cli._write_dataset(str(src), dataset.replace_records((*r[:j], None, *r[j + 1:]) for r in dataset.records))
+    args = ("transform", src, "--pivot", "Date", "--class", "Sets", "-o")
+    code, stdout, stderr = run_cli(*args, tmp_path / "daily.csv")
+    assert (code, stdout) == (2, "")
+    assert stderr == (
+        "error: class attribute 'Sets' has no labelled record, so a CSV of it could not "
+        "be read back; use a .arff output\n"
+    )
+    assert not (tmp_path / "daily.csv").exists()
+    assert run_cli(*args, tmp_path / "daily.arff") == (0, "6 groups, 10 -> 45 attributes\n", "")
+
+
 def test_transform_negative_decimals_exits_2_before_parsing(run_cli, tmp_path):
     src = tmp_path / "broken.arff"
     src.write_text("@ATTRIBUTE a numeric\n@DATA\n1,2\n")
@@ -391,6 +410,26 @@ def test_compare_as_a_process_prints_what_it_prints_in_order(
     else:
         assert (code, stdout) == (2, "")
         assert stderr.splitlines()[1:] == ["error: no labeled records to evaluate"]
+
+
+@pytest.mark.parametrize("output", ["daily.arff", "daily.csv"])
+def test_transform_as_a_process_writes_what_it_writes_in_order(
+    run_cli, tmp_path, monkeypatch, output
+):
+    """``transform`` forks to aggregate and write the second half of its
+    groups; the child prints nothing, so the file, stdout and stderr are
+    those of running in one process."""
+    monkeypatch.chdir(tmp_path)
+    run_cli("gen-surf", "-o", "surf.arff", "--days", "30")
+    args = ("transform", "surf.arff", "--pivot", "Date", "--class", "Sets", "--decimals", "2",
+            "-o", output)
+    forked = (_run_module(tmp_path, *args), Path(output).read_bytes())
+    Path(output).unlink()
+    monkeypatch.delattr(os, "fork")
+    assert forked == (run_cli(*args), Path(output).read_bytes())
+    code, stdout, stderr = forked[0]
+    assert (code, stdout) == (0, "30 groups, 10 -> 45 attributes\n")
+    assert stderr.startswith("warning: ") and stderr.count("\n") == 1
 
 
 def test_transform_then_eval_matches_in_process_compare(run_cli, tmp_path):

@@ -5,6 +5,7 @@ import random
 import pytest
 
 import sppam.evaluate
+from helpers import assert_no_child_left, counting_forks
 from sppam import (
     AttributeSpec,
     CLASSIFIER_KINDS,
@@ -364,22 +365,6 @@ def test_compare_without_groups_says_its_folds_ignore_them(caplog):
     )]
 
 
-def _counting_forks(monkeypatch):
-    forks, fork = [], os.fork
-
-    def counting():
-        forks.append(1)
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counting)
-    return forks
-
-
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def _unlabelled(dataset, class_attribute):
     j = dataset.attribute_index(class_attribute)
     return dataset.replace_records((*r[:j], None, *r[j + 1:]) for r in dataset.records)
@@ -390,10 +375,10 @@ def test_compare_in_a_forked_child_matches_compare_in_order(monkeypatch):
     daily = transform(original, TransformConfig("Date", "Sets"))
     args = (original, daily, CLASSIFIER_KINDS, "Sets")
     kwargs = dict(k=5, repeats=2, seed=1, group_attribute="Date")
-    forks = _counting_forks(monkeypatch)
+    forks = counting_forks(monkeypatch)
     forked = compare_datasets(*args, **kwargs)
     assert forks == [1]
-    _assert_no_child_left()
+    assert_no_child_left()
     monkeypatch.delattr(os, "fork")
     assert forked == compare_datasets(*args, **kwargs)
 
@@ -413,11 +398,11 @@ def test_an_error_of_the_transformed_side_reaches_the_caller(monkeypatch):
     original = gen_surf(days=20, labels="group-mean", seed=3)
     daily = _unlabelled(transform(original, TransformConfig("Date", "Sets")), "Sets")
     args = (original, daily, ["oner"], "Sets")
-    forks = _counting_forks(monkeypatch)
+    forks = counting_forks(monkeypatch)
     with pytest.raises(ConfigError) as forked:
         compare_datasets(*args, k=4, repeats=1, group_attribute="Date")
     assert forks == [1]
-    _assert_no_child_left()
+    assert_no_child_left()
     monkeypatch.delattr(os, "fork")
     with pytest.raises(ConfigError) as in_order:
         compare_datasets(*args, k=4, repeats=1, group_attribute="Date")
@@ -428,12 +413,12 @@ def test_an_error_of_the_transformed_side_reaches_the_caller(monkeypatch):
 def test_an_error_of_the_original_side_stops_the_child(monkeypatch):
     original = gen_surf(days=20, labels="group-mean", seed=3)
     daily = transform(original, TransformConfig("Date", "Sets"))
-    forks = _counting_forks(monkeypatch)
+    forks = counting_forks(monkeypatch)
     with pytest.raises(ConfigError, match="no labeled records to evaluate"):
         compare_datasets(_unlabelled(original, "Sets"), daily, ["oner"], "Sets",
                          k=4, repeats=1, group_attribute="Date")
     assert forks == [1]
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 def test_a_child_that_ends_without_a_result_is_an_error(monkeypatch):
@@ -450,7 +435,7 @@ def test_a_child_that_ends_without_a_result_is_an_error(monkeypatch):
     monkeypatch.setattr(sppam.evaluate, "cross_validate", dying)
     with pytest.raises(ChildProcessError, match="ended without a result"):
         compare_datasets(original, daily, ["oner"], "Sets", k=4, repeats=1, group_attribute="Date")
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 def _with_identifier(n, seed):
@@ -465,7 +450,7 @@ def _with_identifier(n, seed):
 def test_warnings_of_both_sides_arrive_original_first(monkeypatch, caplog):
     args = (_with_identifier(40, 1), _with_identifier(20, 2), ["oner"], "label")
     kwargs = dict(k=4, repeats=1, original_name="a", transformed_name="b")
-    forks = _counting_forks(monkeypatch)
+    forks = counting_forks(monkeypatch)
     caplog.clear()
     compare_datasets(*args, **kwargs)
     assert forks == [1]

@@ -1,25 +1,41 @@
+import functools
+import importlib
+import os
 import random
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import GOLDEN_DATA_SECTION, SURF_TWO_DAYS_DAILY
-from helpers import naive_transform_rows, random_transform_dataset, rows_match
+from helpers import (
+    assert_no_child_left,
+    counting_forks,
+    naive_transform_rows,
+    random_transform_dataset,
+    rows_match,
+    write_datasets,
+    write_outcome,
+)
 from sppam import (
     AttributeSpec,
     ConfigError,
     Dataset,
+    SppamError,
     TransformConfig,
     aggregate_nominal,
     aggregate_numeric,
     attribute_count,
     derive_output_schema,
+    gen_surf,
     group_records,
     parse_arff,
     sort_records,
     transform,
     write_arff,
+    write_csv,
 )
+from sppam.transform import transform_text
 
 CONFIG = TransformConfig("Date", "Surf")
 
@@ -126,6 +142,20 @@ class TestGroupRecords:
         dataset = Dataset("unnamed", schema, (("k", 0), (None, 0)))
         with pytest.raises(ConfigError, match="record 1"):
             group_records(dataset, "key")
+
+    def test_numeric_pivot_keeps_signed_zeros_apart(self):
+        schema = (AttributeSpec.numeric("key"), AttributeSpec.nominal("label", ("a",)))
+        records = ((0.0, 0), (-0.0, 0), (0.0, 0), (2.5, 0))
+        groups = group_records(Dataset("unnamed", schema, records), "key")
+        assert [(g.key, g.member_indices) for g in groups] == [
+            ("0.0", (0, 2)), ("-0.0", (1,)), ("2.5", (3,)),
+        ]
+
+    def test_nominal_pivot_keys_groups_by_domain_value(self):
+        schema = (AttributeSpec.nominal("key", ("n", "s")), AttributeSpec.nominal("label", ("a",)))
+        records = ((1, 0), (0, 0), (1, 0))
+        groups = group_records(Dataset("unnamed", schema, records), "key")
+        assert [(g.key, g.member_indices) for g in groups] == [("s", (0, 2)), ("n", (1,))]
 
 
 class TestAggregateNumeric:
@@ -339,3 +369,151 @@ def test_sort_records_stable():
     )
     out = sort_records(dataset, "t")
     assert [r[0] for r in out.records] == ["z", "y", "w", "x"]
+
+
+SETS = TransformConfig("Date", "Sets")
+TRANSFORM_MODULE = importlib.import_module("sppam.transform")  # sppam.transform is the function
+
+
+def _text_outcome(caplog, dataset, config, write):
+    """``transform_text``'s result, or the type and message of what it
+    raised, and the log records, as (logger, level, message)."""
+    caplog.clear()
+    try:
+        result = transform_text(dataset, config, write)
+    except (SppamError, ValueError) as exc:
+        result = (type(exc), str(exc))
+    return result, [(r.name, r.levelname, r.getMessage()) for r in caplog.records]
+
+
+def _noted(notes, cells):
+    """Six days of two records each, the class mixed on days 1 and 4; day
+    ``d``'s second record carries ``notes[d]`` and ``cells[d]``."""
+    schema = (
+        AttributeSpec.string("Date"),
+        AttributeSpec.string("Note"),
+        AttributeSpec.numeric("Wave"),
+        AttributeSpec.nominal("Sets", ("0", "1")),
+    )
+    records = []
+    for day in range(6):
+        records.append((f"d{day}", "calm", 1.5, 0))
+        records.append((f"d{day}", notes[day], cells[day], int(day in (1, 4))))
+    return Dataset("unnamed", schema, tuple(records))
+
+
+class TestTransformText:
+    """``transform_text`` aggregates and writes the second half of the
+    groups in a forked child: each case compares it with the run in order
+    that a missing ``os.fork`` gives."""
+
+    @pytest.mark.parametrize("writer", [write_arff, write_csv])
+    @pytest.mark.parametrize("decimals", [None, 2])
+    def test_two_halves_write_what_one_pass_writes(self, monkeypatch, caplog, writer, decimals):
+        dataset = gen_surf(days=40, seed=2)
+        write = functools.partial(writer, decimals=decimals)
+        forks = counting_forks(monkeypatch)
+        forked = _text_outcome(caplog, dataset, SETS, write)
+        assert forks == [1]
+        assert_no_child_left()
+        caplog.clear()
+        whole = transform(dataset, SETS)
+        [warning] = [(r.name, r.levelname, r.getMessage()) for r in caplog.records]
+        assert "mixed class values" in warning[2]
+        assert forked == ((40, write(whole)), [warning])
+        monkeypatch.delattr(os, "fork")
+        assert _text_outcome(caplog, dataset, SETS, write) == forked
+
+    @pytest.mark.parametrize("first, last", [(0, 4), (3, 8)], ids=["one-group", "half-in-the-last"])
+    def test_runs_in_order_when_the_cut_leaves_no_second_half(
+        self, monkeypatch, surf_dataset, first, last
+    ):
+        dataset = surf_dataset.replace_records(surf_dataset.records[first:last])
+        config = TransformConfig("Date", "Surf")
+        forks = counting_forks(monkeypatch)
+        whole = transform(dataset, config)
+        assert transform_text(dataset, config, write_arff) == (len(whole.records), write_arff(whole))
+        assert forks == []
+
+    @pytest.mark.parametrize("bad_days", [(0, 5), (5,)], ids=["both-halves", "child-half"])
+    @pytest.mark.parametrize("column", ["Note", "Wave"])
+    def test_an_unwritable_value_raises_what_it_raises_in_order(
+        self, monkeypatch, caplog, bad_days, column
+    ):
+        if column == "Note":
+            write, error = write_arff, SppamError
+            dataset = _noted([f"line {d}\nbreak" if d in bad_days else "ok" for d in range(6)], [2.0] * 6)
+        else:
+            write, error = functools.partial(write_csv, decimals=2), ValueError
+            dataset = _noted(["ok"] * 6, [float("inf") if d in bad_days else 2.0 for d in range(6)])
+        forks = counting_forks(monkeypatch)
+        forked = _text_outcome(caplog, dataset, SETS, write)
+        assert forks == [1]
+        assert_no_child_left()
+        (raised, message), records = forked
+        assert raised is error
+        assert column == "Wave" or f"line {bad_days[0]}" in message  # the first bad cell's
+        assert [r[2] for r in records] == [
+            "2 group(s) have mixed class values (last value wins): d1, d4"
+        ]
+        monkeypatch.delattr(os, "fork")
+        assert _text_outcome(caplog, dataset, SETS, write) == forked
+
+    def test_runs_in_order_when_the_fork_fails(self, monkeypatch):
+        def refuse():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        dataset = gen_surf(days=20, seed=2)
+        expected = (20, write_arff(transform(dataset, SETS)))
+        monkeypatch.setattr(os, "fork", refuse)
+        assert transform_text(dataset, SETS, write_arff) == expected
+
+    def test_runs_in_order_beside_another_thread(self, monkeypatch):
+        dataset = gen_surf(days=20, seed=2)
+        expected = (20, write_arff(transform(dataset, SETS)))
+        forks, stop = counting_forks(monkeypatch), threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert transform_text(dataset, SETS, write_arff) == expected
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive() and forks == []
+
+    def test_an_error_of_this_process_stops_the_child(self, monkeypatch):
+        aggregate, parent = TRANSFORM_MODULE._aggregate, os.getpid()
+
+        def failing(*args):
+            if os.getpid() == parent:
+                raise RuntimeError("the first half failed")
+            return aggregate(*args)
+
+        monkeypatch.setattr(TRANSFORM_MODULE, "_aggregate", failing)
+        forks = counting_forks(monkeypatch)
+        with pytest.raises(RuntimeError, match="the first half failed"):
+            transform_text(gen_surf(days=20, seed=2), SETS, write_arff)
+        assert forks == [1]
+        assert_no_child_left()
+
+    def test_a_child_that_ends_without_a_result_is_an_error(self, monkeypatch):
+        aggregate, parent = TRANSFORM_MODULE._aggregate, os.getpid()
+
+        def dying(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return aggregate(*args)
+
+        monkeypatch.setattr(TRANSFORM_MODULE, "_aggregate", dying)
+        with pytest.raises(ChildProcessError, match="ended without a result"):
+            transform_text(gen_surf(days=20, seed=2), SETS, write_arff)
+        assert_no_child_left()
+
+
+@given(write_datasets(), st.sampled_from([None, 2]))
+def test_a_written_dataset_starts_with_the_text_of_its_schema(dataset, decimals):
+    """What ``transform_text`` relies on to drop the child's copy of it."""
+    for write in (write_arff, write_csv):
+        outcome = write_outcome(write, dataset, decimals)
+        if outcome[0] == "text":
+            assert outcome[1].startswith(write(dataset.replace_records(()), decimals))
