@@ -14,15 +14,15 @@ holds about a fixed number of cells, so wide files get fewer rows per
 block and the texts held at once stay bounded. The reader skips blank and
 comment lines and splits every other data line into its raw cell texts,
 padding and quotes kept: ``str.split`` for a line without quotes, a
-character scanner otherwise. ``model.TextColumns`` keeps each distinct
-raw text of a column once; each is stripped, unquoted and converted once,
-in the block that first holds it, so that reading stops at the first
-block with a bad text. A bare ``?`` is missing, a quoted ``'?'`` is the
-text "?". When anything fails (a row of the wrong width, a sparse row, an
-open quote, a text its attribute refuses), each block is read again on
-its own and the lines of the first block that fails one at a time, so
-that the ParseError raised is the first in source order and names the
-leftmost bad cell of its line.
+character scanner otherwise. ``model.TextColumns`` builds each block's
+records as it is read: each distinct raw text of a column is stripped,
+unquoted and converted once, in the block that first holds it, so that
+reading stops at the first block with a bad text. A bare ``?`` is
+missing, a quoted ``'?'`` is the text "?". When anything fails (a row of
+the wrong width, a sparse row, an open quote, a text its attribute
+refuses), each block is read again on its own and the lines of the first
+block that fails one at a time, so that the ParseError raised is the
+first in source order and names the leftmost bad cell of its line.
 
 The writer formats each column of a block through the distinct cells it
 holds, and redoes a block one cell at a time when it holds an error. It
@@ -122,12 +122,21 @@ def _read_data(lines: list[str], first: int, stop: int, schema: list[AttributeSp
 def _records(blocks, schema: list[AttributeSpec]) -> list[tuple[Cell, ...]]:
     """The records of blocks of data lines. Blank and comment lines are
     skipped, every other line is split into raw cell texts, and each
-    distinct text of a column is stripped, unquoted and converted once, in
-    the block that first holds it. Raises ValueError naming a problem as
-    soon as a block has one: for a one-line block, the leftmost in its
-    line."""
+    block's records are built as it is read, each distinct text of a
+    column stripped, unquoted and converted once, in the block that first
+    holds it. Raises ValueError naming a problem as soon as a block has
+    one: for a one-line block, the leftmost in its line."""
     table = TextColumns(len(schema))
-    cells: list[dict[str, Cell]] = [{} for _ in schema]  # per column, stripped text -> cell
+    # per column, stripped text -> cell; a quoted '?' keeps its quotes here
+    cells: list[dict[str, Cell]] = [{"?": None} for _ in schema]
+
+    def convert(j, raw):
+        stripped = list(map(str.strip, raw))
+        texts = dict.fromkeys(filterfalse(cells[j].__contains__, stripped))
+        cells[j].update(_column_cells(schema[j], list(texts)))
+        return map(cells[j].__getitem__, stripped)
+
+    records: list[tuple[Cell, ...]] = []
     for block in blocks:
         lines = [line for line in filter(None, map(str.strip, block)) if line[0] != "%"]
         if "{" in "".join(line[0] for line in lines):
@@ -135,14 +144,9 @@ def _records(blocks, schema: list[AttributeSpec]) -> list[tuple[Cell, ...]]:
         rows = list(map(_raw_cells, lines))
         if widths := set(map(len, rows)) - {len(schema)}:
             raise ValueError(f"row has {min(widths)} values, schema has {len(schema)} attributes")
-        fresh = table.add(rows)
+        records += table.add(rows, convert)
         del rows  # frees this block's texts before the next block is split
-        for attr, column_cells, raw in zip(schema, cells, fresh):
-            if raw:
-                texts = dict.fromkeys(filterfalse(column_cells.__contains__, map(str.strip, raw)))
-                texts.pop("?", None)  # a quoted '?' is the text "?", not the missing marker
-                column_cells.update(_column_cells(attr, list(texts)))
-    return table.records(cells)
+    return records
 
 
 def _column_cells(attr: AttributeSpec, texts) -> dict[str, Cell]:

@@ -20,24 +20,33 @@ including what the csv module rejects (such as a field longer than its
 ``parse_csv`` reads the text through line chunks of about
 ``READ_CHUNK_CHARS`` characters, each ending after a line feed, and the
 rows in blocks of ``READ_BLOCK_ROWS``; neither a copy of the whole text nor
-a list of all rows is held. Each block goes into a ``model.TextColumns``,
-the kernel the ARFF reader uses too, which keeps each column as
-references to one ``str`` per distinct raw text and returns the new
-ones, whose stripped forms the reader gathers. Once all rows are read, it
-classifies and converts each distinct text of a column once, and equal
-texts share one cell object. ``write_csv`` writes blocks of records,
-formatting each column of a block through its distinct cells.
+a list of all rows is held. A chunk without quotes, ``\r`` or NUL is split
+with ``str.split``, which reads it as the csv module would; from the
+first chunk that is not, the csv module reads the rest. Each block goes
+into a ``model.TextColumns``, the kernel the ARFF reader uses too, which
+builds the block's records as it is read: each distinct raw text of a
+column is stripped and converted once, in the block that first holds it,
+and equal texts share one cell object. A column is converted as numeric
+until it meets a text that is not; it then turns nominal, at once if it
+holds no number yet, else by reading the text again with the column
+forced nominal (at most once per such column). ``write_csv`` writes
+blocks of records, formatting each column of a block through its
+distinct cells.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from itertools import islice
+from itertools import filterfalse, islice
 
 from .model import (
     LINE_BREAKS,
+    NOMINAL,
+    NUMERIC,
+    STRING,
     AttributeSpec,
+    Cell,
     Dataset,
     ParseError,
     TextColumns,
@@ -79,52 +88,139 @@ def parse_csv(
         if forced not in names:
             raise ParseError(header_line, f"forced column {forced!r} is not in the header")
 
-    width = len(names)
-    table = TextColumns(width)
-    present = [{} for _ in names]  # per column, its distinct stripped texts, first seen first
-    while True:
-        rows: list[list[str]] = []  # frees the previous block before the next is read
-        read_error = None
-        try:
-            rows.extend(islice(reader, READ_BLOCK_ROWS))  # keeps the rows read before a csv.Error
-        except csv.Error as exc:
-            read_error = ParseError(reader.line_num, f"malformed CSV: {exc}")
-        if not rows and read_error is None:
-            break
-        rows = list(filter(None, rows))  # blank lines read as []
-        if set(map(len, rows)) - {width}:
-            _reject_row_width(text, width)
-        if read_error is not None:
-            raise read_error
-        for texts, fresh in zip(present, table.add(rows)):
-            texts.update(dict.fromkeys(map(str.strip, fresh)))
+    start = 0  # the data rows start after the header's last line
+    for _ in range(header_line):
+        start = text.find("\n", start) + 1 or len(text)
+    kinds = [
+        STRING if name in string_columns else NOMINAL if name in nominal_columns else NUMERIC
+        for name in names
+    ]
+    read = None
+    while read is None:  # once more for each column that turns nominal late
+        read = _read(text, start, header_line, names, kinds)
+    records, cells = read
 
-    for texts in present:
-        for missing in _MISSING_TEXTS:
-            texts.pop(missing, None)
     # a cell can hold both quotes, a \n or a \r only in a text with '"';
     # the other line breaks need no quotes
     if any(map(text.__contains__, _UNWRITABLE_SIGNS)) and (
-        any(map(unwritable, names)) or any(any(map(unwritable, values)) for values in present)
+        any(map(unwritable, names)) or any(any(map(unwritable, texts)) for texts in cells)
     ):
         _reject_unwritable(text, names)
 
-    inferred = [
-        _infer_column(name, values, string_columns, nominal_columns, header_line)
-        for name, values in zip(names, present)
-    ]
-    records = table.records(cells for _, cells in inferred)
-    return Dataset("unnamed", tuple(attr for attr, _ in inferred), records)
+    schema = []
+    for name, kind, texts in zip(names, kinds, cells):
+        values = list(islice(texts, len(_MISSING_TEXTS), None))
+        if kind == NOMINAL and not values:
+            raise ParseError(
+                header_line, f"column {name!r} has no observed values to build a nominal domain"
+            )
+        schema.append(AttributeSpec(name, kind, values if kind == NOMINAL else ()))
+    return Dataset("unnamed", tuple(schema), records)
 
 
-def _lines(text: str):
-    """The lines of ``text`` as ``iter(io.StringIO(text))`` yields them,
-    read through a ``StringIO`` over one chunk of about
-    ``READ_CHUNK_CHARS`` characters at a time that ends just after a
-    line feed, so that no copy of the whole text is made."""
-    start = 0
+def _read(text: str, start: int, line_num: int, names, kinds):
+    """The records of the data rows in ``text[start:]``, which ``line_num``
+    lines precede, and per column a ``stripped text -> cell`` dict
+    whose keys are the missing markers and then its present texts in
+    first-seen order. A STRING column's cell is its text, a NOMINAL one's
+    the index of its text in that order, a NUMERIC one's its number.
+
+    A NUMERIC column that meets a non-numeric text becomes NOMINAL in
+    ``kinds``. If it held a number already, the records built so far are
+    wrong: the result is then None, after the block that showed it, and the
+    caller reads again."""
+    width = len(names)
+    table = TextColumns(width)
+    cells = [dict.fromkeys(_MISSING_TEXTS) for _ in names]
+    late = False
+
+    def convert(j, raw):
+        nonlocal late
+        stripped = list(map(str.strip, raw))
+        known = cells[j]
+        fresh = list(dict.fromkeys(filterfalse(known.__contains__, stripped)))
+        if kinds[j] == NUMERIC:
+            try:
+                known.update(zip(fresh, text_cells(AttributeSpec.numeric(names[j]), fresh)))
+            except ValueError:
+                kinds[j] = NOMINAL
+                late = late or len(known) > len(_MISSING_TEXTS)
+        if kinds[j] == NOMINAL:
+            size = len(known) - len(_MISSING_TEXTS)
+            known.update(zip(fresh, range(size, size + len(fresh))))
+        elif kinds[j] == STRING:
+            known.update(zip(fresh, fresh))
+        return map(known.__getitem__, stripped)
+
+    records: list[tuple[Cell, ...]] = []
+    for rows in _row_blocks(text, start, line_num):
+        if set(map(len, rows)) - {width}:
+            _reject_row_width(text, width)
+        records += table.add(rows, convert)
+        if late:
+            return None
+        del rows  # frees this block's texts before the next block is split
+    return records, cells
+
+
+def _row_blocks(text: str, start: int, line_num: int):
+    """The non-blank rows of ``text[start:]``, which ``line_num`` lines
+    precede, in blocks of at most ``READ_BLOCK_ROWS`` rows.
+
+    The text is read in the line chunks of ``_lines``. The lines of a
+    chunk that holds no ``"``, ``\r`` or NUL (which the csv module of
+    Python 3.10 refuses) and no line longer than ``csv.field_size_limit()``
+    are split at each comma, which is what ``csv.reader`` makes of them.
+    From the first chunk that does not qualify, ``csv.reader`` reads the
+    rest; as every earlier chunk ended a line, it starts at a row. Its
+    ``csv.Error`` is raised as a ParseError after the rows read before it
+    are yielded.
+    """
+    size = READ_BLOCK_ROWS
+    limit = csv.field_size_limit()
     while start < len(text):
-        end = text.find("\n", start + READ_CHUNK_CHARS - 1) + 1 or len(text)
+        end = _chunk_end(text, start)
+        chunk = text[start:end]
+        if '"' in chunk or "\r" in chunk or "\0" in chunk:
+            break
+        lines = chunk.split("\n")
+        if chunk[-1] == "\n":
+            lines.pop()
+        if len(chunk) > limit and max(map(len, lines), default=0) > limit:
+            break
+        line_num += len(lines)
+        start = end
+        rows = [row.split(",") for row in lines if row]  # blank lines are no rows
+        del chunk, lines  # freed before the next chunk is read, as the rows are below
+        for i in range(0, len(rows), size):
+            yield rows[i:i + size]
+        del rows
+    reader = csv.reader(_lines(text, start))
+    while True:
+        rows = []
+        try:
+            rows.extend(islice(reader, size))  # keeps the rows read before a csv.Error
+        except csv.Error as exc:
+            yield list(filter(None, rows))
+            raise ParseError(line_num + reader.line_num, f"malformed CSV: {exc}") from None
+        if not rows:
+            return
+        yield list(filter(None, rows))  # blank lines read as []
+
+
+def _chunk_end(text: str, start: int) -> int:
+    """Where the line chunk of ``text`` that starts at ``start`` ends:
+    just after the first line feed at least ``READ_CHUNK_CHARS``
+    characters on, or at the end of the text."""
+    return text.find("\n", start + READ_CHUNK_CHARS - 1) + 1 or len(text)
+
+
+def _lines(text: str, start: int = 0):
+    """The lines of ``text[start:]`` as ``iter(io.StringIO(text[start:]))``
+    yields them, read through a ``StringIO`` over one line chunk at a
+    time, so that no copy of the whole text is made."""
+    while start < len(text):
+        end = _chunk_end(text, start)
         yield from io.StringIO(text[start:end])
         start = end
 
@@ -150,24 +246,6 @@ def _reject_unwritable(text: str, names) -> None:
             if (problem := unwritable(value)) is not None:
                 message = f"column {name!r}: a value cannot hold {problem}: {value!r}"
                 raise ParseError(reader.line_num, message)
-
-
-def _infer_column(name, values, string_columns, nominal_columns, header_line: int):
-    """The column's AttributeSpec and the cell of each of its distinct
-    present ``values``."""
-    if name in string_columns:
-        return AttributeSpec.string(name), dict(zip(values, values))
-    if name not in nominal_columns:
-        attr = AttributeSpec.numeric(name)
-        try:
-            return attr, dict(zip(values, text_cells(attr, values)))
-        except ValueError:
-            pass
-    if not values:
-        raise ParseError(
-            header_line, f"column {name!r} has no observed values to build a nominal domain"
-        )
-    return AttributeSpec.nominal(name, values), dict(zip(values, range(len(values))))
 
 
 def write_csv(dataset: Dataset, decimals: int | None = None) -> str:

@@ -15,7 +15,8 @@ specs are immutable after construction and safe to share across threads.
 The read contract of both formats lives here, for every layer to import:
 the error types, ``unwritable`` (what no reader accepts, as no writer can
 write it back), ``text_cells`` (which texts an attribute accepts) and
-``TextColumns``, whose ``add`` alone hands a reader its new cell texts.
+``TextColumns``, which builds each block's records as a reader reads it and
+alone hands the reader the new raw texts of a block to convert.
 
 ``run_both`` runs two independent computations at once, the second in a
 forked child, with the result, log records and exceptions of running them
@@ -32,7 +33,7 @@ import operator
 import os
 import threading
 from dataclasses import dataclass, field
-from itertools import filterfalse, islice, repeat
+from itertools import filterfalse, repeat
 
 NUMERIC = "numeric"
 NOMINAL = "nominal"
@@ -249,46 +250,28 @@ def _hold_log_records() -> list[logging.LogRecord]:
 
 
 class TextColumns:
-    """The cell texts of a table, added in blocks of rows and kept column
-    by column, each distinct raw text of a column as one str. ``add``
-    hands a reader each distinct text once, in the block that first holds
-    it; ``records`` maps the columns through the cells the reader made of
-    them."""
+    """The cells of a table read in blocks of rows of raw cell texts. One
+    ``raw text -> cell`` dict per column means that each distinct raw text
+    of a column is converted once, in the block that first holds it, and
+    that equal texts share one cell object."""
 
     def __init__(self, width: int):
-        self._distinct: list[dict[str, str]] = [{} for _ in range(width)]
-        self._blocks: list[list[list[str]]] = []  # per block, its columns
+        self._cells: list[dict[str, Cell]] = [{} for _ in range(width)]
 
-    def add(self, rows) -> list[list[str]]:
-        """Append a block of rows, each a list of ``width`` raw texts, and
-        return per column the distinct raw texts that no earlier block
-        held, in first-seen order."""
-        sizes = list(map(len, self._distinct))
-        self._blocks.append([
-            list(map(seen.setdefault, texts, texts))
-            for seen, texts in zip(self._distinct, zip(*rows))
-        ])
-        # a dict keeps insertion order, so the new texts are its last keys
-        return [
-            list(islice(reversed(seen), len(seen) - size))[::-1]
-            for seen, size in zip(self._distinct, sizes)
-        ]
-
-    def records(self, cells) -> list[tuple[Cell, ...]]:
-        """The records, built once, through one ``stripped text -> cell``
-        dict per column taken from ``cells``; a text it lacks is None. Each
-        block's records are read off its raw columns, which are then
-        dropped, so the raw texts of all rows are never held beside all
-        the records."""
-        getters = [
-            dict(zip(seen, map(column_cells.get, map(str.strip, seen)))).__getitem__
-            for seen, column_cells in zip(self._distinct, cells)
-        ]
-        records: list[tuple[Cell, ...]] = []
-        self._blocks.reverse()
-        while self._blocks:
-            records += zip(*map(map, getters, self._blocks.pop()))
-        return records
+    def add(self, rows, convert) -> list[tuple[Cell, ...]]:
+        """The records of a block of rows, each a list of ``width`` raw
+        texts. The raw texts of column ``j`` that no earlier block held go
+        to ``convert(j, texts)`` in first-seen order, which returns their
+        cells in that order; whatever it raises propagates."""
+        columns = []
+        for j, (cells, texts) in enumerate(zip(self._cells, zip(*rows))):
+            try:
+                columns.append(list(map(cells.__getitem__, texts)))
+            except KeyError:
+                fresh = list(dict.fromkeys(filterfalse(cells.__contains__, texts)))
+                cells.update(zip(fresh, convert(j, fresh)))
+                columns.append(list(map(cells.__getitem__, texts)))
+        return list(zip(*columns))
 
 
 def float_mean(values) -> float:
@@ -422,17 +405,6 @@ def text_blocks(records, kernels):
                     kernel((cell,))
             raise
         yield zip(*columns) if columns else [()] * len(block)  # a schema without attributes
-
-
-def cell_text(attr: AttributeSpec, cell: Cell) -> str | None:
-    """Render a cell as plain text; None stays None (missing)."""
-    if cell is None:
-        return None
-    if attr.kind == NOMINAL:
-        return attr.values[cell]
-    if attr.kind == NUMERIC:
-        return format_number(float(cell))
-    return cell
 
 
 def format_number(x: float, decimals: int | None = None) -> str:

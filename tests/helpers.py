@@ -29,11 +29,23 @@ from sppam.arff import (
     _type_text,
     _unquote,
 )
-from sppam.model import AttributeSpec, Cell, Dataset, SppamError, cell_text, float_mean, format_number
+from sppam.model import AttributeSpec, Cell, Dataset, SppamError, float_mean, format_number
 from sppam.transform import TransformConfig
 
 NOMINAL_POOL = ["red", "green", "blue", "cyan", "teal", "plum", "gray", "gold"]
 STRING_POOL = ["alpha", "beta beta", "g,amma", "it's", 'say "hi"', "?maybe", "", "x"]
+
+
+def cell_text(attr: AttributeSpec, cell: Cell) -> str | None:
+    """A cell as plain text, for comparing cells across readers; None
+    (missing) stays None."""
+    if cell is None:
+        return None
+    if attr.kind == "nominal":
+        return attr.values[cell]
+    if attr.kind == "numeric":
+        return format_number(float(cell))
+    return cell
 
 
 def random_transform_schema(rng: random.Random, max_middle: int = 4):

@@ -1,3 +1,4 @@
+import csv
 import io
 import random
 import tracemalloc
@@ -8,7 +9,14 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import SURF_TWO_DAYS, SURF_TWO_DAYS_CSV
 from unittest import mock
 
-from helpers import ZERO_SIGNS, oracle_parse_csv, oracle_write_csv, write_datasets, write_outcome
+from helpers import (
+    ZERO_SIGNS,
+    cell_text,
+    oracle_parse_csv,
+    oracle_write_csv,
+    write_datasets,
+    write_outcome,
+)
 from sppam import (
     Dataset,
     ParseError,
@@ -21,7 +29,6 @@ from sppam import (
     write_arff,
     write_csv,
 )
-from sppam.model import cell_text
 
 
 def cells_as_text(dataset):
@@ -279,6 +286,21 @@ _CHUNK_CHARS = csvio.READ_CHUNK_CHARS
 # a wrong-width row and then a csv.Error in the second block: the width error wins
 @example(("a,b\n1,2\n3,4\n1,2,3\n" + "x" * 131073 + "\n", (), ()), 2, _CHUNK_CHARS)
 @example(("a,b\r\n1,x\r\n\r\n2.5,y\r\n", (), ()), 1, 1)
+# quote-free chunks are split at commas, then csv.reader reads from a quoted cell on
+@example(("a,b\n1,x\n\n2,y\n3,\"z, w\"\n4,v\n", (), ()), _BLOCK_ROWS, 7)
+@example(("a,b\n1,x\n2,y\n3,\"z\nw\"\n4,v\n", (), ()), 2, 7)
+# a column numeric in the first two blocks turns non-numeric in the third
+@example(("a,b\n1,x\n2,y\nz,w\n3,v\n", (), ()), 1, _CHUNK_CHARS)
+@example(("a,b,c\n1,x,5\n2,y,6\nz,w,7\n", ("b",), ("c",)), 1, _CHUNK_CHARS)
+@example(("a,b,c\n1,x,5\n2,y,6\nz,w,7\n", ("a",), ()), 1, _CHUNK_CHARS)
+@example(("a,b,c\n1,,5\n2,y,?\nz,w,x\n3,1,7\n", (), ("b",)), 1, 7)
+# \r\n line ends and a NUL cell after quote-free chunks
+@example(("a,b\n1,x\n2,y\n3,z\r\n4,w\r\n", (), ()), 1, 7)
+@example(("a,b\n1,x\n2,y\n3,z\rw\n", (), ()), _BLOCK_ROWS, 7)
+@example(("a,b\n1,x\n2,y\n3,\0\n", (), ()), _BLOCK_ROWS, 7)
+# a field over the csv module's limit after quote-free chunks: the error line is absolute
+@example(("a,b\n1,x\n2,y\n\n3," + "x" * 131073 + "\n", (), ()), _BLOCK_ROWS, 7)
+@example(("a,b\n1,x\n2,y\n\n3," + "x" * 131073 + "\n", (), ()), 1, _CHUNK_CHARS)
 def test_parse_csv_matches_row_at_a_time_oracle(case, block_rows, chunk_chars):
     text, string_columns, nominal_columns = case
     with mock.patch.object(csvio, "READ_BLOCK_ROWS", block_rows), mock.patch.object(
@@ -286,6 +308,49 @@ def test_parse_csv_matches_row_at_a_time_oracle(case, block_rows, chunk_chars):
     ):
         outcome = _parse_outcome(parse_csv, text, string_columns, nominal_columns)
     assert outcome == _parse_outcome(oracle_parse_csv, text, string_columns, nominal_columns)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "a,b\n1,xxxxxxxxxxx\n",  # a field over the limit
+        "a,b\n12345,12345\n3,4\n",  # a line over the limit, no field over it
+        "a,b\n1,2\n\n3,4\n",
+    ],
+)
+def test_a_lowered_field_limit_holds_for_quote_free_text(text):
+    limit = csv.field_size_limit(10)
+    try:
+        outcome = _parse_outcome(parse_csv, text, (), ())
+        assert outcome == _parse_outcome(oracle_parse_csv, text, (), ())
+    finally:
+        csv.field_size_limit(limit)
+
+
+@pytest.mark.parametrize(
+    "text,block_rows,reads",
+    [
+        ("a,b\n1,x\n2,y\nz,w\n3,v\n", 2, 2),  # numbers in the first block, then text
+        ("a,b\n1,x\n2,y\nz,w\n3,v\n", 3, 1),  # text in the first block
+        ("a,b\n,x\n?,y\nz,w\n3,v\n", 2, 1),  # no number before the text
+        ("a,b\n1,2\n3,4\nz,5\n6,w\n", 1, 3),  # a and b each turn late
+    ],
+)
+def test_a_column_that_turns_nominal_late_costs_one_more_read(
+    monkeypatch, text, block_rows, reads
+):
+    made = []
+
+    class CountingColumns(model.TextColumns):
+        def __init__(self, width):
+            made.append(width)
+            super().__init__(width)
+
+    monkeypatch.setattr(csvio, "TextColumns", CountingColumns)
+    monkeypatch.setattr(csvio, "READ_BLOCK_ROWS", block_rows)
+    dataset = parse_csv(text)
+    assert len(made) == reads
+    assert repr(dataset) == repr(oracle_parse_csv(text))
 
 
 @pytest.mark.parametrize("chunk_chars", [1, 7, _CHUNK_CHARS])

@@ -180,8 +180,10 @@ def test_readers_take_the_numeric_rule_from_model(module):
 
 @pytest.mark.parametrize("module", ["arff", "csvio"])
 def test_readers_intern_through_the_model_kernel(module):
-    """Both readers keep their raw cell texts in a ``model.TextColumns``,
-    built outside any loop, and define no kernel of their own."""
+    """Both readers build each block's records through a
+    ``model.TextColumns``, built outside any loop, which converts each
+    distinct raw text of a column once; they define no kernel of their
+    own."""
     tree = _trees()[module]
     assert "TextColumns" in _model_imports(tree)
     assert _loop_depths(tree, "TextColumns") == [0]
@@ -368,6 +370,8 @@ def test_removed_names_are_gone():
         (importlib.import_module("sppam.classifiers")._TrainingSet, "rows"),
         (importlib.import_module("sppam.model").TextColumns, "present"),
         (importlib.import_module("sppam.csvio"), "_unwritable"),
+        (importlib.import_module("sppam.model"), "cell_text"),
+        (importlib.import_module("sppam.model").TextColumns, "records"),
     ]:
         assert not hasattr(module, name), name
     assert "seed" not in inspect.signature(sppam.fit).parameters
