@@ -6,6 +6,11 @@ deterministic for a given flag set; the seed defaults to 0. Every
 diagnostic is a record on the ``sppam`` logger; ``main`` writes each one
 to stderr as ``warning: ...`` or ``error: ...``. Exit codes: 1 parse
 error, 2 configuration/usage error, 3 I/O error.
+
+Each subcommand imports only the modules it runs: ``transform``,
+``schema`` and ``--help`` load the data model, the readers and writers and
+``transform``, never the classifiers, folds, metrics, t-test, evaluation
+or generator modules.
 """
 
 from __future__ import annotations
@@ -17,18 +22,7 @@ import sys
 from pathlib import Path
 
 from .arff import parse_arff, write_arff
-from .classifiers import CLASSIFIER_KINDS, check_kind
 from .csvio import parse_csv, write_csv
-from .evaluate import (
-    compare_datasets,
-    cross_validate,
-    render_compare_csv,
-    render_compare_text,
-    render_eval_csv,
-    render_eval_text,
-)
-from .folds import group_stratified_folds
-from .generator import gen_surf
 from .model import ConfigError, Dataset, ParseError, SppamError
 from .transform import (
     TransformConfig,
@@ -44,6 +38,33 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 
 log = logging.getLogger("sppam")
+
+# Names of ``evaluate`` that the handlers call as this module's globals, so
+# that a caller can replace them here first (bench/tracer.py wraps each).
+# They are bound on first use: transform, schema and --help never import
+# the evaluation modules.
+_EVALUATE_HOOKS = (
+    "compare_datasets",
+    "render_compare_csv",
+    "render_compare_text",
+    "render_eval_csv",
+    "render_eval_text",
+)
+
+
+def __getattr__(name: str):
+    if name not in _EVALUATE_HOOKS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind_evaluate_hooks()
+    return globals()[name]
+
+
+def _bind_evaluate_hooks() -> None:
+    """Bind each of ``_EVALUATE_HOOKS`` that this module does not bind yet."""
+    from . import evaluate
+
+    for name in _EVALUATE_HOOKS:
+        globals().setdefault(name, getattr(evaluate, name))
 
 
 class _LevelPrefix(logging.Formatter):
@@ -104,8 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="cross-validate classifiers on one dataset")
     p.add_argument("input")
     p.add_argument("--class", dest="class_attr", required=True)
-    p.add_argument("--classifiers", default=",".join(CLASSIFIER_KINDS),
-                   help="comma-separated classifier kinds")
+    p.add_argument("--classifiers", help="comma-separated classifier kinds")
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--repeats", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
@@ -118,7 +138,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("transformed")
     p.add_argument("--class", dest="class_attr", required=True)
     p.add_argument("--pivot", help="group attribute for folds on the original")
-    p.add_argument("--classifiers", default=",".join(CLASSIFIER_KINDS))
+    p.add_argument("--classifiers")
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--repeats", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
@@ -149,7 +169,7 @@ def _format(path: str) -> str:
 
 def _load_dataset(path: str, string_columns=(), nominal_columns=()) -> Dataset:
     suffix = _format(path)
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_text(path)
     if suffix == ".arff":
         return parse_arff(text)
     return parse_csv(
@@ -157,6 +177,22 @@ def _load_dataset(path: str, string_columns=(), nominal_columns=()) -> Dataset:
         string_columns=tuple(c for c in string_columns if c),
         nominal_columns=tuple(c for c in nominal_columns if c),
     )
+
+
+def _read_text(path: str) -> str:
+    """``path`` decoded as UTF-8; a ParseError names the first byte that is not."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as first:
+        data = Path(path).read_bytes()  # read again only to place the bad byte
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise ParseError(
+                line, f"input is not UTF-8: byte 0x{data[exc.start]:02x} cannot be decoded"
+            ) from None
+        raise first
 
 
 def _writer(path: str):
@@ -169,7 +205,12 @@ def _write_dataset(path: str, dataset: Dataset, decimals: int | None = None) -> 
     Path(path).write_text(_writer(path)(dataset, decimals), encoding="utf-8")
 
 
-def _split_kinds(text: str) -> list[str]:
+def _split_kinds(text: str | None) -> list[str]:
+    """The kinds that ``--classifiers`` names; all of them when it is not given."""
+    from .classifiers import CLASSIFIER_KINDS, check_kind
+
+    if text is None:
+        return list(CLASSIFIER_KINDS)
     kinds = [kind.strip().lower() for kind in text.split(",") if kind.strip()]
     if not kinds:
         raise ConfigError("no classifiers given")
@@ -224,6 +265,8 @@ def _cmd_schema(args) -> int:
 
 
 def _cmd_folds(args) -> int:
+    from .folds import group_stratified_folds
+
     if Path(args.output).suffix.lower() != ".csv":  # before the input is read
         raise ConfigError(f"folds are written as CSV; use a .csv extension for {args.output!r}")
     group_cols = (args.group_by,) if args.group_by else ()
@@ -244,6 +287,9 @@ def _cmd_folds(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    from .evaluate import cross_validate
+
+    _bind_evaluate_hooks()
     group_cols = (args.group_by,) if args.group_by else ()
     dataset = _load_dataset(
         args.input,
@@ -259,6 +305,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    _bind_evaluate_hooks()
     # a CSV carries no types: both files read the group keys as text, as an ARFF declares them
     original, transformed = (
         _load_dataset(path, string_columns=(args.pivot,), nominal_columns=(args.class_attr,))
@@ -282,6 +329,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_gen_surf(args) -> int:
+    from .generator import gen_surf
+
     _format(args.output)  # before any record is generated
     dataset = gen_surf(
         days=args.days,

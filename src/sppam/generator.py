@@ -61,6 +61,8 @@ def gen_surf(
         raise ConfigError(f"unknown label mode {labels!r}; use record or group-mean")
     if labels == "record" and not 0 <= zero_days <= days:
         raise ConfigError(f"zero_days must be in [0, {days}]")
+    if not 0 <= flip_rate <= 1:  # false for NaN too
+        raise ConfigError(f"flip_rate must be in [0, 1], got {flip_rate}")
     rng = random.Random(seed)
     day_keys = [
         (_FIRST_DAY + timedelta(days=d)).strftime("%d-%m-%Y") for d in range(days)

@@ -79,6 +79,37 @@ def test_transform_parse_error_exits_1(run_cli, tmp_path):
     assert "line 3" in stderr
 
 
+NOT_UTF8 = {
+    ".arff": b"@RELATION r\n@ATTRIBUTE \xe9 numeric\n@ATTRIBUTE c {0,1}\n@DATA\n1,0\n",
+    ".csv": b"a,c\n\xe9,0\n",
+}
+NOT_UTF8_ERROR = "error: line 2: input is not UTF-8: byte 0xe9 cannot be decoded\n"
+
+
+@pytest.mark.parametrize("suffix", sorted(NOT_UTF8))
+def test_input_that_is_not_utf8_exits_1_naming_the_byte_and_line(tmp_path, suffix):
+    src = tmp_path / f"latin1{suffix}"
+    src.write_bytes(NOT_UTF8[suffix])
+    assert _run_module(tmp_path, "eval", src.name, "--class", "c") == (1, "", NOT_UTF8_ERROR)
+
+
+@pytest.mark.parametrize("suffix", sorted(NOT_UTF8))
+@pytest.mark.parametrize("command", [
+    ["transform", "{src}", "--pivot", "a", "--class", "c", "-o", "out.arff"],
+    ["schema", "{src}", "--pivot", "a", "--class", "c"],
+    ["folds", "{src}", "--k", "2", "-o", "folds.csv"],
+    ["compare", "{src}", "{src}", "--class", "c"],
+])
+def test_every_reading_subcommand_refuses_input_that_is_not_utf8(
+    run_cli, tmp_path, monkeypatch, suffix, command
+):
+    monkeypatch.chdir(tmp_path)
+    Path(f"in{suffix}").write_bytes(NOT_UTF8[suffix])
+    args = [arg.format(src=f"in{suffix}") for arg in command]
+    assert run_cli(*args) == (1, "", NOT_UTF8_ERROR)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [f"in{suffix}"]
+
+
 def test_transform_csv_cell_with_both_quotes_exits_1_without_output(run_cli, tmp_path):
     src = tmp_path / "quotes.csv"
     src.write_text("Date,Note,Surf\n18-11-2010,\"it's \"\"big\"\"\",0\n")
@@ -169,6 +200,15 @@ def test_gen_surf_then_transform_summary(run_cli, tmp_path):
     assert code == 0
     assert "48 groups, 10 -> 45 attributes" in stdout
     assert len(parse_arff(out.read_text()).records) == 48
+
+
+@pytest.mark.parametrize("flip_rate", ["2", "-0.5", "nan", "inf"])
+def test_gen_surf_flip_rate_outside_0_1_exits_2_without_output(run_cli, tmp_path, flip_rate):
+    out = tmp_path / "surf.arff"
+    code, stdout, stderr = run_cli("gen-surf", "-o", out, "--flip-rate", flip_rate)
+    assert (code, stdout) == (2, "")
+    assert stderr == f"error: flip_rate must be in [0, 1], got {float(flip_rate)}\n"
+    assert not out.exists()
 
 
 def test_schema_lists_derived_attributes(run_cli, surf_file):

@@ -64,3 +64,12 @@ def test_bad_arguments_rejected():
         gen_surf(labels="banana")
     with pytest.raises(ConfigError):
         gen_surf(zero_days=100, days=10)
+    for flip_rate in (2.0, -0.5, 1.0000001, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ConfigError, match="flip_rate"):
+            gen_surf(days=4, zero_days=1, flip_rate=flip_rate)
+
+
+@pytest.mark.parametrize("flip_rate", [0.0, 1.0])
+def test_flip_rate_bounds_are_accepted(flip_rate):
+    dataset = gen_surf(days=4, zero_days=1, flip_rate=flip_rate)
+    assert len(dataset.records) == 16

@@ -4,6 +4,8 @@ import ast
 import builtins
 import importlib
 import inspect
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -301,6 +303,108 @@ def test_cli_reads_and_writes_through_the_traced_hooks(tmp_path, monkeypatch):
     assert cli.main(["transform", str(surf), *args, "-o", str(daily)]) == 0
     assert cli.main(["transform", str(daily), *args, "-o", str(tmp_path / "again.arff")]) == 0
     assert called == ["write_arff", "parse_arff", "write_csv", "parse_csv", "write_arff"]
+
+
+def _tracer_cli_wraps() -> list[str]:
+    """The ``sppam.cli`` names that ``bench/tracer.py`` replaces."""
+    source = (SRC.parents[1] / "bench" / "tracer.py").read_text(encoding="utf-8")
+    [wraps] = [
+        node.value for node in ast.parse(source).body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "CLI_WRAPS"
+    ]
+    return [attr for module, attr, _ in ast.literal_eval(wraps) if module == "sppam.cli"]
+
+
+def test_cli_evaluates_and_renders_through_the_traced_hooks(tmp_path, monkeypatch):
+    """``bench/tracer.py`` also replaces ``cli.compare_datasets`` and the
+    four ``cli.render_*`` names, which ``cli`` binds from ``evaluate`` only
+    on first use: every name the tracer wraps must resolve on the module,
+    and a replacement bound before ``main`` runs must be the one called."""
+    evaluate = importlib.import_module("sppam.evaluate")
+    wrapped = _tracer_cli_wraps()
+    hooks = [name for name in wrapped if hasattr(evaluate, name)]
+    assert sorted(hooks) == sorted(cli._EVALUATE_HOOKS)
+    for name in hooks:  # as on first use in a fresh process
+        monkeypatch.delitem(vars(cli), name, raising=False)
+    for name in wrapped:
+        assert getattr(cli, name) is not None, name
+    for name in hooks:
+        assert getattr(cli, name) is getattr(evaluate, name), name
+        monkeypatch.delitem(vars(cli), name)
+    called = []
+
+    def hook(name):
+        original = getattr(evaluate, name)
+
+        def traced(*args, **kwargs):
+            called.append(name)
+            return original(*args, **kwargs)
+
+        return traced
+
+    for name in ("compare_datasets", "render_compare_text"):
+        monkeypatch.setitem(vars(cli), name, hook(name))
+    surf = tmp_path / "surf.arff"
+    assert cli.main(["gen-surf", "-o", str(surf), "--days", "6", "--zero-days", "2"]) == 0
+    compare = ["compare", str(surf), str(surf), "--class", "Sets", "--k", "2", "--repeats", "1"]
+    assert cli.main(compare) == 0
+    assert called == ["compare_datasets", "render_compare_text"]
+    assert cli.render_compare_csv is evaluate.render_compare_csv
+
+
+EVALUATION_MODULES = {
+    f"sppam.{module}" for module in ("classifiers", "evaluate", "folds", "metrics", "ttest", "generator")
+}
+
+
+def _python(cwd, *args) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    done = subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done
+
+
+def _imported_by(cwd, *args) -> set[str]:
+    """The modules that ``python -X importtime ARGS`` imports."""
+    stderr = _python(cwd, "-X", "importtime", *args).stderr
+    return {
+        line.rpartition("|")[2].strip() for line in stderr.splitlines()
+        if line.startswith("import time:")
+    }
+
+
+def test_help_and_transform_load_no_evaluation_module(tmp_path):
+    surf = tmp_path / "surf.arff"
+    assert cli.main(["gen-surf", "-o", str(surf), "--days", "6", "--zero-days", "2"]) == 0
+    for args in (
+        ["--help"],
+        ["transform", surf.name, "--pivot", "Date", "--class", "Sets", "-o", "daily.csv"],
+    ):
+        imported = _imported_by(tmp_path, "-m", "sppam", *args)
+        assert {"sppam.cli", "sppam.transform"} <= imported, args
+        assert imported.isdisjoint(EVALUATION_MODULES), args
+    assert (tmp_path / "daily.csv").exists()
+
+
+def test_import_loads_the_evaluation_modules_on_first_use(tmp_path):
+    probe = """
+import inspect, sys
+import sppam
+print(sorted(m for m in sys.modules if m.startswith("sppam.")))
+namespace = {}
+exec("from sppam import *", namespace)
+print(sorted(set(sppam.__all__) - namespace.keys()))
+print(inspect.isfunction(sppam.transform), sppam.transform is namespace["transform"])
+print(sppam.fit is sys.modules["sppam.classifiers"].fit)
+"""
+    lines = _python(tmp_path, "-c", probe).stdout.splitlines()
+    assert lines == [
+        "['sppam.arff', 'sppam.csvio', 'sppam.model', 'sppam.transform']",
+        "[]",
+        "True True",
+        "True",
+    ]
 
 
 def _is_sort_call(node) -> bool:
