@@ -15,14 +15,15 @@ block and the texts held at once stay bounded. The reader skips blank and
 comment lines and splits every other data line into its raw cell texts,
 padding and quotes kept: ``str.split`` for a line without quotes, a
 character scanner otherwise. ``model.TextColumns`` builds each block's
-records as it is read: each distinct raw text of a column is stripped,
-unquoted and converted once, in the block that first holds it, so that
-reading stops at the first block with a bad text. A bare ``?`` is
-missing, a quoted ``'?'`` is the text "?". When anything fails (a row of
-the wrong width, a sparse row, an open quote, a text its attribute
-refuses), each block is read again on its own and the lines of the first
-block that fails one at a time, so that the ParseError raised is the
-first in source order and names the leftmost bad cell of its line.
+records as it is read, stripping each distinct raw text of a column once
+and handing its new stripped texts to ``_column_cells``, which unquotes
+and converts them, so that reading stops at the first block with a bad
+text. A bare ``?`` is missing, a quoted ``'?'`` is the text "?". When
+anything fails (a row of the wrong width, a sparse row, an open quote, a
+text its attribute refuses), each block is read again on its own and the
+lines of the first block that fails one at a time, so that the ParseError
+raised is the first in source order and names the leftmost bad cell of
+its line.
 
 The writer formats each column of a block through the distinct cells it
 holds, and redoes a block one cell at a time when it holds an error. It
@@ -34,8 +35,6 @@ and so this reader, ends a line, or both quote characters.
 """
 
 from __future__ import annotations
-
-from itertools import filterfalse
 
 from .model import (
     LINE_BREAKS,  # also arff.LINE_BREAKS, where this reader ends a line
@@ -126,16 +125,7 @@ def _records(blocks, schema: list[AttributeSpec]) -> list[tuple[Cell, ...]]:
     column stripped, unquoted and converted once, in the block that first
     holds it. Raises ValueError naming a problem as soon as a block has
     one: for a one-line block, the leftmost in its line."""
-    table = TextColumns(len(schema))
-    # per column, stripped text -> cell; a quoted '?' keeps its quotes here
-    cells: list[dict[str, Cell]] = [{"?": None} for _ in schema]
-
-    def convert(j, raw):
-        stripped = list(map(str.strip, raw))
-        texts = dict.fromkeys(filterfalse(cells[j].__contains__, stripped))
-        cells[j].update(_column_cells(schema[j], list(texts)))
-        return map(cells[j].__getitem__, stripped)
-
+    table = TextColumns(len(schema), ("?",))  # a quoted '?' keeps its quotes till _column_cells
     records: list[tuple[Cell, ...]] = []
     for block in blocks:
         lines = [line for line in filter(None, map(str.strip, block)) if line[0] != "%"]
@@ -144,17 +134,16 @@ def _records(blocks, schema: list[AttributeSpec]) -> list[tuple[Cell, ...]]:
         rows = list(map(_raw_cells, lines))
         if widths := set(map(len, rows)) - {len(schema)}:
             raise ValueError(f"row has {min(widths)} values, schema has {len(schema)} attributes")
-        records += table.add(rows, convert)
+        records += table.add(rows, lambda j, texts: _column_cells(schema[j], texts))
         del rows  # frees this block's texts before the next block is split
     return records
 
 
-def _column_cells(attr: AttributeSpec, texts) -> dict[str, Cell]:
+def _column_cells(attr: AttributeSpec, texts) -> list[Cell]:
     """The cell of each present, stripped cell text of ``attr``, unquoted
     and converted by ``text_cells``, whose ValueError it raises."""
     joined = "".join(texts)
-    values = map(_strip_quotes, texts) if "'" in joined or '"' in joined else texts
-    return dict(zip(texts, text_cells(attr, values)))
+    return text_cells(attr, map(_strip_quotes, texts) if "'" in joined or '"' in joined else texts)
 
 
 def write_arff(dataset: Dataset, decimals: int | None = None) -> str:

@@ -168,31 +168,33 @@ def _format(path: str) -> str:
 
 
 def _load_dataset(path: str, string_columns=(), nominal_columns=()) -> Dataset:
+    """The dataset in ``path``; a ParseError it raises names ``path``."""
     suffix = _format(path)
-    text = _read_text(path)
-    if suffix == ".arff":
-        return parse_arff(text)
-    return parse_csv(
-        text,
-        string_columns=tuple(c for c in string_columns if c),
-        nominal_columns=tuple(c for c in nominal_columns if c),
-    )
+    try:
+        text = _read_text(path)
+        if suffix == ".arff":
+            return parse_arff(text)
+        return parse_csv(
+            text,
+            string_columns=tuple(c for c in string_columns if c),
+            nominal_columns=tuple(c for c in nominal_columns if c),
+        )
+    except ParseError as exc:
+        exc.path = path
+        raise
 
 
 def _read_text(path: str) -> str:
-    """``path`` decoded as UTF-8; a ParseError names the first byte that is not."""
+    """``path`` decoded as UTF-8 after an optional byte-order mark; a
+    ParseError names the first byte that is not UTF-8."""
     try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as first:
-        data = Path(path).read_bytes()  # read again only to place the bad byte
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            line = data.count(b"\n", 0, exc.start) + 1
-            raise ParseError(
-                line, f"input is not UTF-8: byte 0x{data[exc.start]:02x} cannot be decoded"
-            ) from None
-        raise first
+        return Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:  # the file read whole, after any mark
+        data = exc.object
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(
+            line, f"input is not UTF-8: byte 0x{data[exc.start]:02x} cannot be decoded"
+        ) from None
 
 
 def _writer(path: str):

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import csv
 import io
-from itertools import filterfalse, islice
+from itertools import islice
 
 from .model import (
     LINE_BREAKS,
@@ -98,18 +98,18 @@ def parse_csv(
     read = None
     while read is None:  # once more for each column that turns nominal late
         read = _read(text, start, header_line, names, kinds)
-    records, cells = read
+    records, texts = read
 
     # a cell can hold both quotes, a \n or a \r only in a text with '"';
     # the other line breaks need no quotes
     if any(map(text.__contains__, _UNWRITABLE_SIGNS)) and (
-        any(map(unwritable, names)) or any(any(map(unwritable, texts)) for texts in cells)
+        any(map(unwritable, names)) or any(any(map(unwritable, column)) for column in texts)
     ):
         _reject_unwritable(text, names)
 
     schema = []
-    for name, kind, texts in zip(names, kinds, cells):
-        values = list(islice(texts, len(_MISSING_TEXTS), None))
+    for name, kind, column in zip(names, kinds, texts):
+        values = list(islice(column, len(_MISSING_TEXTS), None))
         if kind == NOMINAL and not values:
             raise ParseError(
                 header_line, f"column {name!r} has no observed values to build a nominal domain"
@@ -120,37 +120,31 @@ def parse_csv(
 
 def _read(text: str, start: int, line_num: int, names, kinds):
     """The records of the data rows in ``text[start:]``, which ``line_num``
-    lines precede, and per column a ``stripped text -> cell`` dict
-    whose keys are the missing markers and then its present texts in
-    first-seen order. A STRING column's cell is its text, a NOMINAL one's
-    the index of its text in that order, a NUMERIC one's its number.
+    lines precede, and per column its ``TextColumns.texts`` dict, whose
+    keys are the missing markers and then its present texts in first-seen
+    order. A STRING column's cell is its text, a NOMINAL one's the index of
+    its text in that order, a NUMERIC one's its number.
 
     A NUMERIC column that meets a non-numeric text becomes NOMINAL in
     ``kinds``. If it held a number already, the records built so far are
     wrong: the result is then None, after the block that showed it, and the
     caller reads again."""
     width = len(names)
-    table = TextColumns(width)
-    cells = [dict.fromkeys(_MISSING_TEXTS) for _ in names]
+    table = TextColumns(width, _MISSING_TEXTS)
     late = False
 
-    def convert(j, raw):
+    def convert(j, fresh):
         nonlocal late
-        stripped = list(map(str.strip, raw))
-        known = cells[j]
-        fresh = list(dict.fromkeys(filterfalse(known.__contains__, stripped)))
         if kinds[j] == NUMERIC:
             try:
-                known.update(zip(fresh, text_cells(AttributeSpec.numeric(names[j]), fresh)))
+                return text_cells(AttributeSpec.numeric(names[j]), fresh)
             except ValueError:
                 kinds[j] = NOMINAL
-                late = late or len(known) > len(_MISSING_TEXTS)
+                late = late or len(table.texts[j]) > len(_MISSING_TEXTS)
         if kinds[j] == NOMINAL:
-            size = len(known) - len(_MISSING_TEXTS)
-            known.update(zip(fresh, range(size, size + len(fresh))))
-        elif kinds[j] == STRING:
-            known.update(zip(fresh, fresh))
-        return map(known.__getitem__, stripped)
+            size = len(table.texts[j]) - len(_MISSING_TEXTS)
+            return range(size, size + len(fresh))
+        return fresh
 
     records: list[tuple[Cell, ...]] = []
     for rows in _row_blocks(text, start, line_num):
@@ -160,7 +154,7 @@ def _read(text: str, start: int, line_num: int, names, kinds):
         if late:
             return None
         del rows  # frees this block's texts before the next block is split
-    return records, cells
+    return records, table.texts
 
 
 def _row_blocks(text: str, start: int, line_num: int):

@@ -9,7 +9,7 @@ averages weight every class equally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .model import SppamError
 
@@ -90,23 +90,18 @@ def classification_metrics(matrix: ConfusionMatrix) -> MetricsReport:
 
 
 def average_metrics(reports) -> MetricsReport:
-    """Field-wise mean of several MetricsReports over the same class list."""
+    """Field-wise mean of several MetricsReports over the same class list;
+    a tuple field is averaged element by element."""
     reports = list(reports)
     if not reports:
         raise SppamError("no metric reports to average")
     n = len(reports)
-    k = len(reports[0].precision)
 
     def mean(values):
+        if isinstance(values[0], tuple):  # per class, element by element
+            return tuple(map(mean, zip(*values)))
         return sum(values) / n
 
     return MetricsReport(
-        cci_percent=mean([r.cci_percent for r in reports]),
-        kappa=mean([r.kappa for r in reports]),
-        precision=tuple(mean([r.precision[c] for r in reports]) for c in range(k)),
-        recall=tuple(mean([r.recall[c] for r in reports]) for c in range(k)),
-        f_measure=tuple(mean([r.f_measure[c] for r in reports]) for c in range(k)),
-        macro_precision=mean([r.macro_precision for r in reports]),
-        macro_recall=mean([r.macro_recall for r in reports]),
-        macro_f_measure=mean([r.macro_f_measure for r in reports]),
+        **{f.name: mean([getattr(r, f.name) for r in reports]) for f in fields(MetricsReport)}
     )

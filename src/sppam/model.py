@@ -15,8 +15,9 @@ specs are immutable after construction and safe to share across threads.
 The read contract of both formats lives here, for every layer to import:
 the error types, ``unwritable`` (what no reader accepts, as no writer can
 write it back), ``text_cells`` (which texts an attribute accepts) and
-``TextColumns``, which builds each block's records as a reader reads it and
-alone hands the reader the new raw texts of a block to convert.
+``TextColumns``, which builds each block's records as a reader reads it:
+it alone strips the texts and reads the format's missing markers, and
+hands the reader only the new stripped texts of a column to convert.
 
 ``run_both`` runs two independent computations at once, the second in a
 forked child, with the result, log records and exceptions of running them
@@ -55,14 +56,18 @@ class ConfigError(SppamError):
 
 
 class ParseError(SppamError):
-    """Malformed input text; ``line`` is the 1-based source line number."""
+    """Malformed input text; ``line`` is the 1-based source line number and
+    ``path``, when a caller sets it, the file that held the text."""
+
+    path: str | None = None
 
     def __init__(self, line: int, message: str):
         super().__init__(line, message)  # both, so that a pickled copy is rebuilt whole
         self.line = line
 
     def __str__(self) -> str:
-        return f"line {self.line}: {self.args[1]}"
+        where = "" if self.path is None else f"{self.path}: "
+        return f"{where}line {self.line}: {self.args[1]}"
 
 
 # the characters at which str.splitlines, and so the ARFF reader, ends a line
@@ -250,26 +255,32 @@ def _hold_log_records() -> list[logging.LogRecord]:
 
 
 class TextColumns:
-    """The cells of a table read in blocks of rows of raw cell texts. One
-    ``raw text -> cell`` dict per column means that each distinct raw text
-    of a column is converted once, in the block that first holds it, and
-    that equal texts share one cell object."""
+    """The cells of a table read in blocks of rows of raw cell texts. Each
+    distinct raw text of a column is stripped, and each distinct stripped
+    text converted, once, in the block that first holds it, so that equal
+    texts share one cell object. Per column, ``texts`` maps each stripped
+    text to its cell: the format's ``missing`` markers to None, then the
+    present texts in first-seen order."""
 
-    def __init__(self, width: int):
+    def __init__(self, width: int, missing):
         self._cells: list[dict[str, Cell]] = [{} for _ in range(width)]
+        self.texts: list[dict[str, Cell]] = [dict.fromkeys(missing) for _ in range(width)]
 
     def add(self, rows, convert) -> list[tuple[Cell, ...]]:
         """The records of a block of rows, each a list of ``width`` raw
-        texts. The raw texts of column ``j`` that no earlier block held go
-        to ``convert(j, texts)`` in first-seen order, which returns their
+        texts. The stripped texts of column ``j`` that no earlier block held
+        go to ``convert(j, texts)`` in first-seen order, which returns their
         cells in that order; whatever it raises propagates."""
         columns = []
-        for j, (cells, texts) in enumerate(zip(self._cells, zip(*rows))):
+        for j, (cells, known, texts) in enumerate(zip(self._cells, self.texts, zip(*rows))):
             try:
                 columns.append(list(map(cells.__getitem__, texts)))
             except KeyError:
-                fresh = list(dict.fromkeys(filterfalse(cells.__contains__, texts)))
-                cells.update(zip(fresh, convert(j, fresh)))
+                raw = list(dict.fromkeys(filterfalse(cells.__contains__, texts)))
+                stripped = list(map(str.strip, raw))
+                fresh = list(dict.fromkeys(filterfalse(known.__contains__, stripped)))
+                known.update(zip(fresh, convert(j, fresh)))
+                cells.update(zip(raw, map(known.__getitem__, stripped)))
                 columns.append(list(map(cells.__getitem__, texts)))
         return list(zip(*columns))
 

@@ -18,9 +18,12 @@ Missing values are excluded from max/min/avg and from both the numerator
 and denominator of the percentage columns; a group with no observed value
 for an attribute yields missing output cells.
 
-Each aggregate (``aggregate_numeric``, ``aggregate_nominal`` and the
-"last" of strings and the class) takes one column of a group in source
-order and returns that column's output cells, in output schema order.
+``_plan`` is the one statement of this rule: per non-class attribute, its
+output attributes, which ``derive_output_schema`` reads, and its aggregate
+(``aggregate_numeric``, ``aggregate_nominal`` or the "last" of strings and
+the class), which maps one column of a group in source order to that
+column's output cells. A numeric or nominal pivot's group key is its text
+as the writers give it (``model.column_kernel``).
 
 ``transform`` returns the output records and runs in the calling process.
 ``transform_text``, which the CLI uses, returns the written text of the
@@ -37,12 +40,13 @@ from itertools import accumulate
 from .model import (
     NOMINAL,
     NUMERIC,
+    STRING,
     AttributeSpec,
     ConfigError,
     Dataset,
     SppamError,
+    column_kernel,
     float_mean,
-    format_number,
     no_gc,
     run_both,
 )
@@ -100,19 +104,7 @@ def derive_output_schema(
     according to its type. Always has exactly ``attribute_count`` entries.
     """
     _, class_index = config.resolve(tuple(schema))
-    out: list[AttributeSpec] = []
-    for j, attr in enumerate(schema):
-        if j == class_index:
-            continue
-        if attr.kind == NUMERIC:
-            for suffix in ("MAX", "MIN", "AVG", "LAST"):
-                out.append(AttributeSpec.numeric(f"{attr.name}_{suffix}"))
-        elif attr.kind == NOMINAL:
-            for value in attr.values:
-                out.append(AttributeSpec.numeric(f"{attr.name}_{value}_PERC"))
-            out.append(AttributeSpec.nominal(f"{attr.name}_LAST", attr.values))
-        else:
-            out.append(attr)
+    out = [attr for _, outputs, _ in _plan(schema, class_index) for attr in outputs]
     out.append(schema[class_index])
     names = [a.name for a in out]
     if len(set(names)) != len(names):
@@ -151,12 +143,7 @@ def group_records(dataset: Dataset, pivot_attribute: str) -> list[Group]:
     cells = [record[pivot_index] for record in dataset.records]
     if None in cells:
         raise ConfigError(f"record {cells.index(None)}: missing pivot value")
-    if attr.kind == NOMINAL:
-        keys = map(attr.values.__getitem__, cells)
-    elif attr.kind == NUMERIC:  # no memo: -0.0 and 0.0 hash alike but read apart
-        keys = map(format_number, cells)
-    else:
-        keys = cells
+    keys = cells if attr.kind == STRING else column_kernel(attr, None, str)(cells)
     members: dict[str, list[int]] = {}
     for i, key in enumerate(keys):
         bucket = members.get(key)
@@ -232,18 +219,24 @@ def sort_records(dataset: Dataset, attribute: str) -> Dataset:
 
 
 def _plan(schema: tuple[AttributeSpec, ...], class_index: int) -> list:
-    """``(column index, aggregate)`` of each non-class attribute, in order."""
+    """``(column index, output attributes, aggregate)`` of each non-class
+    attribute, in order: the one statement of what each kind becomes."""
     plan = []
     for j, attr in enumerate(schema):
         if j == class_index:
             continue
         if attr.kind == NUMERIC:
-            plan.append((j, aggregate_numeric))
+            names = (f"{attr.name}_{suffix}" for suffix in ("MAX", "MIN", "AVG", "LAST"))
+            plan.append((j, list(map(AttributeSpec.numeric, names)), aggregate_numeric))
         elif attr.kind == NOMINAL:
+            outputs = [AttributeSpec.numeric(f"{attr.name}_{value}_PERC") for value in attr.values]
+            outputs.append(AttributeSpec.nominal(f"{attr.name}_LAST", attr.values))
             # a default argument binds the size at less cost than partial()
-            plan.append((j, lambda values, n=len(attr.values): aggregate_nominal(values, n)))
+            plan.append(
+                (j, outputs, lambda values, n=len(attr.values): aggregate_nominal(values, n))
+            )
         else:
-            plan.append((j, _last))
+            plan.append((j, [attr], _last))
     return plan
 
 
@@ -255,7 +248,7 @@ def _aggregate(records, groups, plan, class_index: int) -> tuple[list, list[str]
     for group in groups:
         columns = tuple(zip(*[records[i] for i in group.member_indices]))
         out_row: list = []
-        for j, aggregate in plan:
+        for j, _, aggregate in plan:
             out_row.extend(aggregate(columns[j]))
         classes = columns[class_index]
         if len(set(classes) - {None}) > 1:

@@ -29,6 +29,7 @@ from sppam.arff import (
     _type_text,
     _unquote,
 )
+from sppam.metrics import MetricsReport
 from sppam.model import AttributeSpec, Cell, Dataset, SppamError, float_mean, format_number
 from sppam.transform import TransformConfig
 
@@ -46,6 +47,26 @@ def cell_text(attr: AttributeSpec, cell: Cell) -> str | None:
     if attr.kind == "numeric":
         return format_number(float(cell))
     return cell
+
+
+def oracle_average_metrics(reports) -> MetricsReport:
+    """The mean of each MetricsReport field, spelled out field by field,
+    each sum taken over the reports in order."""
+    n, k = len(reports), len(reports[0].precision)
+
+    def mean(values):
+        return sum(values) / n
+
+    return MetricsReport(
+        cci_percent=mean([r.cci_percent for r in reports]),
+        kappa=mean([r.kappa for r in reports]),
+        precision=tuple(mean([r.precision[c] for r in reports]) for c in range(k)),
+        recall=tuple(mean([r.recall[c] for r in reports]) for c in range(k)),
+        f_measure=tuple(mean([r.f_measure[c] for r in reports]) for c in range(k)),
+        macro_precision=mean([r.macro_precision for r in reports]),
+        macro_recall=mean([r.macro_recall for r in reports]),
+        macro_f_measure=mean([r.macro_f_measure for r in reports]),
+    )
 
 
 def random_transform_schema(rng: random.Random, max_middle: int = 4):

@@ -272,7 +272,7 @@ def test_raw_cells_match_the_scanner_oracle(line):
             _raw_cells(line)
     else:
         texts = [raw.strip() for raw in _raw_cells(line)]
-        assert [None if t == "?" else _column_cells(string, [t])[t] for t in texts] == expected
+        assert [None if t == "?" else _column_cells(string, [t])[0] for t in texts] == expected
 
 
 # ARFF-ish text: header keywords, cell values and separators mixed with noise

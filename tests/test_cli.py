@@ -83,14 +83,58 @@ NOT_UTF8 = {
     ".arff": b"@RELATION r\n@ATTRIBUTE \xe9 numeric\n@ATTRIBUTE c {0,1}\n@DATA\n1,0\n",
     ".csv": b"a,c\n\xe9,0\n",
 }
-NOT_UTF8_ERROR = "error: line 2: input is not UTF-8: byte 0xe9 cannot be decoded\n"
+NOT_UTF8_ERROR = "error: {}: line 2: input is not UTF-8: byte 0xe9 cannot be decoded\n"
 
 
 @pytest.mark.parametrize("suffix", sorted(NOT_UTF8))
 def test_input_that_is_not_utf8_exits_1_naming_the_byte_and_line(tmp_path, suffix):
     src = tmp_path / f"latin1{suffix}"
     src.write_bytes(NOT_UTF8[suffix])
-    assert _run_module(tmp_path, "eval", src.name, "--class", "c") == (1, "", NOT_UTF8_ERROR)
+    assert _run_module(tmp_path, "eval", src.name, "--class", "c") == (
+        1, "", NOT_UTF8_ERROR.format(src.name)
+    )
+
+
+@pytest.mark.parametrize("suffix", sorted(NOT_UTF8))
+def test_a_bad_byte_after_a_byte_order_mark_keeps_its_line(run_cli, tmp_path, monkeypatch, suffix):
+    monkeypatch.chdir(tmp_path)
+    Path(f"in{suffix}").write_bytes(b"\xef\xbb\xbf" + NOT_UTF8[suffix])
+    assert run_cli("eval", f"in{suffix}", "--class", "c") == (
+        1, "", NOT_UTF8_ERROR.format(f"in{suffix}")
+    )
+
+
+BOM_INPUTS = {
+    ".arff": "@RELATION r\n@ATTRIBUTE Date string\n@ATTRIBUTE a numeric\n"
+             "@ATTRIBUTE c {0,1}\n@DATA\nd1,1.5,0\nd1,2.5,0\nd2,3,1\n",
+    ".csv": "Date,a,c\nd1,1.5,0\nd1,2.5,0\nd2,3,1\n",
+}
+
+
+@pytest.mark.parametrize("suffix", sorted(BOM_INPUTS))
+def test_transform_reads_a_byte_order_mark_as_no_text(run_cli, tmp_path, suffix):
+    outputs = []
+    for mark in (b"", b"\xef\xbb\xbf"):
+        src = tmp_path / f"in{len(mark)}{suffix}"
+        src.write_bytes(mark + BOM_INPUTS[suffix].encode())
+        out = tmp_path / f"out{len(mark)}.arff"
+        assert run_cli("transform", src, "--pivot", "Date", "--class", "c", "-o", out) == (
+            0, "2 groups, 3 -> 6 attributes\n", ""
+        )
+        outputs.append(out.read_text())
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("bad", [0, 1])
+def test_compare_names_the_file_whose_parse_fails(run_cli, tmp_path, monkeypatch, bad):
+    monkeypatch.chdir(tmp_path)
+    Path("s.arff").write_text("@ATTRIBUTE a numeric\n@ATTRIBUTE c {0,1}\n@DATA\n1,0\n2,1\n")
+    Path("ragged.csv").write_text("a,c\n1,0\n2,1,3\n")
+    files = ["s.arff", "s.arff"]
+    files[bad] = "ragged.csv"
+    assert run_cli("compare", *files, "--class", "c") == (
+        1, "", "error: ragged.csv: line 3: row has 3 values, header has 2 columns\n"
+    )
 
 
 @pytest.mark.parametrize("suffix", sorted(NOT_UTF8))
@@ -106,7 +150,7 @@ def test_every_reading_subcommand_refuses_input_that_is_not_utf8(
     monkeypatch.chdir(tmp_path)
     Path(f"in{suffix}").write_bytes(NOT_UTF8[suffix])
     args = [arg.format(src=f"in{suffix}") for arg in command]
-    assert run_cli(*args) == (1, "", NOT_UTF8_ERROR)
+    assert run_cli(*args) == (1, "", NOT_UTF8_ERROR.format(f"in{suffix}"))
     assert sorted(p.name for p in tmp_path.iterdir()) == [f"in{suffix}"]
 
 
@@ -274,7 +318,7 @@ def test_diagnostics_are_one_stderr_line_each_and_leave_no_handler(run_cli, surf
         (("transform", surf_file, "--pivot", "Date", "--class", "Surf", "-o", tmp_path / "d.arff"),
          0, "warning: 1 group(s) have mixed class values (last value wins): 19-11-2010\n"),
         (("eval", broken, "--class", "c"),
-         1, "error: line 5: unparseable numeric value 'q' for attribute 'a'\n"),
+         1, f"error: {broken}: line 5: unparseable numeric value 'q' for attribute 'a'\n"),
         (("eval", surf_file, "--class", "Surf", "--k", "1"),
          2, "error: fold count must be at least 2, got 1\n"),
         (("eval", missing, "--class", "c"),

@@ -342,9 +342,9 @@ def test_a_column_that_turns_nominal_late_costs_one_more_read(
     made = []
 
     class CountingColumns(model.TextColumns):
-        def __init__(self, width):
+        def __init__(self, width, missing):
             made.append(width)
-            super().__init__(width)
+            super().__init__(width, missing)
 
     monkeypatch.setattr(csvio, "TextColumns", CountingColumns)
     monkeypatch.setattr(csvio, "READ_BLOCK_ROWS", block_rows)

@@ -1,7 +1,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from sppam import ConfusionMatrix, classification_metrics
+from helpers import oracle_average_metrics
+from sppam import ConfusionMatrix, MetricsReport, classification_metrics
+from sppam.metrics import average_metrics
 from sppam.model import SppamError
 
 
@@ -85,3 +87,27 @@ def test_metric_identities(counts):
 def test_total_counts_every_cell():
     a = matrix([[1, 2], [3, 4]])
     assert a.total == 10
+
+
+_SCORES = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+
+
+@st.composite
+def metric_reports(draw):
+    """Several MetricsReports over one class list of 0 to 4 classes."""
+    k = draw(st.integers(min_value=0, max_value=4))
+    per_class = st.tuples(*[_SCORES] * k)
+    report = st.builds(
+        MetricsReport, _SCORES, _SCORES, per_class, per_class, per_class, _SCORES, _SCORES, _SCORES
+    )
+    return draw(st.lists(report, min_size=1, max_size=6))
+
+
+@given(metric_reports())
+def test_average_metrics_matches_the_field_by_field_oracle(reports):
+    assert average_metrics(reports) == oracle_average_metrics(reports)
+
+
+def test_average_metrics_of_no_reports_is_rejected():
+    with pytest.raises(SppamError, match="no metric reports"):
+        average_metrics([])

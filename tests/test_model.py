@@ -130,3 +130,7 @@ def test_errors_survive_pickling(error):
 def test_a_parse_error_keeps_its_line_and_message_through_pickling():
     copy = pickle.loads(pickle.dumps(model.ParseError(3, "bad")))
     assert (copy.line, str(copy)) == (3, "line 3: bad")
+    error = model.ParseError(3, "bad")
+    error.path = "in.csv"
+    copy = pickle.loads(pickle.dumps(error))
+    assert (copy.line, copy.path, str(copy)) == (3, "in.csv", "in.csv: line 3: bad")

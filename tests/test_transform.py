@@ -1,5 +1,7 @@
+import csv
 import functools
 import importlib
+import io
 import os
 import random
 import threading
@@ -156,6 +158,23 @@ class TestGroupRecords:
         records = ((1, 0), (0, 0), (1, 0))
         groups = group_records(Dataset("unnamed", schema, records), "key")
         assert [(g.key, g.member_indices) for g in groups] == [("s", (0, 2)), ("n", (1,))]
+
+    @given(st.data())
+    def test_each_key_is_the_text_write_csv_gives_the_pivot_cell(self, data):
+        numeric = data.draw(st.booleans())
+        if numeric:
+            pivot = AttributeSpec.numeric("key")
+            finite = st.floats(allow_nan=False, allow_infinity=False)
+            cells = st.sampled_from([0.0, -0.0, 2.5]) | finite
+        else:
+            pivot = AttributeSpec.nominal("key", ("n", "s s", "0.0", "a,b"))
+            cells = st.integers(min_value=0, max_value=3)
+        column = data.draw(st.lists(cells, min_size=1, max_size=12))
+        schema = (pivot, AttributeSpec.nominal("label", ("a",)))
+        dataset = Dataset("unnamed", schema, tuple((cell, 0) for cell in column))
+        keys = {i: g.key for g in group_records(dataset, "key") for i in g.member_indices}
+        written = list(csv.reader(io.StringIO(write_csv(dataset))))[1:]
+        assert [keys[i] for i in range(len(column))] == [row[0] for row in written]
 
 
 class TestAggregateNumeric:
