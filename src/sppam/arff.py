@@ -18,7 +18,8 @@ character scanner otherwise. ``model.TextColumns`` builds each block's
 records as it is read, stripping each distinct raw text of a column once
 and handing its new stripped texts to ``_column_cells``, which unquotes
 and converts them, so that reading stops at the first block with a bad
-text. A bare ``?`` is missing, a quoted ``'?'`` is the text "?". When
+text. The reader collects each block's records, or hands them to a
+``fold`` (the CLI ``transform``'s ``GroupFold``) and keeps none. A bare ``?`` is missing, a quoted ``'?'`` is the text "?". When
 anything fails (a row of the wrong width, a sparse row, an open quote, a
 text its attribute refuses), each block is read again on its own and the
 lines of the first block that fails one at a time, so that the ParseError
@@ -59,11 +60,15 @@ READ_BLOCK_CELLS = 4096  # lines per block: this over the attribute count
 
 
 @no_gc
-def parse_arff(text: str) -> Dataset:
+def parse_arff(text: str, fold=None) -> Dataset:
     """Parse ARFF-style text into a Dataset.
 
     Schema order and record order match the file. A missing ``@RELATION``
     line yields the relation name "unnamed".
+
+    ``fold``, when given, is called with the attribute names once the
+    schema is read; each block's records then go, in order, to the
+    callable it returns, and the Dataset returned holds no records.
     """
     relation_name = "unnamed"
     schema: list[AttributeSpec] = []
@@ -90,7 +95,9 @@ def parse_arff(text: str) -> Dataset:
             if not schema:
                 raise ParseError(lineno, "@DATA before any @ATTRIBUTE declaration")
             size = max(1, READ_BLOCK_CELLS // len(schema))
-            records = _read_data(lines, lineno, len(lines), schema, size)
+            records: list[tuple[Cell, ...]] = []
+            consume = records.extend if fold is None else fold([a.name for a in schema])
+            _read_data(lines, lineno, len(lines), schema, size, consume)
             return Dataset(relation_name, tuple(schema), records)
         else:
             raise ParseError(lineno, f"unexpected content outside the data section: {line!r}")
@@ -100,33 +107,39 @@ def parse_arff(text: str) -> Dataset:
     raise ParseError(1, "missing @DATA line")
 
 
-def _read_data(lines: list[str], first: int, stop: int, schema: list[AttributeSpec], size: int):
-    """The records of the data lines ``lines[first:stop]``, the first of
-    which is line ``first + 1``, read in blocks of ``size`` lines. If that
-    fails, each block is read again on its own, and the lines of a block
-    that fails one at a time: an error belongs to one line, so the
-    ParseError raised is that of the first bad line in source order."""
+def _drop(records) -> None:
+    """A consumer of blocks of records that keeps none of them."""
+
+
+def _read_data(
+    lines: list[str], first: int, stop: int, schema: list[AttributeSpec], size: int, consume=_drop
+) -> None:
+    """Hand ``consume`` the records of the data lines ``lines[first:stop]``,
+    the first of which is line ``first + 1``, read in blocks of ``size``
+    lines. If that fails, each block is read again on its own, and the
+    lines of a block that fails one at a time, their records dropped: an
+    error belongs to one line, so the ParseError raised is that of the
+    first bad line in source order."""
     try:
-        return _records((lines[i:min(i + size, stop)] for i in range(first, stop, size)), schema)
+        _records((lines[i:min(i + size, stop)] for i in range(first, stop, size)), schema, consume)
     except ValueError as exc:
         if stop - first == 1:
             raise ParseError(first + 1, str(exc)) from None
-    step = size if stop - first > size else 1
-    records = []
-    for i in range(first, stop, step):
-        records += _read_data(lines, i, min(i + step, stop), schema, step)
-    return records
+        step = size if stop - first > size else 1
+        for i in range(first, stop, step):
+            _read_data(lines, i, min(i + step, stop), schema, step)
+        raise
 
 
-def _records(blocks, schema: list[AttributeSpec]) -> list[tuple[Cell, ...]]:
-    """The records of blocks of data lines. Blank and comment lines are
-    skipped, every other line is split into raw cell texts, and each
-    block's records are built as it is read, each distinct text of a
-    column stripped, unquoted and converted once, in the block that first
-    holds it. Raises ValueError naming a problem as soon as a block has
-    one: for a one-line block, the leftmost in its line."""
+def _records(blocks, schema: list[AttributeSpec], consume=_drop) -> None:
+    """Hand ``consume`` the records of each of the blocks of data lines in
+    turn. Blank and comment lines are skipped, every other line is split
+    into raw cell texts, and each block's records are built as it is read,
+    each distinct text of a column stripped, unquoted and converted once,
+    in the block that first holds it. Raises ValueError naming a problem as
+    soon as a block has one: for a one-line block, the leftmost in its
+    line."""
     table = TextColumns(len(schema), ("?",))  # a quoted '?' keeps its quotes till _column_cells
-    records: list[tuple[Cell, ...]] = []
     for block in blocks:
         lines = [line for line in filter(None, map(str.strip, block)) if line[0] != "%"]
         if "{" in "".join(line[0] for line in lines):
@@ -134,9 +147,8 @@ def _records(blocks, schema: list[AttributeSpec]) -> list[tuple[Cell, ...]]:
         rows = list(map(_raw_cells, lines))
         if widths := set(map(len, rows)) - {len(schema)}:
             raise ValueError(f"row has {min(widths)} values, schema has {len(schema)} attributes")
-        records += table.add(rows, lambda j, texts: _column_cells(schema[j], texts))
+        consume(table.add(rows, lambda j, texts: _column_cells(schema[j], texts)))
         del rows  # frees this block's texts before the next block is split
-    return records
 
 
 def _column_cells(attr: AttributeSpec, texts) -> list[Cell]:

@@ -7,6 +7,10 @@ diagnostic is a record on the ``sppam`` logger; ``main`` writes each one
 to stderr as ``warning: ...`` or ``error: ...``. Exit codes: 1 parse
 error, 2 configuration/usage error, 3 I/O error.
 
+``transform`` hands the readers a ``transform.GroupFold``, so that each
+block of records read goes into its group's cells and is dropped; with
+``--sort-by`` it reads every record first, sorts, then folds them.
+
 Each subcommand imports only the modules it runs: ``transform``,
 ``schema`` and ``--help`` load the data model, the readers and writers and
 ``transform``, never the classifiers, folds, metrics, t-test, evaluation
@@ -25,6 +29,7 @@ from .arff import parse_arff, write_arff
 from .csvio import parse_csv, write_csv
 from .model import ConfigError, Dataset, ParseError, SppamError
 from .transform import (
+    GroupFold,
     TransformConfig,
     attribute_count,
     derive_output_schema,
@@ -167,17 +172,19 @@ def _format(path: str) -> str:
     return suffix
 
 
-def _load_dataset(path: str, string_columns=(), nominal_columns=()) -> Dataset:
-    """The dataset in ``path``; a ParseError it raises names ``path``."""
+def _load_dataset(path: str, string_columns=(), nominal_columns=(), fold=None) -> Dataset:
+    """The dataset in ``path``, its records handed to ``fold`` as the
+    readers take it, if given; a ParseError it raises names ``path``."""
     suffix = _format(path)
     try:
         text = _read_text(path)
         if suffix == ".arff":
-            return parse_arff(text)
+            return parse_arff(text, fold=fold)
         return parse_csv(
             text,
             string_columns=tuple(c for c in string_columns if c),
             nominal_columns=tuple(c for c in nominal_columns if c),
+            fold=fold,
         )
     except ParseError as exc:
         exc.path = path
@@ -223,24 +230,33 @@ def _cmd_transform(args) -> int:
     write = _writer(args.output)  # before the input is read
     if args.decimals is not None and args.decimals < 0:
         raise ConfigError(f"--decimals must be 0 or more, got {args.decimals}")
+    # the records go into their groups as they are read; --sort-by needs them all first
+    fold = GroupFold(args.pivot)
     dataset = _load_dataset(
         args.input,
         string_columns=(args.pivot, args.id_attr),
         nominal_columns=(args.class_attr,),
+        fold=None if args.sort_by else fold.start,
     )
     if args.sort_by:
         dataset = sort_records(dataset, args.sort_by)
+        fold.start(dataset.attribute_names)(dataset.records)
+        dataset = dataset.replace_records(())
     config = TransformConfig(args.pivot, args.class_attr, args.id_attr)
     _, class_index = config.resolve(dataset.schema)
-    if write is write_csv and all(record[class_index] is None for record in dataset.records):
+    width, out_width = len(dataset.schema), attribute_count(dataset.schema, config)
+    if write is write_csv and all(
+        cell is None for cells in fold.cells.values() for cell in cells[class_index::width]
+    ):
         # parse_csv builds a nominal domain from the values it sees
         raise ConfigError(
             f"class attribute {args.class_attr!r} has no labelled record, so a CSV of it "
             "could not be read back; use a .arff output"
         )
-    width, out_width = len(dataset.schema), attribute_count(dataset.schema, config)
-    groups, text = transform_text(dataset, config, functools.partial(write, decimals=args.decimals))
-    del dataset  # frees the input records before the text is encoded
+    groups, text = transform_text(
+        dataset, config, functools.partial(write, decimals=args.decimals), fold
+    )
+    del fold  # frees the input's cells before the text is encoded
     Path(args.output).write_text(text, encoding="utf-8")
     print(f"{groups} groups, {width} -> {out_width} attributes")
     return 0

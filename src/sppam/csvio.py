@@ -29,9 +29,11 @@ column is stripped and converted once, in the block that first holds it,
 and equal texts share one cell object. A column is converted as numeric
 until it meets a text that is not; it then turns nominal, at once if it
 holds no number yet, else by reading the text again with the column
-forced nominal (at most once per such column). ``write_csv`` writes
-blocks of records, formatting each column of a block through its
-distinct cells.
+forced nominal (at most once per such column). The reader collects each
+block's records, or hands them to a ``fold`` (the CLI ``transform``'s
+``GroupFold``), which starts afresh at each read, and keeps none.
+``write_csv`` writes blocks of records, formatting each column of a block
+through its distinct cells.
 """
 
 from __future__ import annotations
@@ -68,8 +70,16 @@ def parse_csv(
     text: str,
     string_columns=(),
     nominal_columns=(),
+    fold=None,
 ) -> Dataset:
-    """Parse CSV text into a Dataset, inferring a schema from the cells."""
+    """Parse CSV text into a Dataset, inferring a schema from the cells.
+
+    ``fold``, when given, is called with the header names at the start of
+    each read of the data rows, again whenever a column turns nominal late
+    (so what it returns must start afresh); each block's records then go,
+    in order, to the callable it returns, and the Dataset returned holds no
+    records.
+    """
     reader = csv.reader(_lines(text))
     try:
         header = next(filter(None, reader))  # blank lines read as []
@@ -95,10 +105,11 @@ def parse_csv(
         STRING if name in string_columns else NOMINAL if name in nominal_columns else NUMERIC
         for name in names
     ]
-    read = None
-    while read is None:  # once more for each column that turns nominal late
-        read = _read(text, start, header_line, names, kinds)
-    records, texts = read
+    texts = None
+    while texts is None:  # once more for each column that turns nominal late
+        records: list[tuple[Cell, ...]] = []
+        consume = records.extend if fold is None else fold(names)
+        texts = _read(text, start, header_line, names, kinds, consume)
 
     # a cell can hold both quotes, a \n or a \r only in a text with '"';
     # the other line breaks need no quotes
@@ -118,12 +129,13 @@ def parse_csv(
     return Dataset("unnamed", tuple(schema), records)
 
 
-def _read(text: str, start: int, line_num: int, names, kinds):
-    """The records of the data rows in ``text[start:]``, which ``line_num``
-    lines precede, and per column its ``TextColumns.texts`` dict, whose
-    keys are the missing markers and then its present texts in first-seen
-    order. A STRING column's cell is its text, a NOMINAL one's the index of
-    its text in that order, a NUMERIC one's its number.
+def _read(text: str, start: int, line_num: int, names, kinds, consume):
+    """Hand ``consume`` the records of each block of the data rows in
+    ``text[start:]``, which ``line_num`` lines precede, and return per
+    column its ``TextColumns.texts`` dict, whose keys are the missing
+    markers and then its present texts in first-seen order. A STRING
+    column's cell is its text, a NOMINAL one's the index of its text in
+    that order, a NUMERIC one's its number.
 
     A NUMERIC column that meets a non-numeric text becomes NOMINAL in
     ``kinds``. If it held a number already, the records built so far are
@@ -146,15 +158,14 @@ def _read(text: str, start: int, line_num: int, names, kinds):
             return range(size, size + len(fresh))
         return fresh
 
-    records: list[tuple[Cell, ...]] = []
     for rows in _row_blocks(text, start, line_num):
         if set(map(len, rows)) - {width}:
             _reject_row_width(text, width)
-        records += table.add(rows, convert)
+        consume(table.add(rows, convert))
         if late:
             return None
         del rows  # frees this block's texts before the next block is split
-    return records, table.texts
+    return table.texts
 
 
 def _row_blocks(text: str, start: int, line_num: int):

@@ -17,11 +17,14 @@ the error types, ``unwritable`` (what no reader accepts, as no writer can
 write it back), ``text_cells`` (which texts an attribute accepts) and
 ``TextColumns``, which builds each block's records as a reader reads it:
 it alone strips the texts and reads the format's missing markers, and
-hands the reader only the new stripped texts of a column to convert.
+hands the reader only the new stripped texts of a column to convert. A
+reader collects the records of its blocks, or hands each block's records
+to a fold (the CLI ``transform``'s) and keeps none.
 
 ``run_both`` runs two independent computations at once, the second in a
 forked child, with the result, log records and exceptions of running them
-in order; ``compare`` and the CLI ``transform`` split their work with it.
+in order, as it does where it may not fork (``may_fork``); ``compare`` and
+the CLI ``transform`` split their work with it.
 """
 
 from __future__ import annotations
@@ -184,17 +187,29 @@ def no_gc(function):
     return paused
 
 
+def may_fork() -> bool:
+    """Whether ``run_both`` forks, unless the fork fails: ``os.fork``
+    exists, one thread runs (forking is unsafe beside others) and this
+    process may use two CPUs or more, where ``os.sched_getaffinity`` says
+    (on one, a child would only add its own cost)."""
+    return (
+        hasattr(os, "fork")
+        and threading.active_count() == 1
+        and (not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) > 1)
+    )
+
+
 def run_both(first, second) -> tuple:
     """``(first(), second())``, with ``second`` run in a forked child while
-    this process runs ``first``; in order where forking is unsafe (threads),
-    missing or fails. A spawned interpreter would import the package again,
-    which costs more than the overlap saves on small inputs.
+    this process runs ``first`` where ``may_fork()``; in order elsewhere or
+    when the fork fails. A spawned interpreter would import the package
+    again, which costs more than the overlap saves on small inputs.
 
     The child's ``sppam`` log records are handled here after ``first``'s,
     then its exception, if any, is raised. An exception from ``first``
     kills the child; no child outlives the call.
     """
-    if not hasattr(os, "fork") or threading.active_count() != 1:
+    if not may_fork():
         return first(), second()
     read_fd, write_fd = os.pipe()
     try:

@@ -22,31 +22,40 @@ for an attribute yields missing output cells.
 output attributes, which ``derive_output_schema`` reads, and its aggregate
 (``aggregate_numeric``, ``aggregate_nominal`` or the "last" of strings and
 the class), which maps one column of a group in source order to that
-column's output cells. A numeric or nominal pivot's group key is its text
-as the writers give it (``model.column_kernel``).
+column's output cells. Records share a group when the writers give their
+pivot cells one text (``_pivot_keys``).
 
-``transform`` returns the output records and runs in the calling process.
-``transform_text``, which the CLI uses, returns the written text of the
-same output and aggregates and writes the second half of the groups in a
-forked child (``model.run_both``), which sends back only its text.
+A ``GroupFold`` takes blocks of records and keeps one flat, row-major list
+of cells per group; the readers hand it each block as they read it, so
+the CLI never holds the input's records. ``_aggregate``, the one kernel,
+reads each output cell from a column slice of those lists. ``transform``
+folds a dataset's records as one block, returns the output records and
+runs in the calling process. ``transform_text``, which the CLI uses,
+returns the written text of the same output and aggregates and writes the
+second half of the groups in a forked child (``model.run_both``), which
+sends back only its text.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
+import math
+import operator
+from collections import defaultdict, deque
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, repeat
 
 from .model import (
     NOMINAL,
     NUMERIC,
-    STRING,
     AttributeSpec,
     ConfigError,
     Dataset,
     SppamError,
     column_kernel,
     float_mean,
+    may_fork,
     no_gc,
     run_both,
 )
@@ -133,25 +142,82 @@ def attribute_count(schema: tuple[AttributeSpec, ...], config: TransformConfig) 
     return total
 
 
+_IS_ZERO = functools.partial(operator.eq, 0.0)
+
+
+def _pivot_keys(cells: list) -> list:
+    """The group key of each pivot cell (None for a missing one): the cell
+    itself, so that cells share a key exactly when the writers give them
+    one text, except that a negative zero, equal to 0.0 but written
+    "-0.0", gets that text as a key of its own."""
+    if 0.0 in cells and -1.0 in map(math.copysign, repeat(1.0), filter(_IS_ZERO, cells)):
+        return ["-0.0" if cell == 0.0 and math.copysign(1.0, cell) < 0 else cell for cell in cells]
+    return cells
+
+
 def group_records(dataset: Dataset, pivot_attribute: str) -> list[Group]:
     """Partition record indices by pivot value, equality on exact text.
 
     Groups are ordered by first appearance; members keep source order.
     """
     pivot_index = dataset.attribute_index(pivot_attribute)
-    attr = dataset.schema[pivot_index]
     cells = [record[pivot_index] for record in dataset.records]
-    if None in cells:
-        raise ConfigError(f"record {cells.index(None)}: missing pivot value")
-    keys = cells if attr.kind == STRING else column_kernel(attr, None, str)(cells)
-    members: dict[str, list[int]] = {}
+    keys = _pivot_keys(cells)
+    if None in keys:
+        raise ConfigError(f"record {keys.index(None)}: missing pivot value")
+    members: dict = {}
     for i, key in enumerate(keys):
         bucket = members.get(key)
         if bucket is None:
             members[key] = [i]
         else:
             bucket.append(i)
-    return [Group(key, tuple(idx)) for key, idx in members.items()]
+    render = column_kernel(dataset.schema[pivot_index], None, str)
+    texts = render([cells[idx[0]] for idx in members.values()])
+    return [Group(text, tuple(idx)) for text, idx in zip(texts, members.values())]
+
+
+class GroupFold:
+    """Blocks of records folded into one flat, row-major list of cells per
+    pivot group, groups in first-appearance order: all that ``_aggregate``
+    reads, without a record tuple or an index per record. ``start`` is the
+    ``fold`` that ``parse_arff`` and ``parse_csv`` take."""
+
+    def __init__(self, pivot_attribute: str):
+        self.pivot_attribute = pivot_attribute
+        self.start(())  # nothing folded yet
+
+    def start(self, names):
+        """Forget what was folded. Returns the callable that folds each
+        block of records whose attributes are ``names``; with no pivot
+        among them it folds nothing, as ``TransformConfig.resolve`` then
+        refuses the dataset."""
+        self.cells = defaultdict(list)
+        self._records = 0
+        self._missing = None  # the first record without a pivot value
+        if self.pivot_attribute not in names:
+            return lambda records: None
+        pivot = operator.itemgetter(names.index(self.pivot_attribute))
+        return functools.partial(self._fold, pivot)
+
+    def _fold(self, pivot, records) -> None:
+        keys = _pivot_keys(list(map(pivot, records)))
+        if self._missing is None and None in keys:
+            self._missing = self._records + keys.index(None)
+        self._records += len(keys)
+        # each record's cells onto its group's list, with no loop in Python
+        deque(map(list.extend, map(self.cells.__getitem__, keys), records), 0)
+
+    def groups(self, schema: tuple[AttributeSpec, ...]) -> list[tuple[str, list]]:
+        """``(key text, cells)`` of each group, in order, for the folded
+        records of ``schema``; ConfigError if a record had no pivot value,
+        raised only here, so that an error of the read comes first."""
+        if self._missing is not None:
+            raise ConfigError(f"record {self._missing}: missing pivot value")
+        j = [attr.name for attr in schema].index(self.pivot_attribute)
+        cells = list(self.cells.values())
+        texts = column_kernel(schema[j], None, str)([group[j] for group in cells])
+        return list(zip(texts, cells))
 
 
 def aggregate_numeric(values) -> tuple:
@@ -193,7 +259,8 @@ def aggregate_nominal(values, domain_size: int) -> tuple:
             last = v
     if observed == 0:
         return (None,) * (domain_size + 1)
-    return (*[100.0 * c / observed for c in counts], last)
+    # every zero percent is one shared float: most cells of short groups
+    return (*[100.0 * c / observed if c else 0.0 for c in counts], last)
 
 
 def _last(values) -> tuple:
@@ -240,22 +307,29 @@ def _plan(schema: tuple[AttributeSpec, ...], class_index: int) -> list:
     return plan
 
 
-def _aggregate(records, groups, plan, class_index: int) -> tuple[list, list[str]]:
-    """The output record of each of ``groups``, in order, and the keys of
-    the groups whose members carry more than one class value."""
+def _aggregate(groups, width: int, plan, class_index: int) -> tuple[list, list[str]]:
+    """The output record of each of ``groups``, ``(key text, cells)`` with
+    the cells of its records in one flat list of rows ``width`` long, and
+    the keys of the groups whose members carry more than one class value."""
     mixed_groups: list[str] = []
     out_records = []
-    for group in groups:
-        columns = tuple(zip(*[records[i] for i in group.member_indices]))
+    for key, cells in groups:
         out_row: list = []
         for j, _, aggregate in plan:
-            out_row.extend(aggregate(columns[j]))
-        classes = columns[class_index]
+            out_row.extend(aggregate(cells[j::width]))
+        classes = cells[class_index::width]
         if len(set(classes) - {None}) > 1:
-            mixed_groups.append(group.key)
+            mixed_groups.append(key)
         out_row.extend(_last(classes))
         out_records.append(tuple(out_row))
     return out_records, mixed_groups
+
+
+def _folded(dataset: Dataset, pivot_attribute: str) -> GroupFold:
+    """A GroupFold of ``dataset``'s records, as one block."""
+    fold = GroupFold(pivot_attribute)
+    fold.start(dataset.attribute_names)(dataset.records)
+    return fold
 
 
 def _log_mixed(mixed_groups: list[str]) -> None:
@@ -278,35 +352,41 @@ def transform(dataset: Dataset, config: TransformConfig) -> Dataset:
     """
     _, class_index = config.resolve(dataset.schema)
     out_schema = derive_output_schema(dataset.schema, config)
-    groups = group_records(dataset, config.pivot_attribute)
+    groups = _folded(dataset, config.pivot_attribute).groups(dataset.schema)
     out_records, mixed_groups = _aggregate(
-        dataset.records, groups, _plan(dataset.schema, class_index), class_index
+        groups, len(dataset.schema), _plan(dataset.schema, class_index), class_index
     )
     _log_mixed(mixed_groups)
     return Dataset(dataset.relation_name, out_schema, tuple(out_records))
 
 
 @no_gc
-def transform_text(dataset: Dataset, config: TransformConfig, write) -> tuple[int, str]:
+def transform_text(
+    dataset: Dataset, config: TransformConfig, write, fold: GroupFold | None = None
+) -> tuple[int, str]:
     """``(group count, write(transform(dataset, config)))``, with the same
     log records and exceptions, computed in two halves.
 
-    ``write`` maps a Dataset to its text, and the text of a Dataset must
-    start with the text of its schema alone,
-    ``write(d.replace_records(()))``. The groups are cut at the first whose
-    members, with those of the groups before it, reach half the records.
+    ``fold``, when given, is the GroupFold that holds the records of
+    ``dataset``, which was read without them. ``write`` maps a Dataset to
+    its text, and the text of a Dataset must start with the text of its
+    schema alone, ``write(d.replace_records(()))``. The groups are cut at
+    the first whose members, with those of the groups before it, reach
+    half the records.
     This process aggregates and writes the groups up to the cut; through
     ``model.run_both`` a forked child aggregates and writes the rest and
     sends back only its text after the schema's, so no output record
-    crosses the pipe. One group, or a cut after the last, runs in order.
+    crosses the pipe. One group, a cut after the last, or a process that
+    would not fork (``model.may_fork``) aggregates and writes all groups
+    in one pass.
     """
     _, class_index = config.resolve(dataset.schema)
     out_schema = derive_output_schema(dataset.schema, config)
-    groups = group_records(dataset, config.pivot_attribute)
-    plan = _plan(dataset.schema, class_index)
+    groups = (fold or _folded(dataset, config.pivot_attribute)).groups(dataset.schema)
+    width, plan = len(dataset.schema), _plan(dataset.schema, class_index)
 
     def text_of(part, schema_text: bool = True) -> tuple[list[str], str | Exception]:
-        records, mixed_groups = _aggregate(dataset.records, part, plan, class_index)
+        records, mixed_groups = _aggregate(part, width, plan, class_index)
         output = Dataset(dataset.relation_name, out_schema, records)
         try:
             text = write(output)
@@ -316,9 +396,10 @@ def transform_text(dataset: Dataset, config: TransformConfig, write) -> tuple[in
             return mixed_groups, exc
         return mixed_groups, text
 
-    totals = accumulate(len(group.member_indices) for group in groups)
-    cut = next((n for n, total in enumerate(totals, 1) if 2 * total >= len(dataset.records)), 0)
-    if cut == len(groups):
+    sizes = [len(cells) for _, cells in groups]  # cells: records times width
+    whole = sum(sizes)
+    cut = next((n for n, total in enumerate(accumulate(sizes), 1) if 2 * total >= whole), 0)
+    if cut == len(groups) or not may_fork():
         halves = [text_of(groups)]
     else:
         halves = run_both(lambda: text_of(groups[:cut]), lambda: text_of(groups[cut:], False))

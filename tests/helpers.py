@@ -883,8 +883,15 @@ ZERO_SIGNS = Dataset("unnamed", (AttributeSpec.numeric("a"), AttributeSpec.numer
 ))
 
 
+def on_two_cpus(monkeypatch):
+    """Until the test ends, the process may use two CPUs, whatever the host
+    allows, as ``model.run_both`` forks only then."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
 def counting_forks(monkeypatch):
-    """A list that gains one item per ``os.fork`` call, until the test ends."""
+    """A list that gains one item per ``os.fork`` call, until the test ends,
+    on two CPUs (``on_two_cpus``)."""
     forks, fork = [], os.fork
 
     def counting():
@@ -892,6 +899,7 @@ def counting_forks(monkeypatch):
         return fork()
 
     monkeypatch.setattr(os, "fork", counting)
+    on_two_cpus(monkeypatch)
     return forks
 
 

@@ -1,14 +1,27 @@
 import logging
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import sppam
 from conftest import GOLDEN_DATA_SECTION, SURF_TWO_DAYS_CSV
-from sppam import Dataset, TransformConfig, cli, parse_arff, transform
+from sppam import (
+    Dataset,
+    TransformConfig,
+    cli,
+    csvio,
+    parse_arff,
+    parse_csv,
+    sort_records,
+    transform,
+    write_arff,
+    write_csv,
+)
 
 
 def test_transform_writes_expected_file(run_cli, surf_file, tmp_path):
@@ -218,6 +231,120 @@ def test_transform_refuses_a_csv_of_a_class_without_labels(run_cli, tmp_path):
     )
     assert not (tmp_path / "daily.csv").exists()
     assert run_cli(*args, tmp_path / "daily.arff") == (0, "6 groups, 10 -> 45 attributes\n", "")
+
+
+_DAYS = "@ATTRIBUTE day string\n@ATTRIBUTE x numeric\n@ATTRIBUTE c {a,b}\n@DATA\n"
+
+
+@pytest.mark.parametrize("output", ["o.arff", "o.csv"])
+@pytest.mark.parametrize("name, text, pivot, code, message", [
+    # a record without a pivot value, then a malformed line: the parse error wins
+    ("in.arff", _DAYS + "d1,1,a\n?,2,b\n" + "d2,3,a\n" * 5000 + "d3,zz,a\n", "day", 1,
+     "{src}: line 5007: unparseable numeric value 'zz' for attribute 'x'"),
+    ("in.csv", "day,x,c\nd1,1,a\n,2,b\n" + "d2,3,a\n" * 5000 + "d3,1,2,3\n", "day", 1,
+     "{src}: line 5004: row has 4 values, header has 3 columns"),
+    # a pivot that the schema lacks, then a malformed line
+    ("in.arff", _DAYS + "d2,3,a\n" * 5000 + "d3,1\n", "nope", 1,
+     "{src}: line 5005: row has 2 values, schema has 3 attributes"),
+    ("in.arff", _DAYS + "d2,3,a\n" * 5000, "nope", 2, "pivot attribute 'nope' is not in the schema"),
+    # a record without a pivot value, blocks after the first
+    ("in.arff", _DAYS + "d1,1,a\n" + "d2,3,a\n" * 5000 + "?,2,b\n", "day", 2,
+     "record 5001: missing pivot value"),
+])
+def test_transform_reports_the_first_error_of_the_read_then_of_the_groups(
+    run_cli, tmp_path, name, text, pivot, code, message, output
+):
+    """The CLI folds each block of records into its groups as it reads:
+    what it reports, and that it writes nothing, is as when it read every
+    record first."""
+    src = tmp_path / name
+    src.write_text(text)
+    args = ("transform", src, "--pivot", pivot, "--class", "c", "-o", tmp_path / output)
+    assert run_cli(*args) == (code, "", f"error: {message.format(src=src)}\n")
+    assert not (tmp_path / output).exists()
+
+
+def test_transform_refuses_a_csv_of_a_class_without_labels_before_a_missing_pivot(
+    run_cli, tmp_path
+):
+    src = tmp_path / "in.arff"
+    src.write_text(_DAYS + "d1,1,?\n?,2,?\n")
+    code, stdout, stderr = run_cli(
+        "transform", src, "--pivot", "day", "--class", "c", "-o", tmp_path / "o.csv"
+    )
+    assert (code, stdout) == (2, "")
+    assert stderr.startswith("error: class attribute 'c' has no labelled record")
+    assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("output", ["o.arff", "o.csv"])
+def test_transform_restarts_its_groups_when_a_csv_column_turns_nominal_late(
+    run_cli, tmp_path, monkeypatch, output
+):
+    """``x`` holds numbers for two blocks, then a text, so ``parse_csv``
+    reads again with ``x`` nominal; the groups folded so far are dropped."""
+    text = "day,x,c\n" + "".join(f"d{i % 3},{i},{'ab'[i % 2]}\n" for i in range(5)) + "d1,zz,a\n"
+    src = tmp_path / "in.csv"
+    src.write_text(text)
+    monkeypatch.setattr(csvio, "READ_BLOCK_ROWS", 2)
+    code, stdout, _ = run_cli("transform", src, "--pivot", "day", "--class", "c",
+                              "-o", tmp_path / output)
+    assert (code, stdout) == (0, "3 groups, 3 -> 9 attributes\n")
+    dataset = parse_csv(text, string_columns=("day",), nominal_columns=("c",))
+    write = write_csv if output.endswith(".csv") else write_arff
+    expected = write(transform(dataset, TransformConfig("day", "c")))
+    assert (tmp_path / output).read_text() == expected
+
+
+def test_transform_keeps_the_zeros_of_a_numeric_pivot_apart(run_cli, tmp_path):
+    text = (
+        "@ATTRIBUTE day numeric\n@ATTRIBUTE x numeric\n@ATTRIBUTE c {a,b}\n@DATA\n"
+        "0.0,1,a\n-0.0,2,b\n0.0,3,a\n-0.0,4,b\n"
+    )
+    src, out = tmp_path / "in.arff", tmp_path / "o.arff"
+    src.write_text(text)
+    code, stdout, _ = run_cli("transform", src, "--pivot", "day", "--class", "c", "-o", out)
+    assert (code, stdout) == (0, "2 groups, 3 -> 9 attributes\n")
+    assert out.read_text() == write_arff(transform(parse_arff(text), TransformConfig("day", "c")))
+
+
+def test_transform_sort_by_folds_the_sorted_records(run_cli, tmp_path):
+    src, out = tmp_path / "surf.arff", tmp_path / "daily.arff"
+    run_cli("gen-surf", "-o", src, "--days", "12", "--zero-days", "4")
+    code, stdout, _ = run_cli("transform", src, "--pivot", "Date", "--class", "Sets",
+                              "--sort-by", "Wave", "--decimals", "2", "-o", out)
+    assert (code, stdout) == (0, "12 groups, 10 -> 45 attributes\n")
+    dataset = sort_records(parse_arff(src.read_text()), "Wave")
+    daily = transform(dataset, TransformConfig("Date", "Sets"))
+    assert out.read_text() == write_arff(daily, 2)
+
+
+def test_transform_never_holds_the_records_of_its_input(run_cli, tmp_path, monkeypatch):
+    """Parsing, transforming and writing 40k interleaved records peaks
+    clearly below what parsing them alone holds: the records go into their
+    groups' cells as they are read."""
+    rng = random.Random(7)
+    lines = ["Site,Hour,Wave,Dir,Sets"]
+    for r in range(40_000):
+        wave = "" if rng.random() < 0.02 else repr(round(rng.gauss(1.8, 0.7), 2))
+        lines.append(f"site-{r % 150:04d},{r % 4 * 6},{wave},{rng.choice('NESW')},{r % 2}")
+    text = "\n".join(lines) + "\n"
+    monkeypatch.setattr(cli, "_read_text", lambda path: text)  # as parse_csv gets it
+    peaks = []
+    for run in (
+        lambda: parse_csv(text, ("Site",), ("Sets",)),
+        lambda: run_cli("transform", "sites.csv", "--pivot", "Site", "--class", "Sets",
+                        "-o", tmp_path / "daily.csv"),
+    ):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert (tmp_path / "daily.csv").read_text().count("\n") == 151
+    # holding the parsed records too peaks at about 1.2 times parsing alone
+    assert peaks[1] < 0.85 * peaks[0]
 
 
 def test_transform_negative_decimals_exits_2_before_parsing(run_cli, tmp_path):

@@ -5,7 +5,7 @@ import random
 import pytest
 
 import sppam.evaluate
-from helpers import assert_no_child_left, counting_forks
+from helpers import assert_no_child_left, counting_forks, on_two_cpus
 from sppam import (
     AttributeSpec,
     CLASSIFIER_KINDS,
@@ -391,6 +391,7 @@ def test_compare_runs_in_order_when_the_fork_fails(monkeypatch):
     args = (dataset, dataset, ["oner", "naive-bayes"], "label")
     expected = compare_datasets(*args, k=4, repeats=2)
     monkeypatch.setattr(os, "fork", refuse)
+    on_two_cpus(monkeypatch)
     assert compare_datasets(*args, k=4, repeats=2) == expected
 
 
@@ -433,6 +434,7 @@ def test_a_child_that_ends_without_a_result_is_an_error(monkeypatch):
         return cross_validate_(dataset, *args, **kwargs)
 
     monkeypatch.setattr(sppam.evaluate, "cross_validate", dying)
+    on_two_cpus(monkeypatch)
     with pytest.raises(ChildProcessError, match="ended without a result"):
         compare_datasets(original, daily, ["oner"], "Sets", k=4, repeats=1, group_attribute="Date")
     assert_no_child_left()

@@ -65,13 +65,13 @@ def test_collector_state_is_restored(name, enabled):
 
 def test_collector_is_paused_inside_transform(monkeypatch):
     seen = []
-    group_records = transform_module.group_records
+    aggregate = transform_module._aggregate
 
     def spy(*args):
         seen.append(gc.isenabled())
-        return group_records(*args)
+        return aggregate(*args)
 
-    monkeypatch.setattr(transform_module, "group_records", spy)
+    monkeypatch.setattr(transform_module, "_aggregate", spy)
     assert gc.isenabled()
     transform(parse_arff(SURF_TWO_DAYS), TransformConfig("Date", "Surf"))
     assert seen == [False]

@@ -14,6 +14,7 @@ from helpers import (
     assert_no_child_left,
     counting_forks,
     naive_transform_rows,
+    on_two_cpus,
     random_transform_dataset,
     rows_match,
     write_datasets,
@@ -485,7 +486,16 @@ class TestTransformText:
         dataset = gen_surf(days=20, seed=2)
         expected = (20, write_arff(transform(dataset, SETS)))
         monkeypatch.setattr(os, "fork", refuse)
+        on_two_cpus(monkeypatch)
         assert transform_text(dataset, SETS, write_arff) == expected
+
+    def test_runs_in_order_on_one_cpu(self, monkeypatch):
+        dataset = gen_surf(days=20, seed=2)
+        expected = (20, write_arff(transform(dataset, SETS)))
+        forks = counting_forks(monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert transform_text(dataset, SETS, write_arff) == expected
+        assert forks == []
 
     def test_runs_in_order_beside_another_thread(self, monkeypatch):
         dataset = gen_surf(days=20, seed=2)
@@ -524,6 +534,7 @@ class TestTransformText:
             return aggregate(*args)
 
         monkeypatch.setattr(TRANSFORM_MODULE, "_aggregate", dying)
+        on_two_cpus(monkeypatch)
         with pytest.raises(ChildProcessError, match="ended without a result"):
             transform_text(gen_surf(days=20, seed=2), SETS, write_arff)
         assert_no_child_left()
