@@ -21,13 +21,13 @@ errors. A candidate's errors are counted from the class counts of the runs
 of equal values that its own thresholds send to each bin or side, plus the
 rows with a missing value whose class differs from its majority branch's.
 
-Every learner reads one training set, which computes each fact it needs
-once for all of them: the features, the class counts,
-each nominal value-by-class table and each numeric column's runs of equal
-values with their class counts, in sorted order. The counts come from
-``PresortedColumns``, which counts each column over the labelled records
-once per dataset; a training set's counts are those totals minus the
-labelled records it leaves out, about one fold in ``cross_validate``.
+Every learner fits from one training set, which computes each fact it
+needs once for all of them, and reads no record: the features, the class
+counts, each nominal value-by-class table and each numeric column's runs
+of equal values with their class counts, in sorted order. The counts come
+from ``PresortedColumns``, which counts each column over the labelled
+records once per dataset; a training set's counts are those totals minus
+the labelled records it leaves out, about one fold in ``cross_validate``.
 ``cross_validate`` takes one training set per fold from one presort per
 dataset, and ``fit`` turns a plain Dataset into a training set of all its
 records.
@@ -39,7 +39,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, compress, filterfalse, repeat
+from itertools import accumulate, chain, compress, filterfalse, repeat
 from operator import sub
 
 from .model import ConfigError, Dataset, float_mean
@@ -432,13 +432,7 @@ def _oner_numeric(train, j):
 
 
 def _fit_naive_bayes(train) -> NaiveBayesModel:
-    n_classes, c = len(train.class_values), train.class_index
-    # each class's rows; float_mean sums with math.fsum, which is correctly
-    # rounded, so their order does not matter
-    by_class = [[] for _ in range(n_classes)]
-    for row in train.records:
-        if row[c] is not None:
-            by_class[row[c]].append(row)
+    n_classes = len(train.class_values)
     total = sum(train.class_counts)
     log_priors = tuple(
         math.log((count + 1.0) / (total + n_classes)) for count in train.class_counts
@@ -446,14 +440,18 @@ def _fit_naive_bayes(train) -> NaiveBayesModel:
     feature_stats = []
     for j in train.features:
         if train.schema[j].kind == "numeric":
+            values, counts = train.runs(j)
             per_class = []
-            for class_rows in by_class:
-                values = [row[j] for row in class_rows if row[j] is not None]
+            for class_counts in counts:
+                # each value repeated its count in the class: math.fsum in
+                # float_mean is correctly rounded, so these are the rows' mean
+                # and variance; 0.0 and -0.0 share a run, and square alike
                 stats = None
-                if values:
-                    mean = float_mean(values)
+                if any(class_counts):
+                    mean = float_mean(list(chain.from_iterable(map(repeat, values, class_counts))))
                     # v - mean or its square overflows near the largest float
-                    var = float_mean([(v - mean) * (v - mean) for v in values])
+                    squares = [(v - mean) * (v - mean) for v in values]
+                    var = float_mean(list(chain.from_iterable(map(repeat, squares, class_counts))))
                     if math.isfinite(var):
                         var = max(var, NB_VARIANCE_FLOOR)
                         stats = (mean, var, math.log(2.0 * math.pi * var))

@@ -240,14 +240,12 @@ def _cmd_transform(args) -> int:
     )
     if args.sort_by:
         dataset = sort_records(dataset, args.sort_by)
-        fold.start(dataset.attribute_names)(dataset.records)
+        fold.fold_dataset(dataset)
         dataset = dataset.replace_records(())
     config = TransformConfig(args.pivot, args.class_attr, args.id_attr)
     _, class_index = config.resolve(dataset.schema)
     width, out_width = len(dataset.schema), attribute_count(dataset.schema, config)
-    if write is write_csv and all(
-        cell is None for cells in fold.cells.values() for cell in cells[class_index::width]
-    ):
+    if write is write_csv and not fold.has_value(class_index):
         # parse_csv builds a nominal domain from the values it sees
         raise ConfigError(
             f"class attribute {args.class_attr!r} has no labelled record, so a CSV of it "

@@ -41,8 +41,6 @@ SURF_SCHEMA = (
     AttributeSpec.nominal("Sets", ("0", "1")),
 )
 
-PIVOT_ATTRIBUTE = "Date"
-CLASS_ATTRIBUTE = "Sets"
 _FIRST_DAY = date(2010, 11, 18)
 
 

@@ -370,7 +370,7 @@ def present_texts(render, column) -> list[str]:
     return list(map(memo.__getitem__, column))
 
 
-_IS_ZERO = functools.partial(operator.eq, 0.0)
+is_zero = functools.partial(operator.eq, 0.0)  # x == 0.0, which filter calls in C
 
 
 def number_texts(column, decimals: int | None, memo: dict) -> list[str]:
@@ -391,7 +391,7 @@ def number_texts(column, decimals: int | None, memo: dict) -> list[str]:
         memo.update(zip(fresh, map(format_number, fresh, repeat(decimals))))
     memo[None] = "?"
     # -0.0 == 0.0 and both hash alike, so all zeros share the first one's text
-    if 0.0 in memo and len(set(map(math.copysign, repeat(1.0), filter(_IS_ZERO, column)))) > 1:
+    if 0.0 in memo and len(set(map(math.copysign, repeat(1.0), filter(is_zero, column)))) > 1:
         texts = [format_number(x, decimals) if x == 0.0 else memo[x] for x in column]
     else:
         texts = list(map(memo.__getitem__, column))

@@ -55,6 +55,7 @@ from .model import (
     SppamError,
     column_kernel,
     float_mean,
+    is_zero,
     may_fork,
     no_gc,
     run_both,
@@ -142,15 +143,12 @@ def attribute_count(schema: tuple[AttributeSpec, ...], config: TransformConfig) 
     return total
 
 
-_IS_ZERO = functools.partial(operator.eq, 0.0)
-
-
 def _pivot_keys(cells: list) -> list:
     """The group key of each pivot cell (None for a missing one): the cell
     itself, so that cells share a key exactly when the writers give them
     one text, except that a negative zero, equal to 0.0 but written
     "-0.0", gets that text as a key of its own."""
-    if 0.0 in cells and -1.0 in map(math.copysign, repeat(1.0), filter(_IS_ZERO, cells)):
+    if 0.0 in cells and -1.0 in map(math.copysign, repeat(1.0), filter(is_zero, cells)):
         return ["-0.0" if cell == 0.0 and math.copysign(1.0, cell) < 0 else cell for cell in cells]
     return cells
 
@@ -192,7 +190,8 @@ class GroupFold:
         block of records whose attributes are ``names``; with no pivot
         among them it folds nothing, as ``TransformConfig.resolve`` then
         refuses the dataset."""
-        self.cells = defaultdict(list)
+        self._cells = defaultdict(list)
+        self._width = len(names)
         self._records = 0
         self._missing = None  # the first record without a pivot value
         if self.pivot_attribute not in names:
@@ -200,13 +199,23 @@ class GroupFold:
         pivot = operator.itemgetter(names.index(self.pivot_attribute))
         return functools.partial(self._fold, pivot)
 
+    def fold_dataset(self, dataset: Dataset) -> GroupFold:
+        """This fold, holding ``dataset``'s records alone, as one block."""
+        self.start(dataset.attribute_names)(dataset.records)
+        return self
+
     def _fold(self, pivot, records) -> None:
         keys = _pivot_keys(list(map(pivot, records)))
         if self._missing is None and None in keys:
             self._missing = self._records + keys.index(None)
         self._records += len(keys)
         # each record's cells onto its group's list, with no loop in Python
-        deque(map(list.extend, map(self.cells.__getitem__, keys), records), 0)
+        deque(map(list.extend, map(self._cells.__getitem__, keys), records), 0)
+
+    def has_value(self, j: int) -> bool:
+        """Whether column j holds a value in any folded record."""
+        width = self._width
+        return any(cell is not None for cells in self._cells.values() for cell in cells[j::width])
 
     def groups(self, schema: tuple[AttributeSpec, ...]) -> list[tuple[str, list]]:
         """``(key text, cells)`` of each group, in order, for the folded
@@ -215,7 +224,7 @@ class GroupFold:
         if self._missing is not None:
             raise ConfigError(f"record {self._missing}: missing pivot value")
         j = [attr.name for attr in schema].index(self.pivot_attribute)
-        cells = list(self.cells.values())
+        cells = list(self._cells.values())
         texts = column_kernel(schema[j], None, str)([group[j] for group in cells])
         return list(zip(texts, cells))
 
@@ -325,13 +334,6 @@ def _aggregate(groups, width: int, plan, class_index: int) -> tuple[list, list[s
     return out_records, mixed_groups
 
 
-def _folded(dataset: Dataset, pivot_attribute: str) -> GroupFold:
-    """A GroupFold of ``dataset``'s records, as one block."""
-    fold = GroupFold(pivot_attribute)
-    fold.start(dataset.attribute_names)(dataset.records)
-    return fold
-
-
 def _log_mixed(mixed_groups: list[str]) -> None:
     if mixed_groups:
         log.warning(
@@ -352,7 +354,7 @@ def transform(dataset: Dataset, config: TransformConfig) -> Dataset:
     """
     _, class_index = config.resolve(dataset.schema)
     out_schema = derive_output_schema(dataset.schema, config)
-    groups = _folded(dataset, config.pivot_attribute).groups(dataset.schema)
+    groups = GroupFold(config.pivot_attribute).fold_dataset(dataset).groups(dataset.schema)
     out_records, mixed_groups = _aggregate(
         groups, len(dataset.schema), _plan(dataset.schema, class_index), class_index
     )
@@ -382,7 +384,8 @@ def transform_text(
     """
     _, class_index = config.resolve(dataset.schema)
     out_schema = derive_output_schema(dataset.schema, config)
-    groups = (fold or _folded(dataset, config.pivot_attribute)).groups(dataset.schema)
+    fold = fold or GroupFold(config.pivot_attribute).fold_dataset(dataset)
+    groups = fold.groups(dataset.schema)
     width, plan = len(dataset.schema), _plan(dataset.schema, class_index)
 
     def text_of(part, schema_text: bool = True) -> tuple[list[str], str | Exception]:

@@ -341,6 +341,13 @@ OVERFLOW_EDGE = _edge_dataset([
     (0.0, 1, 0), (0.0, 0, 0), (0.0, 1, 1), (0.0, 0, 1),
     (LARGEST, 0, 0), (1.5e308, 1, 1), (1.5e308, 1, 1), (LARGEST, 0, 0),
 ])
+# naive Bayes: -0.0 and 0.0, in different classes, share one run; class a's
+# three 0.1s and three 0.7s sum to 2.4, but 3 * 0.1 + 3 * 0.7 rounds to
+# 2.3999999999999995; the unlabelled row is in no class
+SIGNED_ZERO_EDGE = _edge_dataset([
+    (-0.0, 0, 0), (0.1, 1, 0), (0.7, 0, 0), (0.1, 0, 0), (0.7, 1, 0), (0.1, 1, 0), (0.7, 0, 0),
+    (0.0, 1, 1), (0.7, 0, 1), (1.0, 0, 1), (5.0, 1, None),
+])
 
 
 @settings(max_examples=1000)
@@ -349,6 +356,8 @@ OVERFLOW_EDGE = _edge_dataset([
 @example(STUMP_EDGE, "decision-stump", random.Random(0))
 @example(OVERFLOW_EDGE, "oner", random.Random(0))
 @example(OVERFLOW_EDGE, "decision-stump", random.Random(0))
+@example(OVERFLOW_EDGE, "naive-bayes", random.Random(0))
+@example(SIGNED_ZERO_EDGE, "naive-bayes", random.Random(0))
 def test_fit_matches_per_row_oracle(dataset, kind, rng):
     """Every kind fitted from the training set's shared counts and
     presorted columns equals the oracle's model, fitted directly and on a

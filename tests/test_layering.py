@@ -429,6 +429,19 @@ def test_classifiers_sort_only_in_the_presort():
     assert sorting == {"PresortedColumns"}
 
 
+def test_classifiers_read_records_only_in_the_presort_and_fit():
+    """Learners fit from a training set's counts and runs: only the presort,
+    which counts them, and ``fit``, which presorts a plain Dataset, read
+    ``.records``."""
+    reading = {
+        getattr(node, "name", "<module>")
+        for node in _trees()["classifiers"].body
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Attribute) and sub.attr == "records"
+    }
+    assert reading == {"PresortedColumns", "fit"}
+
+
 def test_public_names_resolve():
     for name in sppam.__all__:
         assert getattr(sppam, name) is not None, name
@@ -476,6 +489,11 @@ def test_removed_names_are_gone():
         (importlib.import_module("sppam.csvio"), "_unwritable"),
         (importlib.import_module("sppam.model"), "cell_text"),
         (importlib.import_module("sppam.model").TextColumns, "records"),
+        (importlib.import_module("sppam.generator"), "PIVOT_ATTRIBUTE"),
+        (importlib.import_module("sppam.generator"), "CLASS_ATTRIBUTE"),
+        (transform_module, "_folded"),
+        (transform_module, "_IS_ZERO"),
+        (transform_module.GroupFold("x"), "cells"),
     ]:
         assert not hasattr(module, name), name
     assert "seed" not in inspect.signature(sppam.fit).parameters
