@@ -11,20 +11,24 @@ UTF-8 text. Which cell texts an attribute accepts is stated once, in
 
 Both directions work on blocks of rows, one column at a time; a block
 holds about a fixed number of cells, so wide files get fewer rows per
-block and the texts held at once stay bounded. The reader skips blank and
-comment lines and splits every other data line into its raw cell texts,
-padding and quotes kept: ``str.split`` for a line without quotes, a
-character scanner otherwise. ``model.TextColumns`` builds each block's
-records as it is read, stripping each distinct raw text of a column once
-and handing its new stripped texts to ``_column_cells``, which unquotes
-and converts them, so that reading stops at the first block with a bad
-text. The reader collects each block's records, or hands them to a
-``fold`` (the CLI ``transform``'s ``GroupFold``) and keeps none. A bare ``?`` is missing, a quoted ``'?'`` is the text "?". When
-anything fails (a row of the wrong width, a sparse row, an open quote, a
-text its attribute refuses), each block is read again on its own and the
-lines of the first block that fails one at a time, so that the ParseError
-raised is the first in source order and names the leftmost bad cell of
-its line.
+block and the texts held at once stay bounded. The reader splits the text
+into lines one chunk of about ``READ_CHUNK_CHARS`` characters at a time,
+each chunk ending just after a line feed, so that no line break straddles
+two chunks and neither a list of every line nor a copy of the text is
+held. It skips blank and comment lines and splits every other data line
+into its raw cell texts, padding and quotes kept: ``str.split`` for a line
+without quotes, a character scanner otherwise. ``model.TextColumns``
+builds each block's records as it is read, stripping each distinct raw
+text of a column once and handing its new stripped texts to
+``_column_cells``, which unquotes and converts them, so that reading stops
+at the first block with a bad text. The reader collects each block's
+records, or hands them to a ``fold`` (the CLI ``transform``'s
+``GroupFold``) and keeps none. A bare ``?`` is missing, a quoted ``'?'``
+is the text "?". When anything fails (a row of the wrong width, a sparse
+row, an open quote, a text its attribute refuses), the whole text is
+split into lines, each block is read again on its own and the lines of
+the first block that fails one at a time, so that the ParseError raised
+is the first in source order and names the leftmost bad cell of its line.
 
 The writer formats each column of a block through the distinct cells it
 holds, and redoes a block one cell at a time when it holds an error. It
@@ -37,6 +41,8 @@ and so this reader, ends a line, or both quote characters.
 
 from __future__ import annotations
 
+from itertools import islice
+
 from .model import (
     LINE_BREAKS,  # also arff.LINE_BREAKS, where this reader ends a line
     NUMERIC,
@@ -47,6 +53,7 @@ from .model import (
     ParseError,
     SppamError,
     TextColumns,
+    chunk_end,
     column_kernel,
     no_gc,
     text_blocks,
@@ -57,6 +64,7 @@ from .model import (
 _NUMERIC_TYPE_WORDS = {"numeric", "real", "integer"}
 _QUOTE_WORTHY = frozenset(",'\"%{}")  # and every character str.isspace accepts
 READ_BLOCK_CELLS = 4096  # lines per block: this over the attribute count
+READ_CHUNK_CHARS = 1 << 16  # characters per line chunk of the input text
 
 
 @no_gc
@@ -73,7 +81,7 @@ def parse_arff(text: str, fold=None) -> Dataset:
     relation_name = "unnamed"
     schema: list[AttributeSpec] = []
     names_seen: set[str] = set()
-    lines = text.splitlines()
+    lines = _lines(text)
 
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -97,7 +105,12 @@ def parse_arff(text: str, fold=None) -> Dataset:
             size = max(1, READ_BLOCK_CELLS // len(schema))
             records: list[tuple[Cell, ...]] = []
             consume = records.extend if fold is None else fold([a.name for a in schema])
-            _read_data(lines, lineno, len(lines), schema, size, consume)
+            try:
+                _records(iter(lambda: list(islice(lines, size)), []), schema, consume)
+            except ValueError:
+                every = text.splitlines()  # only to name the first bad line
+                _locate(every, lineno, len(every), schema, size)
+                raise
             return Dataset(relation_name, tuple(schema), records)
         else:
             raise ParseError(lineno, f"unexpected content outside the data section: {line!r}")
@@ -107,28 +120,35 @@ def parse_arff(text: str, fold=None) -> Dataset:
     raise ParseError(1, "missing @DATA line")
 
 
+def _lines(text: str):
+    """The lines of ``text`` as ``text.splitlines()`` gives them, split one
+    line chunk (``model.chunk_end``) at a time."""
+    start = 0
+    while start < len(text):
+        end = chunk_end(text, start, READ_CHUNK_CHARS)
+        yield from text[start:end].splitlines()
+        start = end
+
+
 def _drop(records) -> None:
     """A consumer of blocks of records that keeps none of them."""
 
 
-def _read_data(
-    lines: list[str], first: int, stop: int, schema: list[AttributeSpec], size: int, consume=_drop
+def _locate(
+    lines: list[str], first: int, stop: int, schema: list[AttributeSpec], size: int
 ) -> None:
-    """Hand ``consume`` the records of the data lines ``lines[first:stop]``,
-    the first of which is line ``first + 1``, read in blocks of ``size``
-    lines. If that fails, each block is read again on its own, and the
-    lines of a block that fails one at a time, their records dropped: an
-    error belongs to one line, so the ParseError raised is that of the
-    first bad line in source order."""
-    try:
-        _records((lines[i:min(i + size, stop)] for i in range(first, stop, size)), schema, consume)
-    except ValueError as exc:
-        if stop - first == 1:
-            raise ParseError(first + 1, str(exc)) from None
-        step = size if stop - first > size else 1
-        for i in range(first, stop, step):
-            _read_data(lines, i, min(i + step, stop), schema, step)
-        raise
+    """Raise the ParseError of the first bad line among the data lines
+    ``lines[first:stop]``, the first of which is line ``first + 1``: each
+    block of ``size`` lines is read again on its own, its records dropped,
+    and the lines of the first block that fails one at a time. An error
+    belongs to one line, so the first bad line in source order is named."""
+    for i in range(first, stop, size):
+        try:
+            _records([lines[i:min(i + size, stop)]], schema)
+        except ValueError as exc:
+            if size == 1:
+                raise ParseError(i + 1, str(exc)) from None
+            _locate(lines, i, min(i + size, stop), schema, 1)
 
 
 def _records(blocks, schema: list[AttributeSpec], consume=_drop) -> None:

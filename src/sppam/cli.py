@@ -9,7 +9,12 @@ error, 2 configuration/usage error, 3 I/O error.
 
 ``transform`` hands the readers a ``transform.GroupFold``, so that each
 block of records read goes into its group's cells and is dropped; with
-``--sort-by`` it reads every record first, sorts, then folds them.
+``--sort-by`` it reads every record first, sorts, then folds them. Once
+every error is raised, it writes the parts of the output text that
+``transform.transform_text`` returns one after the other, encoding
+``WRITE_SLICE_CHARS`` characters at a time, so that neither the joined
+text nor its whole encoding is held. The input is read whole before the
+output is opened, so the output may be the input file itself.
 
 Each subcommand imports only the modules it runs: ``transform``,
 ``schema`` and ``--help`` load the data model, the readers and writers and
@@ -41,6 +46,7 @@ from .transform import (
 EXIT_PARSE = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
+WRITE_SLICE_CHARS = 1 << 16  # characters of output text encoded at a time
 
 log = logging.getLogger("sppam")
 
@@ -251,11 +257,14 @@ def _cmd_transform(args) -> int:
             f"class attribute {args.class_attr!r} has no labelled record, so a CSV of it "
             "could not be read back; use a .arff output"
         )
-    groups, text = transform_text(
+    groups, parts = transform_text(
         dataset, config, functools.partial(write, decimals=args.decimals), fold
     )
-    del fold  # frees the input's cells before the text is encoded
-    Path(args.output).write_text(text, encoding="utf-8")
+    # every error is raised by now; each slice is encoded as it is written
+    with open(args.output, "w", encoding="utf-8") as out:
+        for part in parts:
+            for start in range(0, len(part), WRITE_SLICE_CHARS):
+                out.write(part[start:start + WRITE_SLICE_CHARS])
     print(f"{groups} groups, {width} -> {out_width} attributes")
     return 0
 

@@ -24,7 +24,9 @@ to a fold (the CLI ``transform``'s) and keeps none.
 ``run_both`` runs two independent computations at once, the second in a
 forked child, with the result, log records and exceptions of running them
 in order, as it does where it may not fork (``may_fork``); ``compare`` and
-the CLI ``transform`` split their work with it.
+the CLI ``transform`` split their work with it. The child pickles its
+result straight into the pipe and this process unpickles it from there;
+once forked, this process can let go of what only the child needs.
 """
 
 from __future__ import annotations
@@ -75,6 +77,14 @@ class ParseError(SppamError):
 
 # the characters at which str.splitlines, and so the ARFF reader, ends a line
 LINE_BREAKS = frozenset("\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
+
+
+def chunk_end(text: str, start: int, size: int) -> int:
+    """Where the line chunk of ``text`` that starts at ``start`` ends, as
+    both readers cut their input: just after the first line feed at least
+    ``size`` characters on, or at the end of the text. No line break, not
+    even ``\r\n``, straddles two chunks."""
+    return text.find("\n", start + size - 1) + 1 or len(text)
 
 
 def unwritable(text: str) -> str | None:
@@ -199,15 +209,20 @@ def may_fork() -> bool:
     )
 
 
-def run_both(first, second) -> tuple:
+def run_both(first, second, release=None) -> tuple:
     """``(first(), second())``, with ``second`` run in a forked child while
     this process runs ``first`` where ``may_fork()``; in order elsewhere or
     when the fork fails. A spawned interpreter would import the package
     again, which costs more than the overlap saves on small inputs.
 
-    The child's ``sppam`` log records are handled here after ``first``'s,
-    then its exception, if any, is raised. An exception from ``first``
-    kills the child; no child outlives the call.
+    ``release``, when given, is called in this process once the fork has
+    succeeded, before ``first``: it drops what only ``second`` needs, which
+    the child holds. The child pickles its result into the pipe as it goes
+    and this process unpickles it from the pipe, so neither holds the
+    pickle as one bytes object. The child's ``sppam`` log records are
+    handled here after ``first``'s, then its exception, if any, is raised.
+    An exception from ``first`` kills the child; no child outlives the
+    call, and one that ends without a whole result is a ChildProcessError.
     """
     if not may_fork():
         return first(), second()
@@ -230,17 +245,23 @@ def run_both(first, second) -> tuple:
             # imported only where a fork needs it, after the work, into memory it freed
             import pickle
             with open(write_fd, "wb") as pipe:
-                pipe.write(pickle.dumps(payload, pickle.HIGHEST_PROTOCOL))
+                pickle.dump(payload, pipe, pickle.HIGHEST_PROTOCOL)
             sent = True
         finally:  # never flush inherited buffers nor return into the caller
             os._exit(0 if sent else 1)
     os.close(write_fd)
+    payload = None
     try:
         with open(read_fd, "rb") as pipe:
+            if release is not None:
+                release()
             result = first()
             import pickle  # as in the child
 
-            data = pipe.read()
+            try:
+                payload = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):  # no result, or half of one
+                pass
     except BaseException:
         import signal
 
@@ -249,9 +270,9 @@ def run_both(first, second) -> tuple:
     finally:
         _, status = os.waitpid(pid, 0)
     code = os.waitstatus_to_exitcode(status)
-    if code != 0:
+    if code != 0 or payload is None:
         raise ChildProcessError(f"a forked child ended without a result (return code {code})")
-    ok, value, records = pickle.loads(data)
+    ok, value, records = payload
     for record in records:
         logging.getLogger(record.name).handle(record)
     if not ok:

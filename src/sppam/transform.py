@@ -27,13 +27,17 @@ pivot cells one text (``_pivot_keys``).
 
 A ``GroupFold`` takes blocks of records and keeps one flat, row-major list
 of cells per group; the readers hand it each block as they read it, so
-the CLI never holds the input's records. ``_aggregate``, the one kernel,
-reads each output cell from a column slice of those lists. ``transform``
-folds a dataset's records as one block, returns the output records and
-runs in the calling process. ``transform_text``, which the CLI uses,
-returns the written text of the same output and aggregates and writes the
-second half of the groups in a forked child (``model.run_both``), which
-sends back only its text.
+the CLI never holds the input's records. ``take_groups`` hands the lists
+over and the fold forgets them. ``_aggregate``, the one kernel, reads
+each output cell from a column slice of those lists; equal percents of a
+transform share one float, as equal input texts share one cell.
+``transform`` folds a dataset's records as one block, returns the output
+records and runs in the calling process. ``transform_text``, which the
+CLI uses, returns the written text of the same output as its parts in
+order, and aggregates and writes the second half of the groups in a
+forked child (``model.run_both``), which sends back only its text. Once
+forked, the parent holds the cells of its own half alone, and each half
+drops its cells once they are aggregated, before it writes.
 """
 
 from __future__ import annotations
@@ -217,14 +221,17 @@ class GroupFold:
         width = self._width
         return any(cell is not None for cells in self._cells.values() for cell in cells[j::width])
 
-    def groups(self, schema: tuple[AttributeSpec, ...]) -> list[tuple[str, list]]:
+    def take_groups(self, schema: tuple[AttributeSpec, ...]) -> list[tuple[str, list]]:
         """``(key text, cells)`` of each group, in order, for the folded
-        records of ``schema``; ConfigError if a record had no pivot value,
-        raised only here, so that an error of the read comes first."""
+        records of ``schema``; the fold then forgets them, so that the list
+        returned holds the only reference to the cells. ConfigError if a
+        record had no pivot value, raised only here, so that an error of
+        the read comes first."""
         if self._missing is not None:
             raise ConfigError(f"record {self._missing}: missing pivot value")
         j = [attr.name for attr in schema].index(self.pivot_attribute)
         cells = list(self._cells.values())
+        self.start(())
         texts = column_kernel(schema[j], None, str)([group[j] for group in cells])
         return list(zip(texts, cells))
 
@@ -248,13 +255,15 @@ def aggregate_numeric(values) -> tuple:
     return (highest, lowest, mean, present[-1])
 
 
-def aggregate_nominal(values, domain_size: int) -> tuple:
+def aggregate_nominal(values, domain_size: int, shared: dict | None = None) -> tuple:
     """Output cells ``(*percents, last)`` of an ordered sequence of nominal
     indices (or missing): one percentage per domain value, then the last
     observed index.
 
     Percent of domain value v = 100 * count(v) / count(observed); the
-    percents sum to 100 whenever anything was observed.
+    percents sum to 100 whenever anything was observed. ``shared``, when
+    given, maps each percent to the float that stands for it, so that
+    equal percents of every group that uses it are one object.
     """
     if not values:
         raise ValueError("cannot aggregate an empty group")
@@ -269,7 +278,10 @@ def aggregate_nominal(values, domain_size: int) -> tuple:
     if observed == 0:
         return (None,) * (domain_size + 1)
     # every zero percent is one shared float: most cells of short groups
-    return (*[100.0 * c / observed if c else 0.0 for c in counts], last)
+    percents = [100.0 * c / observed if c else 0.0 for c in counts]
+    if shared is not None:
+        percents = map(shared.setdefault, percents, percents)
+    return (*percents, last)
 
 
 def _last(values) -> tuple:
@@ -298,6 +310,7 @@ def _plan(schema: tuple[AttributeSpec, ...], class_index: int) -> list:
     """``(column index, output attributes, aggregate)`` of each non-class
     attribute, in order: the one statement of what each kind becomes."""
     plan = []
+    percents: dict[float, float] = {}  # equal percents of every column share one float
     for j, attr in enumerate(schema):
         if j == class_index:
             continue
@@ -307,10 +320,11 @@ def _plan(schema: tuple[AttributeSpec, ...], class_index: int) -> list:
         elif attr.kind == NOMINAL:
             outputs = [AttributeSpec.numeric(f"{attr.name}_{value}_PERC") for value in attr.values]
             outputs.append(AttributeSpec.nominal(f"{attr.name}_LAST", attr.values))
-            # a default argument binds the size at less cost than partial()
-            plan.append(
-                (j, outputs, lambda values, n=len(attr.values): aggregate_nominal(values, n))
-            )
+            # default arguments bind the size and the plan's dict of shared
+            # percents at less cost than partial()
+            plan.append((j, outputs, lambda values, n=len(attr.values), shared=percents: (
+                aggregate_nominal(values, n, shared)
+            )))
         else:
             plan.append((j, [attr], _last))
     return plan
@@ -354,7 +368,7 @@ def transform(dataset: Dataset, config: TransformConfig) -> Dataset:
     """
     _, class_index = config.resolve(dataset.schema)
     out_schema = derive_output_schema(dataset.schema, config)
-    groups = GroupFold(config.pivot_attribute).fold_dataset(dataset).groups(dataset.schema)
+    groups = GroupFold(config.pivot_attribute).fold_dataset(dataset).take_groups(dataset.schema)
     out_records, mixed_groups = _aggregate(
         groups, len(dataset.schema), _plan(dataset.schema, class_index), class_index
     )
@@ -365,31 +379,37 @@ def transform(dataset: Dataset, config: TransformConfig) -> Dataset:
 @no_gc
 def transform_text(
     dataset: Dataset, config: TransformConfig, write, fold: GroupFold | None = None
-) -> tuple[int, str]:
-    """``(group count, write(transform(dataset, config)))``, with the same
-    log records and exceptions, computed in two halves.
+) -> tuple[int, list[str]]:
+    """``(group count, parts)``, where ``"".join(parts)`` is
+    ``write(transform(dataset, config))``, with the same log records and
+    exceptions, computed in two halves. The parts are in order; the caller
+    can write them one after the other without joining them.
 
     ``fold``, when given, is the GroupFold that holds the records of
-    ``dataset``, which was read without them. ``write`` maps a Dataset to
-    its text, and the text of a Dataset must start with the text of its
-    schema alone, ``write(d.replace_records(()))``. The groups are cut at
-    the first whose members, with those of the groups before it, reach
-    half the records.
+    ``dataset``, which was read without them; it holds none once this
+    returns. ``write`` maps a Dataset to its text, and the text of a
+    Dataset must start with the text of its schema alone,
+    ``write(d.replace_records(()))``. The groups are cut at the first
+    whose members, with those of the groups before it, reach half the
+    records.
     This process aggregates and writes the groups up to the cut; through
     ``model.run_both`` a forked child aggregates and writes the rest and
     sends back only its text after the schema's, so no output record
-    crosses the pipe. One group, a cut after the last, or a process that
-    would not fork (``model.may_fork``) aggregates and writes all groups
-    in one pass.
+    crosses the pipe. Once the fork has succeeded, this process holds the
+    cells of its own half of the groups only, and each half lets go of its
+    cells once they are aggregated, before it writes. One group, a cut
+    after the last, or a process that would not fork (``model.may_fork``)
+    aggregates and writes all groups in one pass, into one part.
     """
     _, class_index = config.resolve(dataset.schema)
     out_schema = derive_output_schema(dataset.schema, config)
     fold = fold or GroupFold(config.pivot_attribute).fold_dataset(dataset)
-    groups = fold.groups(dataset.schema)
-    width, plan = len(dataset.schema), _plan(dataset.schema, class_index)
+    groups = fold.take_groups(dataset.schema)
+    count, width, plan = len(groups), len(dataset.schema), _plan(dataset.schema, class_index)
 
-    def text_of(part, schema_text: bool = True) -> tuple[list[str], str | Exception]:
+    def text_of(part: list, schema_text: bool = True) -> tuple[list[str], str | Exception]:
         records, mixed_groups = _aggregate(part, width, plan, class_index)
+        part.clear()  # the cells are aggregated: only the records are written
         output = Dataset(dataset.relation_name, out_schema, records)
         try:
             text = write(output)
@@ -402,12 +422,14 @@ def transform_text(
     sizes = [len(cells) for _, cells in groups]  # cells: records times width
     whole = sum(sizes)
     cut = next((n for n, total in enumerate(accumulate(sizes), 1) if 2 * total >= whole), 0)
-    if cut == len(groups) or not may_fork():
+    if cut == count or not may_fork():
         halves = [text_of(groups)]
     else:
-        halves = run_both(lambda: text_of(groups[:cut]), lambda: text_of(groups[cut:], False))
+        groups, rest = groups[:cut], groups[cut:]
+        # once forked, this process drops the child's half; in order, it keeps it
+        halves = run_both(lambda: text_of(groups), lambda: text_of(rest, False), rest.clear)
     _log_mixed([key for mixed_groups, _ in halves for key in mixed_groups])
     for _, text in halves:
         if isinstance(text, Exception):
             raise text
-    return len(groups), "".join(text for _, text in halves)
+    return count, [text for _, text in halves]

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -360,23 +361,42 @@ def _arff_parse_outcome(parse, text):
     return ("dataset", dataset, repr(dataset.records))
 
 
+_CHUNK_CHARS = arff.READ_CHUNK_CHARS
+# a late chunk, for chunks of 64 characters: 40 short lines, then a bad cell
+_LATE_LINES = "".join(f"{i},x,a,{i}\n" for i in range(40))
+
+
 @settings(max_examples=1000)
-@given(_arff_texts(), st.sampled_from([1, 8, 12, 4096]))
+@given(_arff_texts(), st.sampled_from([1, 8, 12, 4096]), st.integers(1, 64))
 # a quoted '?' is the text "?", a bare ? is missing
-@example(_ARFF_HEADER + "1,x,'?',2\n1,x,?,2\n?,?,\"?\",?\n", 8)
+@example(_ARFF_HEADER + "1,x,'?',2\n1,x,?,2\n?,?,\"?\",?\n", 8, _CHUNK_CHARS)
 # a quoted line inside an otherwise quote-free block
-@example(_ARFF_HEADER + "1,x,a,2\n1,'a b',' q ',2\n3,y,b,4\n", 12)
+@example(_ARFF_HEADER + "1,x,a,2\n1,'a b',' q ',2\n3,y,b,4\n", 12, _CHUNK_CHARS)
 # the bad cell of the earlier line is further right: line order wins
-@example(_ARFF_HEADER + "1,x,a,2\n2,y,b,zz\nzz,x,c,3\n", 12)
-@example(_ARFF_HEADER + "1,x,a,2\n2,y,b,zz\nzz,x,c,3\n", 4096)
+@example(_ARFF_HEADER + "1,x,a,2\n2,y,b,zz\nzz,x,c,3\n", 12, _CHUNK_CHARS)
+@example(_ARFF_HEADER + "1,x,a,2\n2,y,b,zz\nzz,x,c,3\n", 4096, _CHUNK_CHARS)
 # a width error before a conversion error, in the same block
-@example(_ARFF_HEADER + "1,x,a\nzz,x,a,2\n", 4096)
+@example(_ARFF_HEADER + "1,x,a\nzz,x,a,2\n", 4096, _CHUNK_CHARS)
 # comment and blank lines inside @DATA count toward line numbers
-@example(_ARFF_HEADER + "1,x,a,2\n\n% note\n   \n2,w,b,3\n", 8)
-@example(_ARFF_HEADER + "1,x,a,2\n\n% note\n   \n2,w,b,3\n", 4096)
-def test_parse_arff_matches_row_at_a_time_oracle(text, block_cells):
-    # blocks of block_cells // 4 lines: 1, 2, 3 or the default
-    with mock.patch.object(arff, "READ_BLOCK_CELLS", block_cells):
+@example(_ARFF_HEADER + "1,x,a,2\n\n% note\n   \n2,w,b,3\n", 8, _CHUNK_CHARS)
+@example(_ARFF_HEADER + "1,x,a,2\n\n% note\n   \n2,w,b,3\n", 4096, _CHUNK_CHARS)
+# chunks of one line each: every line ends a chunk, blank and % lines too
+@example(_ARFF_HEADER + "1,x,a,2\n\n% note\n   \n2,w,zz,b\n", 8, 1)
+# a \r\n at each chunk end stays one line break
+@example((_ARFF_HEADER + "1,x,a,2\n\n2,w,b,3\n3,y,c,zz\n").replace("\n", "\r\n"), 4096, 1)
+@example((_ARFF_HEADER + "1,x,a,2\n\n2,w,b,3\n3,y,c,zz").replace("\n", "\r\n"), 8, 17)
+# \x85 and \u2028 end lines that no line feed ends, just before a chunk's end
+@example(_ARFF_HEADER + "1,x,a,2\x85\n2,y,b,3\u2028\n\x853,y,c,zz\n", 4096, 1)
+@example(_ARFF_HEADER + "1,x,a,2\x852,y,b,3\u20283,y,c,4\n% a\u2028b\n5,x,zz,c\n", 8, 9)
+# a bad cell in a late chunk keeps its line number
+@example(_ARFF_HEADER + _LATE_LINES + "\n% note\n40,x,a,zz\n41,y,b,1\n", 8, 64)
+@example(_ARFF_HEADER + _LATE_LINES + "\n% note\n40,x,a,zz\n41,y,b,1\n", 4096, 64)
+def test_parse_arff_matches_row_at_a_time_oracle(text, block_cells, chunk_chars):
+    # blocks of block_cells // 4 lines: 1, 2, 3 or the default; chunks of
+    # one line or a few lines, or the default
+    with mock.patch.object(arff, "READ_BLOCK_CELLS", block_cells), mock.patch.object(
+        arff, "READ_CHUNK_CHARS", chunk_chars
+    ):
         assert _arff_parse_outcome(parse_arff, text) == _arff_parse_outcome(oracle_parse_arff, text)
 
 
@@ -398,6 +418,35 @@ def test_parse_arff_matches_oracle_over_many_full_blocks():
     outcome = _arff_parse_outcome(parse_arff, bad)
     assert outcome == _arff_parse_outcome(oracle_parse_arff, bad)
     assert outcome[2].endswith("unparseable numeric value '1_000' for attribute 'k'")
+
+
+@settings(max_examples=300)
+@given(st.text(alphabet="ab\n\r\x85\u2028", max_size=40), st.integers(1, 8))
+def test_lines_are_the_lines_of_splitlines(text, chunk_chars):
+    with mock.patch.object(arff, "READ_CHUNK_CHARS", chunk_chars):
+        assert list(arff._lines(text)) == text.splitlines()
+
+
+def test_parse_arff_holds_no_list_of_its_lines():
+    rng = random.Random(7)
+    lines = [
+        "@ATTRIBUTE Site STRING", "@ATTRIBUTE Hour NUMERIC", "@ATTRIBUTE Wave NUMERIC",
+        "@ATTRIBUTE Dir {N, E, S, W}", "@ATTRIBUTE Sets {0, 1}", "@DATA",
+    ]
+    for r in range(20_000):
+        wave = "?" if rng.random() < 0.02 else repr(round(rng.gauss(1.8, 0.7), 2))
+        lines.append(f"site-{r % 150:04d},{r % 4 * 6},{wave},{rng.choice('NESW')},{r % 2}")
+    text = "\n".join(lines) + "\n"
+    del lines
+    tracemalloc.start()
+    try:
+        dataset = parse_arff(text)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(dataset.records) == 20_000
+    # a list of every line of the text peaks at about 4.4 times the input
+    assert peak - held < 2 * len(text)
 
 
 def test_a_bad_block_raises_before_the_next_block_is_read():

@@ -347,6 +347,51 @@ def test_transform_never_holds_the_records_of_its_input(run_cli, tmp_path, monke
     assert peaks[1] < 0.85 * peaks[0]
 
 
+def test_transform_never_holds_the_records_of_its_arff_input(run_cli, tmp_path, monkeypatch):
+    """The ARFF twin of the test above: the reader splits the text into
+    lines one chunk at a time and hands each block of records to the fold."""
+    rng = random.Random(7)
+    lines = [
+        "@ATTRIBUTE Site STRING", "@ATTRIBUTE Hour NUMERIC", "@ATTRIBUTE Wave NUMERIC",
+        "@ATTRIBUTE Dir {N, E, S, W}", "@ATTRIBUTE Sets {0, 1}", "@DATA",
+    ]
+    for r in range(40_000):
+        wave = "?" if rng.random() < 0.02 else repr(round(rng.gauss(1.8, 0.7), 2))
+        lines.append(f"site-{r % 150:04d},{r % 4 * 6},{wave},{rng.choice('NESW')},{r % 2}")
+    text = "\n".join(lines) + "\n"
+    monkeypatch.setattr(cli, "_read_text", lambda path: text)  # as parse_arff gets it
+    peaks = []
+    for run in (
+        lambda: parse_arff(text),
+        lambda: run_cli("transform", "sites.arff", "--pivot", "Site", "--class", "Sets",
+                        "-o", tmp_path / "daily.arff"),
+    ):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert (tmp_path / "daily.arff").read_text().count("\n") == 150 + 16
+    # with a list of every line held while the records are folded, about 0.77
+    assert peaks[1] < 0.7 * peaks[0]
+
+
+def test_transform_writes_over_its_own_input_what_it_writes_elsewhere(
+    run_cli, tmp_path, monkeypatch
+):
+    """The input is read whole before any of the output is written, which
+    goes out a few characters at a time here."""
+    src, other = tmp_path / "surf.arff", tmp_path / "daily.arff"
+    run_cli("gen-surf", "-o", src, "--days", "30")
+    expected = write_arff(transform(parse_arff(src.read_text()), TransformConfig("Date", "Sets")), 2)
+    monkeypatch.setattr(cli, "WRITE_SLICE_CHARS", 7)
+    args = ("--pivot", "Date", "--class", "Sets", "--decimals", "2", "-o")
+    assert run_cli("transform", src, *args, other)[:2] == (0, "30 groups, 10 -> 45 attributes\n")
+    assert run_cli("transform", src, *args, src)[:2] == (0, "30 groups, 10 -> 45 attributes\n")
+    assert src.read_bytes() == other.read_bytes() == expected.encode()
+
+
 def test_transform_negative_decimals_exits_2_before_parsing(run_cli, tmp_path):
     src = tmp_path / "broken.arff"
     src.write_text("@ATTRIBUTE a numeric\n@DATA\n1,2\n")

@@ -1,11 +1,14 @@
+import functools
 import gc
 import importlib
+import os
 import pickle
 from unittest import mock
 
 import pytest
 
 from conftest import SURF_TWO_DAYS
+from helpers import assert_no_child_left, counting_forks, on_two_cpus
 from sppam import (
     AttributeSpec,
     Dataset,
@@ -134,3 +137,43 @@ def test_a_parse_error_keeps_its_line_and_message_through_pickling():
     error.path = "in.csv"
     copy = pickle.loads(pickle.dumps(error))
     assert (copy.line, copy.path, str(copy)) == (3, "in.csv", "in.csv: line 3: bad")
+
+
+def test_run_both_streams_a_payload_larger_than_a_pipe_buffer(monkeypatch):
+    text = "sppam " * (1 << 20)  # 6 MB, about a hundred pipe buffers
+    forks = counting_forks(monkeypatch)
+    assert model.run_both(lambda: 1, lambda: text) == (1, text)
+    assert forks == [1]
+    assert_no_child_left()
+
+
+def test_run_both_releases_what_only_the_child_needs_once_forked(monkeypatch):
+    released = []
+    on_two_cpus(monkeypatch)
+    assert model.run_both(released.copy, lambda: 2, lambda: released.append(1)) == ([1], 2)
+    released.clear()
+    monkeypatch.delattr(os, "fork")  # in order, the second call still needs it all
+    assert model.run_both(released.copy, lambda: 2, lambda: released.append(1)) == ([], 2)
+
+
+def _half_a_payload(payload, pipe, protocol):
+    """In place of ``pickle.dump``: write half of the pickle, then end the
+    child as if it had sent it all."""
+    data = pickle.dumps(payload, protocol)
+    pipe.write(data[:len(data) // 2])
+    pipe.flush()
+    os._exit(0)
+
+
+@pytest.mark.parametrize("ending", ["no-payload", "half-a-payload"])
+def test_run_both_refuses_a_child_that_exits_0_without_a_whole_result(monkeypatch, ending):
+    if ending == "no-payload":
+        second = functools.partial(os._exit, 0)
+    else:
+        monkeypatch.setattr(pickle, "dump", _half_a_payload)
+        second = functools.partial(str, "x" * 100_000)
+    on_two_cpus(monkeypatch)
+    with pytest.raises(ChildProcessError, match=r"without a result \(return code 0\)") as raised:
+        model.run_both(lambda: 1, second)
+    assert raised.value.__context__ is None  # no EOFError or UnpicklingError behind it
+    assert_no_child_left()

@@ -5,6 +5,7 @@ import io
 import os
 import random
 import threading
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -38,7 +39,7 @@ from sppam import (
     write_arff,
     write_csv,
 )
-from sppam.transform import transform_text
+from sppam.transform import GroupFold, transform_text
 
 CONFIG = TransformConfig("Date", "Surf")
 
@@ -265,6 +266,13 @@ class TestAggregateNominal:
         assert tuple(percents) == (None, None, None)
         assert last is None
 
+    def test_equal_percents_of_a_transform_share_one_float(self):
+        out = transform(gen_surf(days=40, seed=2), SETS)
+        columns = [j for j, attr in enumerate(out.schema) if attr.name.endswith("_PERC")]
+        percents = [record[j] for record in out.records for j in columns]
+        assert len(set(percents)) < 40 < len(percents)
+        assert len(set(map(id, percents))) == len(set(percents))
+
 
 class TestTransform:
     def test_sample_to_golden_bytes(self, surf_dataset):
@@ -395,12 +403,19 @@ SETS = TransformConfig("Date", "Sets")
 TRANSFORM_MODULE = importlib.import_module("sppam.transform")  # sppam.transform is the function
 
 
+def _joined_text(dataset, config, write):
+    """``transform_text``'s group count and its parts joined."""
+    count, parts = transform_text(dataset, config, write)
+    return count, "".join(parts)
+
+
 def _text_outcome(caplog, dataset, config, write):
-    """``transform_text``'s result, or the type and message of what it
-    raised, and the log records, as (logger, level, message)."""
+    """``transform_text``'s group count and joined parts, or the type and
+    message of what it raised, and the log records, as (logger, level,
+    message)."""
     caplog.clear()
     try:
-        result = transform_text(dataset, config, write)
+        result = _joined_text(dataset, config, write)
     except (SppamError, ValueError) as exc:
         result = (type(exc), str(exc))
     return result, [(r.name, r.levelname, r.getMessage()) for r in caplog.records]
@@ -452,7 +467,7 @@ class TestTransformText:
         config = TransformConfig("Date", "Surf")
         forks = counting_forks(monkeypatch)
         whole = transform(dataset, config)
-        assert transform_text(dataset, config, write_arff) == (len(whole.records), write_arff(whole))
+        assert _joined_text(dataset, config, write_arff) == (len(whole.records), write_arff(whole))
         assert forks == []
 
     @pytest.mark.parametrize("bad_days", [(0, 5), (5,)], ids=["both-halves", "child-half"])
@@ -487,14 +502,14 @@ class TestTransformText:
         expected = (20, write_arff(transform(dataset, SETS)))
         monkeypatch.setattr(os, "fork", refuse)
         on_two_cpus(monkeypatch)
-        assert transform_text(dataset, SETS, write_arff) == expected
+        assert _joined_text(dataset, SETS, write_arff) == expected
 
     def test_runs_in_order_on_one_cpu(self, monkeypatch):
         dataset = gen_surf(days=20, seed=2)
         expected = (20, write_arff(transform(dataset, SETS)))
         forks = counting_forks(monkeypatch)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        assert transform_text(dataset, SETS, write_arff) == expected
+        assert _joined_text(dataset, SETS, write_arff) == expected
         assert forks == []
 
     def test_runs_in_order_beside_another_thread(self, monkeypatch):
@@ -504,7 +519,7 @@ class TestTransformText:
         thread = threading.Thread(target=stop.wait)
         thread.start()
         try:
-            assert transform_text(dataset, SETS, write_arff) == expected
+            assert _joined_text(dataset, SETS, write_arff) == expected
         finally:
             stop.set()
             thread.join(timeout=10)
@@ -524,6 +539,53 @@ class TestTransformText:
             transform_text(gen_surf(days=20, seed=2), SETS, write_arff)
         assert forks == [1]
         assert_no_child_left()
+
+    def test_this_process_aggregates_holding_only_its_half_of_the_cells(self, monkeypatch):
+        """Once forked, this process lets go of the child's groups: what it
+        holds when it starts to aggregate is well below the whole fold."""
+        dataset = gen_surf(days=2000, seed=2)
+        aggregate, parent, held = TRANSFORM_MODULE._aggregate, os.getpid(), []
+
+        def spying(*args):
+            if os.getpid() == parent:
+                held.append(tracemalloc.get_traced_memory()[0])
+            return aggregate(*args)
+
+        monkeypatch.setattr(TRANSFORM_MODULE, "_aggregate", spying)
+        forks = counting_forks(monkeypatch)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            fold = GroupFold("Date").fold_dataset(dataset)  # the cells are the records'
+            folded = tracemalloc.get_traced_memory()[0] - before
+            count, _ = transform_text(dataset.replace_records(()), SETS, write_arff, fold)
+        finally:
+            tracemalloc.stop()
+        assert (count, forks) == (2000, [1])
+        assert_no_child_left()
+        # holding the child's half too reads about 1.2 times the fold
+        [at_start] = held
+        assert at_start - before < 0.8 * folded
+
+    def test_each_half_lets_go_of_its_cells_before_it_writes(self, monkeypatch):
+        aggregate, parts, held = TRANSFORM_MODULE._aggregate, [], []
+
+        def spying(part, *args):
+            parts.append(part)
+            return aggregate(part, *args)
+
+        def write(dataset):
+            held.append(len(parts[-1]))
+            return write_arff(dataset)
+
+        def refuse():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(TRANSFORM_MODULE, "_aggregate", spying)
+        monkeypatch.setattr(os, "fork", refuse)  # both halves run here, in order
+        on_two_cpus(monkeypatch)
+        assert _joined_text(gen_surf(days=20, seed=2), SETS, write)[0] == 20
+        assert len(parts) == 2 and held == [0, 0, 0]  # the second half writes its schema too
 
     def test_a_child_that_ends_without_a_result_is_an_error(self, monkeypatch):
         aggregate, parent = TRANSFORM_MODULE._aggregate, os.getpid()
