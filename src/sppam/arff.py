@@ -13,7 +13,7 @@ Both directions work on blocks of rows, one column at a time; a block
 holds about a fixed number of cells, so wide files get fewer rows per
 block and the texts held at once stay bounded. The reader splits the text
 into lines one chunk of about ``READ_CHUNK_CHARS`` characters at a time,
-each chunk ending just after a line feed, so that no line break straddles
+each chunk ending just after a line break, so that no line break straddles
 two chunks and neither a list of every line nor a copy of the text is
 held. It skips blank and comment lines and splits every other data line
 into its raw cell texts, padding and quotes kept: ``str.split`` for a line
@@ -41,6 +41,7 @@ and so this reader, ends a line, or both quote characters.
 
 from __future__ import annotations
 
+import re
 from itertools import islice
 
 from .model import (
@@ -53,7 +54,6 @@ from .model import (
     ParseError,
     SppamError,
     TextColumns,
-    chunk_end,
     column_kernel,
     no_gc,
     text_blocks,
@@ -65,6 +65,7 @@ _NUMERIC_TYPE_WORDS = {"numeric", "real", "integer"}
 _QUOTE_WORTHY = frozenset(",'\"%{}")  # and every character str.isspace accepts
 READ_BLOCK_CELLS = 4096  # lines per block: this over the attribute count
 READ_CHUNK_CHARS = 1 << 16  # characters per line chunk of the input text
+_CHUNK_END = re.compile("\r\n|[" + "".join(sorted(LINE_BREAKS)) + "]")  # never inside a \r\n
 
 
 @no_gc
@@ -122,10 +123,11 @@ def parse_arff(text: str, fold=None) -> Dataset:
 
 def _lines(text: str):
     """The lines of ``text`` as ``text.splitlines()`` gives them, split one
-    line chunk (``model.chunk_end``) at a time."""
+    line chunk at a time, each ending just after a line break."""
     start = 0
     while start < len(text):
-        end = chunk_end(text, start, READ_CHUNK_CHARS)
+        found = _CHUNK_END.search(text, start + READ_CHUNK_CHARS - 1)
+        end = found.end() if found else len(text)
         yield from text[start:end].splitlines()
         start = end
 

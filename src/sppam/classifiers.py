@@ -1,8 +1,7 @@
 """Reference classifiers: ZeroR, OneR, Gaussian naive Bayes, decision stump.
 
 All models are trained on a Dataset with a nominal class attribute
-(``fit``) and predict a class-domain index (``model.predict_index``) or
-label (``model.predict``).
+(``fit``) and predict a class-domain index (``model.predict_index``).
 String attributes are identifier-like and are never used as features.
 Training records with a missing class value are ignored. Ties are always
 broken towards the lower class-domain index, so fitting is deterministic
@@ -21,16 +20,17 @@ errors. A candidate's errors are counted from the class counts of the runs
 of equal values that its own thresholds send to each bin or side, plus the
 rows with a missing value whose class differs from its majority branch's.
 
-Every learner fits from one training set, which computes each fact it
+Every learner fits from one training view, which computes each fact it
 needs once for all of them, and reads no record: the features, the class
 counts, each nominal value-by-class table and each numeric column's runs
 of equal values with their class counts, in sorted order. The counts come
 from ``PresortedColumns``, which counts each column over the labelled
-records once per dataset; a training set's counts are those totals minus
-the labelled records it leaves out, about one fold in ``cross_validate``.
-``cross_validate`` takes one training set per fold from one presort per
-dataset, and ``fit`` turns a plain Dataset into a training set of all its
-records.
+records once per dataset; a view (``PresortedColumns.without``) is the
+presort minus one held-out fold, and its counts are those totals minus the
+fold's labelled records, so that making one costs time in the fold's size
+only. ``cross_validate`` takes one view per fold from one presort per
+dataset, and ``fit`` turns a plain Dataset into a view that holds out
+nothing.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, chain, compress, filterfalse, repeat
+from itertools import accumulate, chain, compress, repeat
 from operator import sub
 
 from .model import ConfigError, Dataset, float_mean
@@ -63,23 +63,26 @@ def check_kind(kind: str) -> str:
     return normalized
 
 
-def fit(kind: str, dataset: Dataset, class_attribute: str):
-    """Train a classifier of the given kind (all four are deterministic)."""
+def fit(kind: str, dataset, class_attribute: str):
+    """Train a classifier of the given kind (all four are deterministic) on
+    a Dataset, or on a training view of ``PresortedColumns.without``."""
     normalized = check_kind(kind)
-    class_index = dataset.attribute_index(class_attribute)
-    if dataset.schema[class_index].kind != "nominal":
+    train = dataset
+    if not isinstance(train, _TrainingSet):
+        train = PresortedColumns(dataset, class_attribute).without(())
+    class_spec = train.schema[train.class_index]
+    if class_spec.name != class_attribute:
+        raise ConfigError(f"training view is of class {class_spec.name!r}, not {class_attribute!r}")
+    if class_spec.kind != "nominal":
         raise ConfigError(f"class attribute {class_attribute!r} must be nominal")
-    if not (isinstance(dataset, _TrainingSet) and dataset.presorted.class_index == class_index):
-        presorted = PresortedColumns(dataset, class_attribute)
-        dataset = presorted.training_set(range(len(dataset.records)))
-    if not any(dataset.class_counts):
+    if not any(train.class_counts):
         raise ConfigError("empty training set")
-    return _FITTERS[normalized](dataset)
+    return _FITTERS[normalized](train)
 
 
 class PresortedColumns:
     """A dataset's class totals over its labelled records, counted on first
-    use and shared by every training set taken from it: the class totals,
+    use and shared by every training view taken from it: the class totals,
     and per column either a nominal ``table[value][class]`` or a numeric
     column's sorted distinct values, their ``value -> run index`` map and
     ``counts[class][run]``."""
@@ -127,41 +130,40 @@ class PresortedColumns:
             self._columns[j] = totals
         return totals
 
-    def training_set(self, indices) -> Dataset:
-        """The records at ``indices`` (ascending, each once) as a Dataset
-        that ``fit`` reads its counts from: these totals minus the labelled
-        records that ``indices`` leave out."""
-        kept = set(indices)
-        if len(kept) != len(indices):
-            raise ValueError("training set indices must be distinct")
-        record_at = self.dataset.records.__getitem__
-        return _TrainingSet(
-            self.dataset.relation_name,
-            self.dataset.schema,
-            tuple(map(record_at, indices)),
-            presorted=self,
-            left_out=tuple(map(record_at, filterfalse(kept.__contains__, self.labelled))),
-        )
+    def without(self, held_out) -> _TrainingSet:
+        """The training view of every record but those at ``held_out``
+        (each once), which ``fit`` reads its counts from: these totals
+        minus the labelled held-out records."""
+        held_out = tuple(held_out)
+        if len(set(held_out)) != len(held_out):
+            raise ValueError("held-out indices must be distinct")
+        c = self.class_index
+        rows = map(self.dataset.records.__getitem__, held_out)
+        return _TrainingSet(self, held_out, tuple(r for r in rows if r[c] is not None))
+
+    def kept_records(self, held_out) -> tuple[tuple, ...]:
+        """The records not at ``held_out``, in order."""
+        skip = set(held_out)
+        return tuple(r for i, r in enumerate(self.dataset.records) if i not in skip)
 
 
-@dataclass(frozen=True)
-class _TrainingSet(Dataset):
-    """Training records of one fold, with the presort they were taken from
-    and the presorted dataset's labelled records that they leave out. Each
-    count below is the presort's total minus the left-out records, computed
-    on first use; learners only read them."""
+class _TrainingSet:
+    """The records of a presorted dataset that one fold keeps, seen through
+    the presort and the labelled records the fold holds out. Each count
+    below is the presort's total minus the held-out records, computed on
+    first use; learners only read them."""
 
-    presorted: PresortedColumns | None = field(default=None, repr=False, compare=False)
-    left_out: tuple[tuple, ...] = field(default=(), repr=False, compare=False)
-    _columns: dict = field(default_factory=dict, repr=False, compare=False)
+    def __init__(self, presorted: PresortedColumns, held_out: tuple[int, ...], left_out) -> None:
+        self.presorted, self.held_out, self.left_out = presorted, held_out, left_out
+        self.schema = presorted.dataset.schema
+        self.class_index = presorted.class_index
+        self.class_values = self.schema[self.class_index].values
+        self._columns: dict = {}
 
-    @property
-    def class_index(self) -> int:
-        return self.presorted.class_index
-
-    @property
-    def class_values(self) -> tuple[str, ...]:
-        return self.schema[self.class_index].values
+    @cached_property
+    def records(self) -> tuple[tuple, ...]:
+        # read only by bench/tracer.py's training-size count; ROADMAP item 4 removes it
+        return self.presorted.kept_records(self.held_out)
 
     @cached_property
     def features(self) -> list[int]:
@@ -211,9 +213,6 @@ class _TrainingSet(Dataset):
 class _BaseModel:
     class_index: int
     class_values: tuple[str, ...]
-
-    def predict(self, record) -> str:
-        return self.class_values[self.predict_index(record)]
 
 
 @dataclass

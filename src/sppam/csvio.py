@@ -52,7 +52,6 @@ from .model import (
     Dataset,
     ParseError,
     TextColumns,
-    chunk_end,
     column_kernel,
     no_gc,
     text_blocks,
@@ -185,7 +184,7 @@ def _row_blocks(text: str, start: int, line_num: int):
     size = READ_BLOCK_ROWS
     limit = csv.field_size_limit()
     while start < len(text):
-        end = chunk_end(text, start, READ_CHUNK_CHARS)
+        end = _chunk_end(text, start)
         chunk = text[start:end]
         if '"' in chunk or "\r" in chunk or "\0" in chunk:
             break
@@ -214,12 +213,18 @@ def _row_blocks(text: str, start: int, line_num: int):
         yield list(filter(None, rows))  # blank lines read as []
 
 
+def _chunk_end(text: str, start: int) -> int:
+    """Where the line chunk from ``start`` ends: just after the first line
+    feed at least ``READ_CHUNK_CHARS`` characters on, or at the end."""
+    return text.find("\n", start + READ_CHUNK_CHARS - 1) + 1 or len(text)
+
+
 def _lines(text: str, start: int = 0):
     """The lines of ``text[start:]`` as ``iter(io.StringIO(text[start:]))``
     yields them, read through a ``StringIO`` over one line chunk at a
     time, so that no copy of the whole text is made."""
     while start < len(text):
-        end = chunk_end(text, start, READ_CHUNK_CHARS)
+        end = _chunk_end(text, start)
         yield from io.StringIO(text[start:end])
         start = end
 

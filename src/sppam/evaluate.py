@@ -5,8 +5,8 @@ group-aware, so correlated records never straddle a train/test boundary)
 of several classifiers at once and reports, per classifier, the per-run
 test accuracies plus a metric suite averaged over the repeats. All the
 classifiers share one fold plan: each repeat's fold assignment, and each
-fold's training set with its class counts per column value, are built once
-and every classifier is fitted and scored on them. ``compare_datasets``
+fold's training view (the presort minus the fold it holds out), are built
+once and every classifier is fitted and scored on them. ``compare_datasets``
 evaluates the same classifiers on an original dataset and its aggregated
 counterpart, with one ``cross_validate`` call per dataset, and attaches a
 corrected resampled t-test verdict per classifier. Both log a warning
@@ -98,7 +98,7 @@ def cross_validate(
         raise ConfigError("no labeled records to evaluate")
     class_values = labeled.schema[class_index].values
     # each column's class counts are totalled once here; a fold subtracts
-    # only the records it leaves out
+    # only the records it holds out
     presorted = classifiers.PresortedColumns(labeled, class_attribute)
 
     records = labeled.records
@@ -111,9 +111,11 @@ def cross_validate(
         # class indices in test order: the actual ones, and each kind's predictions
         actual = []
         predicted = [[] for _ in kinds]
-        for fold in range(k):
-            train_idx, test_idx = assignment.split(fold)
-            train = presorted.training_set(train_idx)
+        held_out = [[] for _ in range(k)]  # each fold's indices, ascending
+        for i, fold in enumerate(assignment.fold_of_record):
+            held_out[fold].append(i)
+        for test_idx in held_out:
+            train = presorted.without(test_idx)
             test = [records[i] for i in test_idx]
             fold_actual = [record[class_index] for record in test]
             actual += fold_actual

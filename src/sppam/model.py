@@ -79,14 +79,6 @@ class ParseError(SppamError):
 LINE_BREAKS = frozenset("\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
 
 
-def chunk_end(text: str, start: int, size: int) -> int:
-    """Where the line chunk of ``text`` that starts at ``start`` ends, as
-    both readers cut their input: just after the first line feed at least
-    ``size`` characters on, or at the end of the text. No line break, not
-    even ``\r\n``, straddles two chunks."""
-    return text.find("\n", start + size - 1) + 1 or len(text)
-
-
 def unwritable(text: str) -> str | None:
     """What no writer can write back in ``text``: "a line break" (any of
     ``LINE_BREAKS``), else "both quote characters", else None."""

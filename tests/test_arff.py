@@ -427,7 +427,10 @@ def test_lines_are_the_lines_of_splitlines(text, chunk_chars):
         assert list(arff._lines(text)) == text.splitlines()
 
 
-def test_parse_arff_holds_no_list_of_its_lines():
+@pytest.mark.parametrize("line_end", ["\n", "\r\n", "\r", "\u2028"])
+def test_parse_arff_holds_no_list_of_its_lines(line_end):
+    """Whatever line break ends its lines, the text is split one chunk at a
+    time, never into a list of every line."""
     rng = random.Random(7)
     lines = [
         "@ATTRIBUTE Site STRING", "@ATTRIBUTE Hour NUMERIC", "@ATTRIBUTE Wave NUMERIC",
@@ -436,7 +439,7 @@ def test_parse_arff_holds_no_list_of_its_lines():
     for r in range(20_000):
         wave = "?" if rng.random() < 0.02 else repr(round(rng.gauss(1.8, 0.7), 2))
         lines.append(f"site-{r % 150:04d},{r % 4 * 6},{wave},{rng.choice('NESW')},{r % 2}")
-    text = "\n".join(lines) + "\n"
+    text = line_end.join(lines) + line_end
     del lines
     tracemalloc.start()
     try:

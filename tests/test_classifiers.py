@@ -69,7 +69,7 @@ class TestZeroR:
     def test_tie_broken_by_class_domain_order(self):
         dataset = single_feature_dataset([(1.0, 1), (2.0, 0)])
         model = fit("zeror", dataset, "label")
-        assert model.predict((9.9, None)) == "a"
+        assert model.predict_index((9.9, None)) == 0
 
 
 class TestOneR:
@@ -144,7 +144,7 @@ class TestNaiveBayes:
         score_a, score_b = model.class_log_scores((1e200, None))
         assert score_a == -math.inf
         assert score_b == pytest.approx(-5e99, rel=1e-9)
-        assert model.predict((1e200, None)) == "b"
+        assert model.predict_index((1e200, None)) == 1
 
     def test_all_classes_beyond_the_float_range_pick_the_nearest(self):
         # x = 1e200 overflows every standardised square; class b's distance
@@ -153,10 +153,10 @@ class TestNaiveBayes:
         rows = [(5.0, 0), (1.0, 1), (2.0, 1)]
         model = fit("naive-bayes", single_feature_dataset(rows), "label")
         assert model.class_log_scores((1e200, None)) == [-math.inf, -math.inf]
-        assert model.predict((1e200, None)) == "b"
+        assert model.predict_index((1e200, None)) == 1
         rows = [(1.0, 0), (2.0, 0), (5.0, 1)]
         model = fit("naive-bayes", single_feature_dataset(rows), "label")
-        assert model.predict((1e200, None)) == "a"
+        assert model.predict_index((1e200, None)) == 0
 
     def test_random_datasets_match_brute_force(self):
         rng = random.Random(17)
@@ -359,9 +359,9 @@ SIGNED_ZERO_EDGE = _edge_dataset([
 @example(OVERFLOW_EDGE, "naive-bayes", random.Random(0))
 @example(SIGNED_ZERO_EDGE, "naive-bayes", random.Random(0))
 def test_fit_matches_per_row_oracle(dataset, kind, rng):
-    """Every kind fitted from the training set's shared counts and
+    """Every kind fitted from the training view's shared counts and
     presorted columns equals the oracle's model, fitted directly and on a
-    training set taken from a presort."""
+    view that holds some records out of a presort."""
     class_index = dataset.attribute_index("label")
     if all(r[class_index] is None for r in dataset.records):
         with pytest.raises(ConfigError):
@@ -374,7 +374,8 @@ def test_fit_matches_per_row_oracle(dataset, kind, rng):
     subset = dataset.replace_records(dataset.records[i] for i in indices)
     if all(r[class_index] is None for r in subset.records):
         return
-    training_set = PresortedColumns(dataset, "label").training_set(indices)
+    held_out = sorted(set(range(n)) - set(indices))
+    training_set = PresortedColumns(dataset, "label").without(held_out)
     assert training_set.records == subset.records
     assert fit(kind, training_set, "label") == oracle_fit(kind, subset, "label")
 
@@ -432,8 +433,8 @@ def test_training_set_counts_each_column_once_for_all_learners():
         )
         for _ in range(60)
     ]
-    train = PresortedColumns(Dataset("shared", schema, tuple(rows)), "label").training_set(
-        sorted(rng.sample(range(60), 45))
+    train = PresortedColumns(Dataset("shared", schema, tuple(rows)), "label").without(
+        sorted(set(range(60)) - set(rng.sample(range(60), 45)))
     )
     before = [train.runs(j) for j in (0, 1)]
     table = train.value_counts(3)
@@ -464,16 +465,16 @@ _SIGNED_ZEROS = st.sampled_from([0.0, -0.0, 1.0, -2.5, None])
     st.randoms(),
 )
 def test_training_set_counts_equal_direct_counts(rows, rng):
-    """Totals minus the left-out records equal counting the training rows,
+    """Totals minus the held-out records equal counting the training rows,
     with unlabelled records, missing cells and both signed zeros."""
     schema = (
         AttributeSpec.numeric("x"),
         AttributeSpec.nominal("m", ("u", "v", "w")),
         AttributeSpec.nominal("label", ("a", "b")),
     )
-    indices = sorted(rng.sample(range(len(rows)), rng.randint(0, len(rows))))
-    train = PresortedColumns(Dataset("counts", schema, tuple(rows)), "label").training_set(indices)
-    assert train.records == tuple(rows[i] for i in indices)
+    held_out = rng.sample(range(len(rows)), rng.randint(0, len(rows)))  # in any order
+    train = PresortedColumns(Dataset("counts", schema, tuple(rows)), "label").without(held_out)
+    assert train.records == tuple(r for i, r in enumerate(rows) if i not in held_out)
     labelled = [r for r in train.records if r[2] is not None]
     assert train.class_counts == [sum(1 for r in labelled if r[2] == c) for c in (0, 1)]
     by_value = direct_counts(train, 1)
@@ -486,4 +487,11 @@ def test_training_set_counts_equal_direct_counts(rows, rng):
 def test_presorted_training_set_rejects_repeated_indices():
     dataset = single_feature_dataset([(1.0, 0), (2.0, 1), (3.0, 1)])
     with pytest.raises(ValueError, match="distinct"):
-        PresortedColumns(dataset, "label").training_set([0, 1, 1])
+        PresortedColumns(dataset, "label").without([0, 1, 1])
+
+
+def test_fit_refuses_a_view_presorted_on_another_class():
+    schema = (AttributeSpec.nominal("x", ("u", "v")), AttributeSpec.nominal("label", ("a", "b")))
+    view = PresortedColumns(Dataset("two", schema, ((0, 0), (1, 1))), "label").without(())
+    with pytest.raises(ConfigError, match="of class 'label', not 'x'"):
+        fit("zeror", view, "x")

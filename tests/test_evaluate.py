@@ -210,6 +210,34 @@ def test_presorted_cross_validate_matches_per_fold_fit(kind, group_attribute):
     assert result.repeat_matrices == matrices
 
 
+def test_each_fit_reads_back_its_folds_training_records(monkeypatch):
+    """``bench/tracer.py`` counts ``len(args[1].records)`` of every
+    ``classifiers.fit`` call as its training size: the view that
+    ``cross_validate`` passes reads back the records its fold keeps, and
+    its model is the one a plain Dataset of those records gives."""
+    dataset = gen_surf(days=48)
+    calls = []
+
+    def recording(kind, train, class_attribute):
+        model = fit(kind, train, class_attribute)
+        calls.append((kind, len(train.records), train.records, model))
+        return model
+
+    monkeypatch.setattr(sppam.classifiers, "fit", recording)
+    cross_validate(dataset, CLASSIFIER_KINDS, "Sets", k=10, repeats=2, group_attribute="Date")
+    expected = []
+    for seed in range(2):
+        assignment = group_stratified_folds(dataset, 10, "Sets", "Date", seed=seed)
+        for fold in range(10):
+            train_idx, _ = assignment.split(fold)
+            kept = tuple(dataset.records[i] for i in train_idx)
+            expected += [(kind, kept) for kind in CLASSIFIER_KINDS]
+    assert len(calls) == len(expected) == 80
+    for (kind, size, records, model), (expected_kind, kept) in zip(calls, expected):
+        assert (kind, size, records) == (expected_kind, len(kept), kept)
+        assert model == fit(kind, dataset.replace_records(kept), "Sets")
+
+
 @pytest.mark.parametrize("group_attribute", [None, "Date"])
 def test_all_kinds_in_one_call_match_each_alone(group_attribute):
     dataset = edge_dataset()

@@ -242,6 +242,19 @@ def test_one_fold_plan_per_dataset():
     assert _loop_depths(trees["cli"], "cross_validate") == [0]
 
 
+def test_cross_validate_copies_no_records_per_fold():
+    """A fold's training view is the presort minus the fold it holds out:
+    inside the fold loop, two loops deep, ``cross_validate`` builds one
+    view, no Dataset, and calls no ``replace_records``."""
+    [function] = [
+        node for node in ast.walk(_trees()["evaluate"])
+        if isinstance(node, ast.FunctionDef) and node.name == "cross_validate"
+    ]
+    assert _loop_depths(function, "without") == [2]
+    for name in ("Dataset", "replace_records"):
+        assert max(_loop_depths(function, name), default=0) < 2, name
+
+
 def test_cross_validate_fits_and_predicts_through_the_traced_hooks():
     """``bench/tracer.py`` times fits by replacing the module attribute
     ``classifiers.fit`` and predictions by wrapping each fitted model's
@@ -429,17 +442,17 @@ def test_classifiers_sort_only_in_the_presort():
     assert sorting == {"PresortedColumns"}
 
 
-def test_classifiers_read_records_only_in_the_presort_and_fit():
-    """Learners fit from a training set's counts and runs: only the presort,
-    which counts them, and ``fit``, which presorts a plain Dataset, read
-    ``.records``."""
+def test_classifiers_read_records_only_in_the_presort():
+    """Learners fit from a training view's counts and runs: only the
+    presort, which counts them, reads ``.records``; ``fit`` hands a plain
+    Dataset to it, and a view's kept records come from it."""
     reading = {
         getattr(node, "name", "<module>")
         for node in _trees()["classifiers"].body
         for sub in ast.walk(node)
         if isinstance(sub, ast.Attribute) and sub.attr == "records"
     }
-    assert reading == {"PresortedColumns", "fit"}
+    assert reading == {"PresortedColumns"}
 
 
 def test_public_names_resolve():
@@ -485,6 +498,9 @@ def test_removed_names_are_gone():
         (importlib.import_module("sppam.classifiers")._TrainingSet, "sorted_column"),
         (importlib.import_module("sppam.classifiers")._TrainingSet, "in_train"),
         (importlib.import_module("sppam.classifiers")._TrainingSet, "rows"),
+        (importlib.import_module("sppam.classifiers").PresortedColumns, "training_set"),
+        (importlib.import_module("sppam.classifiers")._BaseModel, "predict"),
+        (importlib.import_module("sppam.model"), "chunk_end"),
         (importlib.import_module("sppam.model").TextColumns, "present"),
         (importlib.import_module("sppam.csvio"), "_unwritable"),
         (importlib.import_module("sppam.model"), "cell_text"),
