@@ -162,7 +162,7 @@ class _TrainingSet:
 
     @cached_property
     def records(self) -> tuple[tuple, ...]:
-        # read only by bench/tracer.py's training-size count; ROADMAP item 4 removes it
+        # read only by bench/tracer.py's training-size count; ROADMAP item 5 removes it
         return self.presorted.kept_records(self.held_out)
 
     @cached_property

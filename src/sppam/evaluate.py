@@ -100,6 +100,12 @@ def cross_validate(
     # each column's class counts are totalled once here; a fold subtracts
     # only the records it holds out
     presorted = classifiers.PresortedColumns(labeled, class_attribute)
+    if group_attribute is not None:
+        # the folds group only the labelled records; name a record by its index in `dataset`
+        group_index = dataset.attribute_index(group_attribute)
+        for i, record in enumerate(dataset.records):
+            if record[group_index] is None and record[class_index] is not None:
+                raise ConfigError(f"record {i}: missing pivot value")
 
     records = labeled.records
     accuracies = [[] for _ in kinds]

@@ -4,16 +4,17 @@ Records that belong to the same group (e.g. the same observation day)
 must not be split across folds, otherwise training and test sets share
 correlated records. Grouped assignment is greedy: groups are placed
 largest first (ties by first appearance) onto the fold where they least
-disturb the target fold size and per-class balance; ties between folds
-are broken by a seeded RNG so repeated runs explore different layouts
-deterministically.
+raise the squared deviation of the fold sizes and per-class counts from
+their targets (n/k and n_c/k). That rise is compared as an exact integer,
+so folds tie exactly when their costs are equal; a seeded RNG breaks the
+ties so repeated runs explore different layouts deterministically.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
-from itertools import compress
 
 from .model import ConfigError, Dataset
 from .transform import group_records
@@ -25,13 +26,6 @@ class FoldAssignment:
 
     k: int
     fold_of_record: tuple[int, ...]
-
-    def split(self, fold: int) -> tuple[list[int], list[int]]:
-        """(train_indices, test_indices) for one held-out fold."""
-        in_test = bytes(map(fold.__eq__, self.fold_of_record))
-        in_train = bytes(map(fold.__ne__, self.fold_of_record))
-        indices = range(len(self.fold_of_record))
-        return list(compress(indices, in_train)), list(compress(indices, in_test))
 
 
 def check_fold_count(k: int) -> None:
@@ -86,9 +80,6 @@ def group_stratified_folds(
             counts[key_pos[dataset.records[i][class_index]]] += 1
         group_class_counts.append(counts)
 
-    target_size = n / k
-    target_class = [sum(gc[c] for gc in group_class_counts) / k for c in range(len(class_keys))]
-
     order = sorted(range(len(groups)), key=lambda g: -len(groups[g].member_indices))
     fold_sizes = [0] * k
     fold_class = [[0] * len(class_keys) for _ in range(k)]
@@ -96,20 +87,17 @@ def group_stratified_folds(
     for g in order:
         size = len(groups[g].member_indices)
         counts = group_class_counts[g]
-        best_cost = None
-        best_folds: list[int] = []
-        for f in range(k):
-            # increase in total squared deviation caused by this placement
-            cost = (fold_sizes[f] + size - target_size) ** 2 - (fold_sizes[f] - target_size) ** 2
-            for c in range(len(class_keys)):
-                cost += (fold_class[f][c] + counts[c] - target_class[c]) ** 2
-                cost -= (fold_class[f][c] - target_class[c]) ** 2
-            if best_cost is None or cost < best_cost - 1e-12:
-                best_cost = cost
-                best_folds = [f]
-            elif abs(cost - best_cost) <= 1e-12:
-                best_folds.append(f)
-        chosen = best_folds[0] if len(best_folds) == 1 else rng.choice(best_folds)
+        # Placing a group of size s and class counts n_c on fold f, whose size
+        # is F_f and count of class c is F_fc, raises the squared deviation
+        # from the targets T = n/k and T_c by s² − 2sT + Σ_c(n_c² − 2n_c·T_c)
+        # + 2·(s·F_f + Σ_c n_c·F_fc). Only the last term depends on f.
+        costs = [
+            size * fold_size + sum(map(operator.mul, counts, class_counts))
+            for fold_size, class_counts in zip(fold_sizes, fold_class)
+        ]
+        least = min(costs)
+        cheapest = [f for f, cost in enumerate(costs) if cost == least]
+        chosen = cheapest[0] if len(cheapest) == 1 else rng.choice(cheapest)
         fold_sizes[chosen] += size
         for c in range(len(class_keys)):
             fold_class[chosen][c] += counts[c]

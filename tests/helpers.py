@@ -8,6 +8,7 @@ import math
 import os
 import random
 from decimal import ROUND_HALF_UP, Decimal, localcontext
+from fractions import Fraction
 
 import pytest
 from hypothesis import strategies as st
@@ -67,6 +68,50 @@ def oracle_average_metrics(reports) -> MetricsReport:
         macro_recall=mean([r.macro_recall for r in reports]),
         macro_f_measure=mean([r.macro_f_measure for r in reports]),
     )
+
+
+def oracle_group_folds(dataset: Dataset, k: int, class_attribute: str,
+                       group_attribute: str, seed: int = 0) -> tuple[int, ...]:
+    """Greedy grouped fold assignment spelled out with rational arithmetic:
+    groups (by first appearance) placed largest first, each on the fold
+    where the total squared deviation of the fold sizes from n/k and of
+    each class's fold counts from n_c/k rises least, computed exactly as
+    a Fraction; folds whose rise is equal tie, and ``rng.choice`` over
+    them breaks the tie. Returns ``fold_of_record``."""
+    class_index = dataset.attribute_index(class_attribute)
+    group_index = dataset.attribute_index(group_attribute)
+    members: dict = {}
+    for i, record in enumerate(dataset.records):
+        members.setdefault(record[group_index], []).append(i)
+    groups = list(members.values())
+    classes = sorted({record[class_index] for record in dataset.records}, key=str)
+    group_counts = [
+        [sum(1 for i in group if dataset.records[i][class_index] == c) for c in classes]
+        for group in groups
+    ]
+    target_size = Fraction(len(dataset.records), k)
+    target_class = [Fraction(sum(gc[c] for gc in group_counts), k) for c in range(len(classes))]
+    rng = random.Random(seed)
+    fold_sizes = [0] * k
+    fold_class = [[0] * len(classes) for _ in range(k)]
+    fold_of_record = [0] * len(dataset.records)
+    for g in sorted(range(len(groups)), key=lambda g: -len(groups[g])):
+        size, counts = len(groups[g]), group_counts[g]
+        rises = []
+        for f in range(k):
+            rise = (fold_sizes[f] + size - target_size) ** 2 - (fold_sizes[f] - target_size) ** 2
+            for c in range(len(classes)):
+                rise += (fold_class[f][c] + counts[c] - target_class[c]) ** 2
+                rise -= (fold_class[f][c] - target_class[c]) ** 2
+            rises.append(rise)
+        cheapest = [f for f in range(k) if rises[f] == min(rises)]
+        chosen = cheapest[0] if len(cheapest) == 1 else rng.choice(cheapest)
+        fold_sizes[chosen] += size
+        for c in range(len(classes)):
+            fold_class[chosen][c] += counts[c]
+        for i in groups[g]:
+            fold_of_record[i] = chosen
+    return tuple(fold_of_record)
 
 
 def random_transform_schema(rng: random.Random, max_middle: int = 4):

@@ -105,6 +105,27 @@ def test_group_mode_uses_group_folds():
     assert result.repeat_matrices[0].total == 30
 
 
+def test_missing_group_value_names_the_callers_record():
+    """Only labelled records are grouped, yet a missing group value is named
+    by its index in the dataset given, as ``group_stratified_folds`` names
+    it; an unlabelled record without a group value is left out unread."""
+    schema = (AttributeSpec.string("key"), AttributeSpec.nominal("label", ("a", "b")))
+    records = [("g0", None), ("g0", None), ("g1", 0), ("g1", 1),
+               (None, 0), ("g2", 1), ("g3", 0), ("g3", 1)]
+    dataset = Dataset("unnamed", schema, tuple(records))
+    message = "record 4: missing pivot value"
+    with pytest.raises(ConfigError, match=message):
+        group_stratified_folds(dataset, 2, "label", "key")
+    with pytest.raises(ConfigError, match=message):
+        cross_validate(dataset, ["zeror"], "label", k=2, repeats=1, group_attribute="key")
+    with pytest.raises(ConfigError, match=message):
+        compare_datasets(dataset, dataset, ["zeror"], "label", k=2, repeats=1, group_attribute="key")
+    records[1], records[4] = (None, None), ("g4", 0)
+    [result] = cross_validate(dataset.replace_records(records), ["zeror"], "label", k=2,
+                              repeats=1, group_attribute="key")
+    assert result.repeat_matrices[0].total == 6
+
+
 def test_compare_same_dataset_is_a_wash():
     dataset = labeled_dataset(48)
     report = compare_datasets(
@@ -170,7 +191,8 @@ def per_fold_reference(dataset, kind, k, repeats, seed, group_attribute):
         assignment = group_stratified_folds(labeled, k, "Sets", group_attribute, seed=seed + r)
         repeat_pairs = []
         for fold in range(k):
-            train_idx, test_idx = assignment.split(fold)
+            test_idx = [i for i, f in enumerate(assignment.fold_of_record) if f == fold]
+            train_idx = [i for i, f in enumerate(assignment.fold_of_record) if f != fold]
             model = fit(kind, labeled.replace_records(labeled.records[i] for i in train_idx), "Sets")
             pairs = [(labeled.records[i][class_index], model.predict_index(labeled.records[i]))
                      for i in test_idx]
@@ -229,8 +251,7 @@ def test_each_fit_reads_back_its_folds_training_records(monkeypatch):
     for seed in range(2):
         assignment = group_stratified_folds(dataset, 10, "Sets", "Date", seed=seed)
         for fold in range(10):
-            train_idx, _ = assignment.split(fold)
-            kept = tuple(dataset.records[i] for i in train_idx)
+            kept = tuple(r for r, f in zip(dataset.records, assignment.fold_of_record) if f != fold)
             expected += [(kind, kept) for kind in CLASSIFIER_KINDS]
     assert len(calls) == len(expected) == 80
     for (kind, size, records, model), (expected_kind, kept) in zip(calls, expected):

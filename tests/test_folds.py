@@ -3,7 +3,8 @@ from collections import Counter
 
 import pytest
 
-from sppam import AttributeSpec, ConfigError, Dataset, group_stratified_folds
+from helpers import oracle_group_folds
+from sppam import AttributeSpec, ConfigError, Dataset, DatasetError, gen_surf, group_stratified_folds
 from sppam.transform import group_records
 
 
@@ -48,7 +49,7 @@ def test_partition_properties_random_structures():
         k = rng.randint(2, n_groups)
         folds = group_stratified_folds(dataset, k, "label", "key", seed=rng.randrange(999))
         assert len(folds.fold_of_record) == len(dataset.records)
-        assert set(folds.fold_of_record) <= set(range(k))
+        assert set(folds.fold_of_record) == set(range(k))  # no fold is empty
         for group in group_records(dataset, "key"):
             fold_set = {folds.fold_of_record[i] for i in group.member_indices}
             assert len(fold_set) == 1
@@ -94,14 +95,39 @@ def test_k_exceeding_record_count_rejected():
 
 def test_unknown_group_attribute_rejected():
     dataset = grouped_dataset([2, 2])
-    with pytest.raises(Exception):
+    with pytest.raises(DatasetError):
         group_stratified_folds(dataset, 2, "label", "nope")
 
 
-def test_split_partitions_records():
+def test_fold_of_record_holds_out_whole_groups():
     dataset = grouped_dataset([3, 3, 3, 3])
     folds = group_stratified_folds(dataset, 3, "label", "key", seed=0)
-    for f in range(3):
-        train, test = folds.split(f)
-        assert sorted(train + test) == list(range(len(dataset.records)))
-        assert not set(train) & set(test)
+    held_out = [[] for _ in range(3)]
+    for i, fold in enumerate(folds.fold_of_record):
+        held_out[fold].append(i)
+    assert sorted(map(len, held_out)) == [3, 3, 6]
+    for test in held_out:  # records 3g, 3g+1 and 3g+2 are group g
+        groups = sorted({i // 3 for i in test})
+        assert test == [i for g in groups for i in range(3 * g, 3 * g + 3)]
+
+
+def test_group_folds_match_exact_oracle_random_structures():
+    rng = random.Random(5)
+    for _ in range(60):
+        n_groups = rng.randint(2, 60)
+        sizes = [rng.randint(1, 9) for _ in range(n_groups)]
+        dataset = grouped_dataset(sizes, n_classes=rng.randint(2, 4))
+        k = rng.randint(2, min(n_groups, 12))
+        seed = rng.randrange(999)
+        folds = group_stratified_folds(dataset, k, "label", "key", seed=seed)
+        assert folds.fold_of_record == oracle_group_folds(dataset, k, "label", "key", seed=seed)
+
+
+def test_group_folds_match_exact_oracle_on_surf_record_labels():
+    """751 days of record labels: the class targets n_c/10 are not binary
+    fractions, so a float cost reads some exact ties as unequal."""
+    surf = gen_surf(days=751, per_day=4, seed=0, labels="record")
+    class_index = surf.attribute_index("Sets")
+    labelled = surf.replace_records(r for r in surf.records if r[class_index] is not None)
+    folds = group_stratified_folds(labelled, 10, "Sets", "Date", seed=0)
+    assert folds.fold_of_record == oracle_group_folds(labelled, 10, "Sets", "Date", seed=0)

@@ -472,6 +472,7 @@ def test_removed_names_are_gone():
         (transform_module, "NumericAggregate"),
         (transform_module, "NominalAggregate"),
         (sppam.FoldAssignment, "fold_indices"),
+        (sppam.FoldAssignment, "split"),
         (sppam.ConfusionMatrix, "add"),
         (sppam.AttributeSpec, "index_of"),
         (sppam.Dataset, "validate"),
