@@ -11,22 +11,23 @@ UTF-8 text. Which cell texts an attribute accepts is stated once, in
 
 Both directions work on blocks of rows, one column at a time; a block
 holds about a fixed number of cells, so wide files get fewer rows per
-block and the texts held at once stay bounded. The reader splits the text
-into lines one chunk of about ``READ_CHUNK_CHARS`` characters at a time,
-each chunk ending just after a line break, so that no line break straddles
-two chunks and neither a list of every line nor a copy of the text is
-held. It skips blank and comment lines and splits every other data line
-into its raw cell texts, padding and quotes kept: ``str.split`` for a line
-without quotes, a character scanner otherwise. ``model.TextColumns``
-builds each block's records as it is read, stripping each distinct raw
-text of a column once and handing its new stripped texts to
-``_column_cells``, which unquotes and converts them, so that reading stops
-at the first block with a bad text. The reader collects each block's
-records, or hands them to a ``fold`` (the CLI ``transform``'s
-``GroupFold``) and keeps none. A bare ``?`` is missing, a quoted ``'?'``
-is the text "?". When anything fails (a row of the wrong width, a sparse
-row, an open quote, a text its attribute refuses), the whole text is
-split into lines, each block is read again on its own and the lines of
+block and the texts held at once stay bounded. The reader takes a str or
+a ``model.TextSource``, which holds no text but reads its file again in
+pieces. It splits the text into lines one chunk of whole lines at a time,
+as ``model.line_chunks`` cuts it, each chunk ending just after a line
+break and never between a ``\r`` and a ``\n``, so that neither a list of
+every line nor a copy of the text is held. It skips blank and comment
+lines and splits every other data line into its raw cell texts, padding
+and quotes kept: ``str.split`` for a line without quotes, a character
+scanner otherwise. ``model.TextColumns`` builds each block's records as
+it is read, stripping each distinct raw text of a column once and
+handing its new stripped texts to ``_column_cells``, which unquotes and
+converts them, so that reading stops at the first block with a bad
+text. The reader collects each block's records, or hands them to a
+``fold`` (the CLI ``transform``'s ``GroupFold``) and keeps none. A bare
+``?`` is missing, a quoted ``'?'`` is the text "?". When anything fails (a row of the wrong width, a sparse
+row, an open quote, a text its attribute refuses), the text is read
+again from its first data line, each block on its own and the lines of
 the first block that fails one at a time, so that the ParseError raised
 is the first in source order and names the leftmost bad cell of its line.
 
@@ -42,7 +43,7 @@ and so this reader, ends a line, or both quote characters.
 from __future__ import annotations
 
 import re
-from itertools import islice
+from itertools import count, islice
 
 from .model import (
     LINE_BREAKS,  # also arff.LINE_BREAKS, where this reader ends a line
@@ -55,6 +56,7 @@ from .model import (
     SppamError,
     TextColumns,
     column_kernel,
+    line_chunks,
     no_gc,
     text_blocks,
     text_cells,
@@ -64,13 +66,14 @@ from .model import (
 _NUMERIC_TYPE_WORDS = {"numeric", "real", "integer"}
 _QUOTE_WORTHY = frozenset(",'\"%{}")  # and every character str.isspace accepts
 READ_BLOCK_CELLS = 4096  # lines per block: this over the attribute count
-READ_CHUNK_CHARS = 1 << 16  # characters per line chunk of the input text
-_CHUNK_END = re.compile("\r\n|[" + "".join(sorted(LINE_BREAKS)) + "]")  # never inside a \r\n
+# where a line may end: never between a \r and a \n, nor after a \r that ends the text read so far
+_LINE_END = re.compile("\r\n|\r(?=.)|[" + "".join(sorted(LINE_BREAKS - {"\r"})) + "]", re.DOTALL)
 
 
 @no_gc
-def parse_arff(text: str, fold=None) -> Dataset:
-    """Parse ARFF-style text into a Dataset.
+def parse_arff(text, fold=None) -> Dataset:
+    """Parse ARFF-style text, a str or a ``model.TextSource``, into a
+    Dataset.
 
     Schema order and record order match the file. A missing ``@RELATION``
     line yields the relation name "unnamed".
@@ -109,8 +112,7 @@ def parse_arff(text: str, fold=None) -> Dataset:
             try:
                 _records(iter(lambda: list(islice(lines, size)), []), schema, consume)
             except ValueError:
-                every = text.splitlines()  # only to name the first bad line
-                _locate(every, lineno, len(every), schema, size)
+                _locate(_lines(text), lineno, schema, size)  # reads the text again
                 raise
             return Dataset(relation_name, tuple(schema), records)
         else:
@@ -121,36 +123,36 @@ def parse_arff(text: str, fold=None) -> Dataset:
     raise ParseError(1, "missing @DATA line")
 
 
-def _lines(text: str):
-    """The lines of ``text`` as ``text.splitlines()`` gives them, split one
-    line chunk at a time, each ending just after a line break."""
-    start = 0
-    while start < len(text):
-        found = _CHUNK_END.search(text, start + READ_CHUNK_CHARS - 1)
-        end = found.end() if found else len(text)
-        yield from text[start:end].splitlines()
-        start = end
+def _lines(text):
+    """The lines of ``text`` as ``str.splitlines`` gives them, split one
+    line chunk (``model.line_chunks``) at a time."""
+    for chunk in line_chunks(text, _LINE_END):
+        yield from chunk.splitlines()
 
 
 def _drop(records) -> None:
     """A consumer of blocks of records that keeps none of them."""
 
 
-def _locate(
-    lines: list[str], first: int, stop: int, schema: list[AttributeSpec], size: int
-) -> None:
+def _locate(lines, first: int, schema: list[AttributeSpec], size: int) -> None:
     """Raise the ParseError of the first bad line among the data lines
-    ``lines[first:stop]``, the first of which is line ``first + 1``: each
-    block of ``size`` lines is read again on its own, its records dropped,
-    and the lines of the first block that fails one at a time. An error
-    belongs to one line, so the first bad line in source order is named."""
-    for i in range(first, stop, size):
+    that follow the first ``first`` of ``lines``: each block of ``size``
+    lines is read again on its own, its records dropped, and the lines of
+    the first block that fails one at a time. An error belongs to one line,
+    so the first bad line in source order is named."""
+    lines = islice(lines, first, None)
+    for start in count(first + 1, size):
+        block = list(islice(lines, size))
+        if not block:
+            return
         try:
-            _records([lines[i:min(i + size, stop)]], schema)
-        except ValueError as exc:
-            if size == 1:
-                raise ParseError(i + 1, str(exc)) from None
-            _locate(lines, i, min(i + size, stop), schema, 1)
+            _records([block], schema)
+        except ValueError:
+            for lineno, line in enumerate(block, start):
+                try:
+                    _records([[line]], schema)
+                except ValueError as exc:
+                    raise ParseError(lineno, str(exc)) from None
 
 
 def _records(blocks, schema: list[AttributeSpec], consume=_drop) -> None:

@@ -7,14 +7,19 @@ diagnostic is a record on the ``sppam`` logger; ``main`` writes each one
 to stderr as ``warning: ...`` or ``error: ...``. Exit codes: 1 parse
 error, 2 configuration/usage error, 3 I/O error.
 
+Every subcommand reads its input through a ``model.TextSource``: the file
+is checked first, so that a byte that is not UTF-8 anywhere in it is the
+error reported, then the reader reads it in pieces, again where it needs
+another pass, and its text is never held whole.
+
 ``transform`` hands the readers a ``transform.GroupFold``, so that each
 block of records read goes into its group's cells and is dropped; with
 ``--sort-by`` it reads every record first, sorts, then folds them. Once
 every error is raised, it writes the parts of the output text that
 ``transform.transform_text`` returns one after the other, encoding
 ``WRITE_SLICE_CHARS`` characters at a time, so that neither the joined
-text nor its whole encoding is held. The input is read whole before the
-output is opened, so the output may be the input file itself.
+text nor its whole encoding is held. Every read of the input ends before
+the output is opened, so the output may be the input file itself.
 
 Each subcommand imports only the modules it runs: ``transform``,
 ``schema`` and ``--help`` load the data model, the readers and writers and
@@ -32,7 +37,7 @@ from pathlib import Path
 
 from .arff import parse_arff, write_arff
 from .csvio import parse_csv, write_csv
-from .model import ConfigError, Dataset, ParseError, SppamError
+from .model import ConfigError, Dataset, ParseError, SppamError, TextSource
 from .transform import (
     GroupFold,
     TransformConfig,
@@ -180,10 +185,12 @@ def _format(path: str) -> str:
 
 def _load_dataset(path: str, string_columns=(), nominal_columns=(), fold=None) -> Dataset:
     """The dataset in ``path``, its records handed to ``fold`` as the
-    readers take it, if given; a ParseError it raises names ``path``."""
+    readers take it, if given; a ParseError it raises names ``path``. The
+    file is checked as UTF-8 whole, then read in pieces as often as the
+    reader needs; its text is never held."""
     suffix = _format(path)
     try:
-        text = _read_text(path)
+        text = TextSource(Path(path))  # a Path, so that an OSError names it as Path.open does
         if suffix == ".arff":
             return parse_arff(text, fold=fold)
         return parse_csv(
@@ -195,19 +202,6 @@ def _load_dataset(path: str, string_columns=(), nominal_columns=(), fold=None) -
     except ParseError as exc:
         exc.path = path
         raise
-
-
-def _read_text(path: str) -> str:
-    """``path`` decoded as UTF-8 after an optional byte-order mark; a
-    ParseError names the first byte that is not UTF-8."""
-    try:
-        return Path(path).read_text(encoding="utf-8-sig")
-    except UnicodeDecodeError as exc:  # the file read whole, after any mark
-        data = exc.object
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise ParseError(
-            line, f"input is not UTF-8: byte 0x{data[exc.start]:02x} cannot be decoded"
-        ) from None
 
 
 def _writer(path: str):

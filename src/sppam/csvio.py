@@ -17,12 +17,16 @@ cell's ends are stripped away. Every malformed input raises ParseError,
 including what the csv module rejects (such as a field longer than its
 131072-character limit).
 
-``parse_csv`` reads the text through line chunks of about
-``READ_CHUNK_CHARS`` characters, each ending after a line feed, and the
-rows in blocks of ``READ_BLOCK_ROWS``; neither a copy of the whole text nor
-a list of all rows is held. A chunk without quotes, ``\r`` or NUL is split
-with ``str.split``, which reads it as the csv module would; from the
-first chunk that is not, the csv module reads the rest. Each block goes
+``parse_csv`` takes a str or a ``model.TextSource``, which holds no text
+but reads its file again in pieces. It reads the text through the line
+chunks that ``model.line_chunks`` cuts, each ending after a line feed,
+and the rows in blocks of ``READ_BLOCK_ROWS``; neither a copy of the whole
+text nor a list of all rows is held. Every pass over the text after the
+header (each read of the data rows, and the rescans that name a row of
+the wrong width or a cell no writer can write) reads it again. A chunk
+without quotes, ``\r`` or NUL is split with ``str.split``, which reads
+it as the csv module would; from the first chunk that is not, the csv
+module reads the rest. Each block goes
 into a ``model.TextColumns``, the kernel the ARFF reader uses too, which
 builds the block's records as it is read: each distinct raw text of a
 column is stripped and converted once, in the block that first holds it,
@@ -40,7 +44,8 @@ from __future__ import annotations
 
 import csv
 import io
-from itertools import islice
+import re
+from itertools import chain, islice
 
 from .model import (
     LINE_BREAKS,
@@ -53,6 +58,7 @@ from .model import (
     ParseError,
     TextColumns,
     column_kernel,
+    line_chunks,
     no_gc,
     text_blocks,
     text_cells,
@@ -61,18 +67,19 @@ from .model import (
 
 _MISSING_TEXTS = ("", "?")
 READ_BLOCK_ROWS = 2048  # rows held at a time while reading
-READ_CHUNK_CHARS = 1 << 16  # characters per line chunk of the input text
+_LINE_END = re.compile("\n")  # where a line may end, as for io.StringIO
 _UNWRITABLE_SIGNS = ('"', *sorted(LINE_BREAKS - {"\n", "\r"}))
 
 
 @no_gc
 def parse_csv(
-    text: str,
+    text,
     string_columns=(),
     nominal_columns=(),
     fold=None,
 ) -> Dataset:
-    """Parse CSV text into a Dataset, inferring a schema from the cells.
+    """Parse CSV text, a str or a ``model.TextSource``, into a Dataset,
+    inferring a schema from the cells.
 
     ``fold``, when given, is called with the header names at the start of
     each read of the data rows, again whenever a column turns nominal late
@@ -80,7 +87,8 @@ def parse_csv(
     in order, to the callable it returns, and the Dataset returned holds no
     records.
     """
-    reader = csv.reader(_lines(text))
+    lines = _lines(text)
+    reader = csv.reader(lines)
     try:
         header = next(filter(None, reader))  # blank lines read as []
     except StopIteration:
@@ -88,6 +96,7 @@ def parse_csv(
     except csv.Error as exc:
         raise ParseError(reader.line_num, f"malformed CSV: {exc}") from None
     header_line = reader.line_num
+    lines.close()  # each read of the data rows reads the text again
     names = [h.strip() for h in header]
     if any(name == "" for name in names):
         raise ParseError(header_line, "empty header name")
@@ -98,23 +107,21 @@ def parse_csv(
         if forced not in names:
             raise ParseError(header_line, f"forced column {forced!r} is not in the header")
 
-    start = 0  # the data rows start after the header's last line
-    for _ in range(header_line):
-        start = text.find("\n", start) + 1 or len(text)
     kinds = [
         STRING if name in string_columns else NOMINAL if name in nominal_columns else NUMERIC
         for name in names
     ]
+    signs: set[str] = set()
     texts = None
     while texts is None:  # once more for each column that turns nominal late
         records: list[tuple[Cell, ...]] = []
         consume = records.extend if fold is None else fold(names)
-        texts = _read(text, start, header_line, names, kinds, consume)
+        texts = _read(text, header_line, names, kinds, consume, signs)
 
     # a cell can hold both quotes, a \n or a \r only in a text with '"';
     # the other line breaks need no quotes
-    if any(map(text.__contains__, _UNWRITABLE_SIGNS)) and (
-        any(map(unwritable, names)) or any(any(map(unwritable, column)) for column in texts)
+    if any(map(unwritable, names)) or (
+        signs and any(any(map(unwritable, column)) for column in texts)
     ):
         _reject_unwritable(text, names)
 
@@ -129,13 +136,14 @@ def parse_csv(
     return Dataset("unnamed", tuple(schema), records)
 
 
-def _read(text: str, start: int, line_num: int, names, kinds, consume):
-    """Hand ``consume`` the records of each block of the data rows in
-    ``text[start:]``, which ``line_num`` lines precede, and return per
+def _read(text, line_num: int, names, kinds, consume, signs: set):
+    """Hand ``consume`` the records of each block of the data rows of
+    ``text``, which follow its first ``line_num`` lines, and return per
     column its ``TextColumns.texts`` dict, whose keys are the missing
     markers and then its present texts in first-seen order. A STRING
     column's cell is its text, a NOMINAL one's the index of its text in
-    that order, a NUMERIC one's its number.
+    that order, a NUMERIC one's its number. ``signs`` gets the
+    ``_UNWRITABLE_SIGNS`` of the first line chunk that holds any.
 
     A NUMERIC column that meets a non-numeric text becomes NOMINAL in
     ``kinds``. If it held a number already, the records built so far are
@@ -158,7 +166,7 @@ def _read(text: str, start: int, line_num: int, names, kinds, consume):
             return range(size, size + len(fresh))
         return fresh
 
-    for rows in _row_blocks(text, start, line_num):
+    for rows in _row_blocks(_chunks_after(text, line_num, signs), line_num):
         if set(map(len, rows)) - {width}:
             _reject_row_width(text, width)
         consume(table.add(rows, convert))
@@ -168,24 +176,21 @@ def _read(text: str, start: int, line_num: int, names, kinds, consume):
     return table.texts
 
 
-def _row_blocks(text: str, start: int, line_num: int):
-    """The non-blank rows of ``text[start:]``, which ``line_num`` lines
+def _row_blocks(chunks, line_num: int):
+    """The non-blank rows of the line ``chunks``, which ``line_num`` lines
     precede, in blocks of at most ``READ_BLOCK_ROWS`` rows.
 
-    The text is read in the line chunks of ``_lines``. The lines of a
-    chunk that holds no ``"``, ``\r`` or NUL (which the csv module of
-    Python 3.10 refuses) and no line longer than ``csv.field_size_limit()``
-    are split at each comma, which is what ``csv.reader`` makes of them.
-    From the first chunk that does not qualify, ``csv.reader`` reads the
-    rest; as every earlier chunk ended a line, it starts at a row. Its
-    ``csv.Error`` is raised as a ParseError after the rows read before it
-    are yielded.
+    The lines of a chunk that holds no ``"``, ``\r`` or NUL (which the csv
+    module of Python 3.10 refuses) and no line longer than
+    ``csv.field_size_limit()`` are split at each comma, which is what
+    ``csv.reader`` makes of them. From the first chunk that does not
+    qualify, ``csv.reader`` reads the rest; as every earlier chunk ended a
+    line, it starts at a row. Its ``csv.Error`` is raised as a ParseError
+    after the rows read before it are yielded.
     """
     size = READ_BLOCK_ROWS
     limit = csv.field_size_limit()
-    while start < len(text):
-        end = _chunk_end(text, start)
-        chunk = text[start:end]
+    for chunk in chunks:
         if '"' in chunk or "\r" in chunk or "\0" in chunk:
             break
         lines = chunk.split("\n")
@@ -194,13 +199,14 @@ def _row_blocks(text: str, start: int, line_num: int):
         if len(chunk) > limit and max(map(len, lines), default=0) > limit:
             break
         line_num += len(lines)
-        start = end
         rows = [row.split(",") for row in lines if row]  # blank lines are no rows
         del chunk, lines  # freed before the next chunk is read, as the rows are below
         for i in range(0, len(rows), size):
             yield rows[i:i + size]
         del rows
-    reader = csv.reader(_lines(text, start))
+    else:
+        return
+    reader = csv.reader(_lines(chain([chunk], chunks)))
     while True:
         rows = []
         try:
@@ -213,23 +219,31 @@ def _row_blocks(text: str, start: int, line_num: int):
         yield list(filter(None, rows))  # blank lines read as []
 
 
-def _chunk_end(text: str, start: int) -> int:
-    """Where the line chunk from ``start`` ends: just after the first line
-    feed at least ``READ_CHUNK_CHARS`` characters on, or at the end."""
-    return text.find("\n", start + READ_CHUNK_CHARS - 1) + 1 or len(text)
+def _chunks_after(text, count: int, signs: set):
+    """The line chunks of ``text`` after its first ``count`` lines.
+    ``signs`` gets the ``_UNWRITABLE_SIGNS`` of the first chunk that holds
+    any."""
+    for chunk in line_chunks(text, _LINE_END):
+        start = 0
+        while count and start < len(chunk):
+            start = chunk.find("\n", start) + 1 or len(chunk)
+            count -= 1
+        if start < len(chunk):
+            chunk = chunk[start:]
+            if not signs:
+                signs.update(filter(chunk.__contains__, _UNWRITABLE_SIGNS))
+            yield chunk
 
 
-def _lines(text: str, start: int = 0):
-    """The lines of ``text[start:]`` as ``iter(io.StringIO(text[start:]))``
-    yields them, read through a ``StringIO`` over one line chunk at a
-    time, so that no copy of the whole text is made."""
-    while start < len(text):
-        end = _chunk_end(text, start)
-        yield from io.StringIO(text[start:end])
-        start = end
+def _lines(text):
+    """The lines of ``text`` as ``iter(io.StringIO(text))`` yields those of
+    a str, read through a ``StringIO`` over one line chunk at a time, so
+    that no copy of the whole text is made."""
+    for chunk in line_chunks(text, _LINE_END):
+        yield from io.StringIO(chunk)
 
 
-def _reject_row_width(text: str, width: int) -> None:
+def _reject_row_width(text, width: int) -> None:
     """ParseError for the first non-blank row that is not ``width`` wide."""
     reader = csv.reader(_lines(text))
     next(filter(None, reader))  # the header
@@ -240,7 +254,7 @@ def _reject_row_width(text: str, width: int) -> None:
             )
 
 
-def _reject_unwritable(text: str, names) -> None:
+def _reject_unwritable(text, names) -> None:
     """ParseError for the first header name or cell that ``unwritable``
     refuses."""
     reader = csv.reader(_lines(text))

@@ -14,12 +14,16 @@ specs are immutable after construction and safe to share across threads.
 
 The read contract of both formats lives here, for every layer to import:
 the error types, ``unwritable`` (what no reader accepts, as no writer can
-write it back), ``text_cells`` (which texts an attribute accepts) and
-``TextColumns``, which builds each block's records as a reader reads it:
-it alone strips the texts and reads the format's missing markers, and
-hands the reader only the new stripped texts of a column to convert. A
-reader collects the records of its blocks, or hands each block's records
-to a fold (the CLI ``transform``'s) and keeps none.
+write it back), ``TextSource`` (a file's text, checked as UTF-8 once and
+then read again in pieces as often as a reader needs, never held whole),
+``line_chunks`` (the one rule by which both readers cut a text, a str or a
+``TextSource``, into chunks of whole lines), ``text_cells`` (which texts
+an attribute accepts) and ``TextColumns``, which builds each block's
+records as a reader reads it: it alone strips the texts and reads the
+format's missing markers, and hands the reader only the new stripped
+texts of a column to convert. A reader collects the records of its
+blocks, or hands each block's records to a fold (the CLI ``transform``'s)
+and keeps none.
 
 ``run_both`` runs two independent computations at once, the second in a
 forked child, with the result, log records and exceptions of running them
@@ -31,12 +35,15 @@ once forked, this process can let go of what only the child needs.
 
 from __future__ import annotations
 
+import codecs
 import functools
 import gc
+import io
 import logging
 import math
 import operator
 import os
+import stat
 import threading
 from dataclasses import dataclass, field
 from itertools import filterfalse, repeat
@@ -87,6 +94,89 @@ def unwritable(text: str) -> str | None:
     if "'" in text and '"' in text:
         return "both quote characters"
     return None
+
+
+READ_PIECE_BYTES = 1 << 16  # bytes of an input file read and decoded at a time
+READ_CHUNK_CHARS = 1 << 16  # characters per line chunk of the input text
+
+
+class TextSource:
+    """The text of the UTF-8 file at ``path`` as
+    ``open(path, encoding="utf-8-sig").read()`` gives it (after an optional
+    byte-order mark, each ``\\r\\n`` and lone ``\\r`` read as ``\\n``), never
+    held whole: each iteration reads the file again, ``READ_PIECE_BYTES``
+    bytes at a time, and yields the text of each piece. A file that cannot
+    be read again, such as a pipe, is an OSError.
+
+    Built, it has read the file once to check it, so that a byte that is
+    not UTF-8 anywhere in the file is a ParseError before any other; it
+    names the byte and its line, one more than the line feeds before it.
+    ``len`` and ``isascii`` answer for the text as they would for a str.
+    """
+
+    def __init__(self, path):
+        self._path = path
+        self._length = 0
+        self._ascii = True
+        for text in self:  # the checking pass
+            self._length += len(text)
+            self._ascii = self._ascii and text.isascii()
+
+    def __iter__(self):
+        decoder = io.IncrementalNewlineDecoder(
+            codecs.getincrementaldecoder("utf-8-sig")(), translate=True
+        )
+        with open(self._path, "rb") as file:
+            if not stat.S_ISREG(os.fstat(file.fileno()).st_mode):  # a pipe is read once only
+                raise OSError(f"{self._path}: cannot read the input again: not a regular file")
+            try:
+                while raw := file.read(READ_PIECE_BYTES):
+                    yield decoder.decode(raw)
+                yield decoder.decode(b"", final=True)
+            except UnicodeDecodeError as exc:
+                data = exc.object  # what the decoders held back, then this piece: it ends at tell()
+                at = file.tell() - len(data) + exc.start
+                raise ParseError(
+                    _line_of_byte(file, at),
+                    f"input is not UTF-8: byte 0x{data[exc.start]:02x} cannot be decoded",
+                ) from None
+
+    def __len__(self) -> int:
+        return self._length
+
+    def isascii(self) -> bool:
+        return self._ascii
+
+
+def _line_of_byte(file, at: int) -> int:
+    """The line of the byte at offset ``at`` of the binary ``file``: one
+    more than the line feeds before it, read again in pieces."""
+    file.seek(0)
+    feeds = 0
+    while at > 0 and (piece := file.read(min(at, READ_PIECE_BYTES))):
+        feeds += piece.count(b"\n")
+        at -= len(piece)
+    return feeds + 1
+
+
+def line_chunks(source, line_end):
+    """The text of ``source`` in line chunks: each ends just after the first
+    match of ``line_end``, a compiled pattern of where a line may end, at
+    least ``READ_CHUNK_CHARS`` characters on, and the last at the end of
+    the text. ``source`` is a str, the one piece of its text, or an
+    iterable of the pieces of one text such as a ``TextSource``; the rest
+    of a piece after its last match is carried into the next piece, so no
+    line is cut in two."""
+    carry = ""
+    for piece in (source,) if isinstance(source, str) else source:
+        text = carry + piece
+        start = 0
+        while found := line_end.search(text, start + READ_CHUNK_CHARS - 1):
+            yield text[start:found.end()]
+            start = found.end()
+        carry = text[start:]
+    if carry:
+        yield carry
 
 
 @dataclass(frozen=True)

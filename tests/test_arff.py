@@ -361,7 +361,7 @@ def _arff_parse_outcome(parse, text):
     return ("dataset", dataset, repr(dataset.records))
 
 
-_CHUNK_CHARS = arff.READ_CHUNK_CHARS
+_CHUNK_CHARS = model.READ_CHUNK_CHARS
 # a late chunk, for chunks of 64 characters: 40 short lines, then a bad cell
 _LATE_LINES = "".join(f"{i},x,a,{i}\n" for i in range(40))
 
@@ -395,7 +395,7 @@ def test_parse_arff_matches_row_at_a_time_oracle(text, block_cells, chunk_chars)
     # blocks of block_cells // 4 lines: 1, 2, 3 or the default; chunks of
     # one line or a few lines, or the default
     with mock.patch.object(arff, "READ_BLOCK_CELLS", block_cells), mock.patch.object(
-        arff, "READ_CHUNK_CHARS", chunk_chars
+        model, "READ_CHUNK_CHARS", chunk_chars
     ):
         assert _arff_parse_outcome(parse_arff, text) == _arff_parse_outcome(oracle_parse_arff, text)
 
@@ -423,7 +423,7 @@ def test_parse_arff_matches_oracle_over_many_full_blocks():
 @settings(max_examples=300)
 @given(st.text(alphabet="ab\n\r\x85\u2028", max_size=40), st.integers(1, 8))
 def test_lines_are_the_lines_of_splitlines(text, chunk_chars):
-    with mock.patch.object(arff, "READ_CHUNK_CHARS", chunk_chars):
+    with mock.patch.object(model, "READ_CHUNK_CHARS", chunk_chars):
         assert list(arff._lines(text)) == text.splitlines()
 
 

@@ -15,6 +15,7 @@ from sppam import (
     TransformConfig,
     cli,
     csvio,
+    model,
     parse_arff,
     parse_csv,
     sort_records,
@@ -136,6 +137,85 @@ def test_transform_reads_a_byte_order_mark_as_no_text(run_cli, tmp_path, suffix)
         )
         outputs.append(out.read_text())
     assert outputs[0] == outputs[1]
+
+
+def test_a_bad_byte_in_a_late_piece_names_its_line(run_cli, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(model, "READ_PIECE_BYTES", 5)
+    rows = "".join(f"d{i},{i},0\n" for i in range(40))
+    Path("in.csv").write_bytes(b"a,b,c\n" + rows.encode() + b"d,\xe9,1\n")
+    assert run_cli("transform", "in.csv", "--pivot", "a", "--class", "c", "-o", "out.arff") == (
+        1, "", "error: in.csv: line 42: input is not UTF-8: byte 0xe9 cannot be decoded\n"
+    )
+    assert not Path("out.arff").exists()
+
+
+@pytest.mark.parametrize("suffix", [".arff", ".csv"])
+def test_a_bad_byte_near_the_end_beats_a_parse_error_on_line_3(
+    run_cli, tmp_path, monkeypatch, suffix
+):
+    """The file is checked whole before it is parsed, so the bad byte is
+    the error reported, as when the file was decoded whole."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(model, "READ_PIECE_BYTES", 16)
+    head = "@ATTRIBUTE a numeric\n@DATA\n" if suffix == ".arff" else "a\n1\n"
+    text = head + "1,2\n" + "3\n" * 30
+    Path(f"in{suffix}").write_bytes(text.encode() + b"4\xff\n5\n")
+    assert run_cli("eval", f"in{suffix}", "--class", "a") == (
+        1, "", f"error: in{suffix}: line 34: input is not UTF-8: byte 0xff cannot be decoded\n"
+    )
+
+
+def test_a_quoted_carriage_return_reads_as_a_line_feed_in_its_error(
+    run_cli, tmp_path, monkeypatch
+):
+    """A piece that ends in the \r of ``"x\ry"`` holds it back until the
+    next piece shows that no \n follows, and the cell reads as "x\ny"."""
+    monkeypatch.chdir(tmp_path)
+    Path("in.csv").write_bytes(b'a,b,c\nd1,"x\ry",0\n')
+    for piece_bytes in (1, 14, 15, 1 << 16):  # the \r is byte 15
+        monkeypatch.setattr(model, "READ_PIECE_BYTES", piece_bytes)
+        assert run_cli("transform", "in.csv", "--pivot", "a", "--class", "c", "-o", "o.arff") == (
+            1, "", "error: in.csv: line 3: column 'b': a value cannot hold a line break: 'x\\ny'\n"
+        )
+    assert not Path("o.arff").exists()
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+def test_a_column_that_turns_nominal_late_reads_the_file_again(
+    run_cli, tmp_path, monkeypatch, end
+):
+    """``x`` holds numbers for two blocks, then a text; the second read of
+    the file, in pieces of a few bytes after a byte-order mark, gives what
+    the text read whole gives."""
+    text = "day,x,c\n" + "".join(f"d{i % 3},{i},{'ab'[i % 2]}\n" for i in range(5)) + "d1,zz,a\n"
+    src = tmp_path / "in.csv"
+    src.write_bytes(b"\xef\xbb\xbf" + text.replace("\n", end).encode())
+    monkeypatch.setattr(csvio, "READ_BLOCK_ROWS", 2)
+    monkeypatch.setattr(model, "READ_PIECE_BYTES", 3)
+    code, stdout, _ = run_cli("transform", src, "--pivot", "day", "--class", "c",
+                              "-o", tmp_path / "o.arff")
+    assert (code, stdout) == (0, "3 groups, 3 -> 9 attributes\n")
+    dataset = parse_csv(text, string_columns=("day",), nominal_columns=("c",))
+    expected = write_arff(transform(dataset, TransformConfig("day", "c")))
+    assert (tmp_path / "o.arff").read_text() == expected
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_an_input_that_cannot_be_read_again_exits_3(run_cli, tmp_path, monkeypatch):
+    """The input is checked, then read again, so a named pipe is refused
+    rather than waited on for a second writer."""
+    monkeypatch.chdir(tmp_path)
+    os.mkfifo("in.csv")
+    writer = os.open("in.csv", os.O_RDWR | os.O_NONBLOCK)  # so that opening it to read returns
+    try:
+        os.write(writer, b"a,c\nx,1\n")
+        assert run_cli("transform", "in.csv", "--pivot", "a", "--class", "c", "-o", "o.arff") == (
+            3, "", "error: in.csv: cannot read the input again: not a regular file\n"
+        )
+    finally:
+        os.close(writer)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv"]
 
 
 @pytest.mark.parametrize("bad", [0, 1])
@@ -319,21 +399,22 @@ def test_transform_sort_by_folds_the_sorted_records(run_cli, tmp_path):
     assert out.read_text() == write_arff(daily, 2)
 
 
-def test_transform_never_holds_the_records_of_its_input(run_cli, tmp_path, monkeypatch):
-    """Parsing, transforming and writing 40k interleaved records peaks
-    clearly below what parsing them alone holds: the records go into their
-    groups' cells as they are read."""
+def test_transform_never_holds_the_records_of_its_input(run_cli, tmp_path):
+    """Reading, transforming and writing a file of 40k interleaved records
+    peaks clearly below what parsing their text alone holds: the records go
+    into their groups' cells as they are read."""
     rng = random.Random(7)
     lines = ["Site,Hour,Wave,Dir,Sets"]
     for r in range(40_000):
         wave = "" if rng.random() < 0.02 else repr(round(rng.gauss(1.8, 0.7), 2))
         lines.append(f"site-{r % 150:04d},{r % 4 * 6},{wave},{rng.choice('NESW')},{r % 2}")
     text = "\n".join(lines) + "\n"
-    monkeypatch.setattr(cli, "_read_text", lambda path: text)  # as parse_csv gets it
+    src = tmp_path / "sites.csv"
+    src.write_text(text)
     peaks = []
     for run in (
         lambda: parse_csv(text, ("Site",), ("Sets",)),
-        lambda: run_cli("transform", "sites.csv", "--pivot", "Site", "--class", "Sets",
+        lambda: run_cli("transform", src, "--pivot", "Site", "--class", "Sets",
                         "-o", tmp_path / "daily.csv"),
     ):
         tracemalloc.start()
@@ -347,7 +428,7 @@ def test_transform_never_holds_the_records_of_its_input(run_cli, tmp_path, monke
     assert peaks[1] < 0.85 * peaks[0]
 
 
-def test_transform_never_holds_the_records_of_its_arff_input(run_cli, tmp_path, monkeypatch):
+def test_transform_never_holds_the_records_of_its_arff_input(run_cli, tmp_path):
     """The ARFF twin of the test above: the reader splits the text into
     lines one chunk at a time and hands each block of records to the fold."""
     rng = random.Random(7)
@@ -359,11 +440,12 @@ def test_transform_never_holds_the_records_of_its_arff_input(run_cli, tmp_path, 
         wave = "?" if rng.random() < 0.02 else repr(round(rng.gauss(1.8, 0.7), 2))
         lines.append(f"site-{r % 150:04d},{r % 4 * 6},{wave},{rng.choice('NESW')},{r % 2}")
     text = "\n".join(lines) + "\n"
-    monkeypatch.setattr(cli, "_read_text", lambda path: text)  # as parse_arff gets it
+    src = tmp_path / "sites.arff"
+    src.write_text(text)
     peaks = []
     for run in (
         lambda: parse_arff(text),
-        lambda: run_cli("transform", "sites.arff", "--pivot", "Site", "--class", "Sets",
+        lambda: run_cli("transform", src, "--pivot", "Site", "--class", "Sets",
                         "-o", tmp_path / "daily.arff"),
     ):
         tracemalloc.start()
@@ -375,6 +457,35 @@ def test_transform_never_holds_the_records_of_its_arff_input(run_cli, tmp_path, 
     assert (tmp_path / "daily.arff").read_text().count("\n") == 150 + 16
     # with a list of every line held while the records are folded, about 0.77
     assert peaks[1] < 0.7 * peaks[0]
+
+
+def test_loading_a_file_holds_no_copy_of_its_text(tmp_path):
+    """With a fold that drops every block, loading a 10.5 MB CSV peaks below
+    a quarter of the file's size: the file is checked and read in pieces,
+    and its text is never held whole. Reading holds about 1.8 MB at its
+    peak here, whatever the file's size; decoded whole, the file peaks
+    above the size of its text."""
+    rng = random.Random(7)
+    block = []
+    for r in range(1500):
+        wave = "" if rng.random() < 0.02 else repr(round(rng.gauss(1.8, 0.7), 2))
+        block.append(f"site-{r % 150:04d},{r % 4 * 6},{wave},{rng.choice('NESW')},{r % 2}\n")
+    src = tmp_path / "sites.csv"
+    src.write_text("Site,Hour,Wave,Dir,Sets\n" + "".join(block) * 330)
+    size = src.stat().st_size
+    assert size > 10_000_000
+    tracemalloc.start()
+    try:
+        dataset = cli._load_dataset(str(src), ("Site",), ("Sets",), fold=lambda names: _drop)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dataset.attribute_names == ["Site", "Hour", "Wave", "Dir", "Sets"]
+    assert peak < size / 4
+
+
+def _drop(records) -> None:
+    """A fold's consumer of blocks of records that keeps none of them."""
 
 
 def test_transform_writes_over_its_own_input_what_it_writes_elsewhere(

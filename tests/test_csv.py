@@ -264,7 +264,7 @@ def _parse_outcome(parse, text, string_columns, nominal_columns):
 
 
 _BLOCK_ROWS = csvio.READ_BLOCK_ROWS
-_CHUNK_CHARS = csvio.READ_CHUNK_CHARS
+_CHUNK_CHARS = model.READ_CHUNK_CHARS
 
 
 @settings(max_examples=1000)
@@ -304,7 +304,7 @@ _CHUNK_CHARS = csvio.READ_CHUNK_CHARS
 def test_parse_csv_matches_row_at_a_time_oracle(case, block_rows, chunk_chars):
     text, string_columns, nominal_columns = case
     with mock.patch.object(csvio, "READ_BLOCK_ROWS", block_rows), mock.patch.object(
-        csvio, "READ_CHUNK_CHARS", chunk_chars
+        model, "READ_CHUNK_CHARS", chunk_chars
     ):
         outcome = _parse_outcome(parse_csv, text, string_columns, nominal_columns)
     assert outcome == _parse_outcome(oracle_parse_csv, text, string_columns, nominal_columns)
@@ -358,7 +358,7 @@ def test_a_column_that_turns_nominal_late_costs_one_more_read(
     "text", ["", "\n", "a", "a\n", "a\r\nb\rc\n\nd", "ab\ncd\n" * 5, "x" * 20 + "\n"]
 )
 def test_lines_match_a_stringio_over_the_whole_text(text, chunk_chars):
-    with mock.patch.object(csvio, "READ_CHUNK_CHARS", chunk_chars):
+    with mock.patch.object(model, "READ_CHUNK_CHARS", chunk_chars):
         assert list(csvio._lines(text)) == list(io.StringIO(text))
 
 

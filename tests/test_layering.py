@@ -511,6 +511,11 @@ def test_removed_names_are_gone():
         (transform_module, "_folded"),
         (transform_module, "_IS_ZERO"),
         (transform_module.GroupFold("x"), "cells"),
+        (importlib.import_module("sppam.cli"), "_read_text"),
+        (importlib.import_module("sppam.arff"), "READ_CHUNK_CHARS"),
+        (importlib.import_module("sppam.arff"), "_CHUNK_END"),
+        (importlib.import_module("sppam.csvio"), "READ_CHUNK_CHARS"),
+        (importlib.import_module("sppam.csvio"), "_chunk_end"),
     ]:
         assert not hasattr(module, name), name
     assert "seed" not in inspect.signature(sppam.fit).parameters
