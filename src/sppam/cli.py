@@ -51,7 +51,6 @@ from .transform import (
 EXIT_PARSE = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
-WRITE_SLICE_CHARS = 1 << 16  # characters of output text encoded at a time
 
 log = logging.getLogger("sppam")
 
@@ -256,9 +255,7 @@ def _cmd_transform(args) -> int:
     )
     # every error is raised by now; each slice is encoded as it is written
     with open(args.output, "w", encoding="utf-8") as out:
-        for part in parts:
-            for start in range(0, len(part), WRITE_SLICE_CHARS):
-                out.write(part[start:start + WRITE_SLICE_CHARS])
+        out.writelines(parts)
     print(f"{groups} groups, {width} -> {out_width} attributes")
     return 0
 

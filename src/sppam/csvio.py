@@ -147,8 +147,8 @@ def _read(text, line_num: int, names, kinds, consume, signs: set):
 
     A NUMERIC column that meets a non-numeric text becomes NOMINAL in
     ``kinds``. If it held a number already, the records built so far are
-    wrong: the result is then None, after the block that showed it, and the
-    caller reads again."""
+    wrong: the result is then None, before the block that showed it is
+    consumed, and the caller reads again."""
     width = len(names)
     table = TextColumns(width, _MISSING_TEXTS)
     late = False
@@ -169,10 +169,11 @@ def _read(text, line_num: int, names, kinds, consume, signs: set):
     for rows in _row_blocks(_chunks_after(text, line_num, signs), line_num):
         if set(map(len, rows)) - {width}:
             _reject_row_width(text, width)
-        consume(table.add(rows, convert))
-        if late:
+        records = table.add(rows, convert)
+        if late:  # before the fold sees a block whose column changed kind
             return None
-        del rows  # frees this block's texts before the next block is split
+        consume(records)
+        del rows, records  # frees this block's texts before the next block is split
     return table.texts
 
 

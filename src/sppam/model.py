@@ -403,18 +403,52 @@ class TextColumns:
         return list(zip(*columns))
 
 
+_UNIT = 1 << 1074  # every float is a whole number of 1 / _UNIT, the least subnormal
+
+
+def exact_sum(values) -> int:
+    """The exact sum of a list of finite floats, in units of the least
+    subnormal float. ``math.fsum`` gives the sum rounded once; the sum of
+    the values and the negated roundings so far, rounded again, is the
+    next term, until it is 0.0 (Shewchuk's partials, as ``fsum`` keeps
+    them). Where ``fsum`` overflows, each value is converted itself."""
+    terms = list(values)
+    try:
+        partials = []
+        while partial := math.fsum(terms):
+            partials.append(partial)
+            terms.append(-partial)
+    except OverflowError:
+        partials = values
+    total = 0
+    for numerator, denominator in map(float.as_integer_ratio, partials):
+        total += numerator << (1075 - denominator.bit_length())
+    return total
+
+
+def mean_of_sum(total: int, n: int) -> float:
+    """``float_mean`` of ``n`` values whose ``exact_sum`` is ``total``,
+    before it is kept within [min, max]: the sum rounded once and divided
+    by ``n``, or where that sum overflows, the sum scaled down by a power
+    of two >= 2 * n (so it stays below half the largest float), rounded,
+    divided by ``n`` and scaled back."""
+    try:
+        return total / _UNIT / n
+    except OverflowError:
+        scale = 1 << (2 * n).bit_length()
+        return total / (scale * _UNIT) / n * scale
+
+
 def float_mean(values) -> float:
-    """``math.fsum(values) / len(values)``, or where that sum overflows,
-    the mean of the values scaled down by a power of two >= 2 * len (so
-    the sum stays below half the largest float), scaled back and kept
-    within [min, max]: the mean of finite values is finite."""
+    """``math.fsum(values) / len(values)``, or where ``fsum`` overflows,
+    ``mean_of_sum`` kept within [min, max]: the mean of finite values is
+    finite. It depends on the values' exact sum and count alone, whatever
+    their order, so an ``exact_sum`` kept while values go by gives it."""
     n = len(values)
     try:
         return math.fsum(values) / n
     except OverflowError:
-        scale = float(1 << (2 * n).bit_length())
-        mean = math.fsum(v / scale for v in values) / n * scale
-        return min(max(mean, min(values)), max(values))
+        return min(max(mean_of_sum(exact_sum(values), n), min(values)), max(values))
 
 
 def text_cells(attr: AttributeSpec, texts) -> list[Cell]:

@@ -25,19 +25,25 @@ the class), which maps one column of a group in source order to that
 column's output cells. Records share a group when the writers give their
 pivot cells one text (``_pivot_keys``).
 
-A ``GroupFold`` takes blocks of records and keeps one flat, row-major list
-of cells per group; the readers hand it each block as they read it, so
-the CLI never holds the input's records. ``take_groups`` hands the lists
-over and the fold forgets them. ``_aggregate``, the one kernel, reads
-each output cell from a column slice of those lists; equal percents of a
-transform share one float, as equal input texts share one cell.
-``transform`` folds a dataset's records as one block, returns the output
-records and runs in the calling process. ``transform_text``, which the
-CLI uses, returns the written text of the same output as its parts in
-order, and aggregates and writes the second half of the groups in a
-forked child (``model.run_both``), which sends back only its text. Once
-forked, the parent holds the cells of its own half alone, and each half
-drops its cells once they are aggregated, before it writes.
+A ``GroupFold`` takes blocks of records and keeps, per group, the cells of
+its latest records in one flat, row-major list, and from
+``COMPACT_RECORDS`` records on, the running state that every aggregate
+can be merged from (max, min, count, exact sum and last of a numeric
+column; counts and last of a nominal one; last of a string), so that a
+group holds a bounded number of cells whatever its length. The readers
+hand it each block as they read it, so the CLI never holds the input's
+records. ``take_groups`` hands the lists and states over and the fold
+forgets them. ``_aggregate``, the one kernel, reads each output cell from
+a column slice of those lists, after the column's state where there is
+one; equal percents of a transform share one float, as equal input texts
+share one cell. ``transform`` folds a dataset's records as one block,
+returns the output records and runs in the calling process.
+``transform_text``, which the CLI uses, returns the written text of the
+same output as its parts in order; from ``FORK_MIN_GROUPS`` groups on it
+aggregates and writes the second half of the groups in a forked child
+(``model.run_both``), which sends back only its text. Once forked, the
+parent holds the cells of its own half alone, and each half drops its
+cells once they are aggregated, before it writes.
 """
 
 from __future__ import annotations
@@ -46,7 +52,7 @@ import functools
 import logging
 import math
 import operator
-from collections import defaultdict, deque
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from itertools import accumulate, repeat
 
@@ -58,8 +64,10 @@ from .model import (
     Dataset,
     SppamError,
     column_kernel,
+    exact_sum,
     float_mean,
     is_zero,
+    mean_of_sum,
     may_fork,
     no_gc,
     run_both,
@@ -179,11 +187,23 @@ def group_records(dataset: Dataset, pivot_attribute: str) -> list[Group]:
     return [Group(text, tuple(idx)) for text, idx in zip(texts, members.values())]
 
 
+COMPACT_RECORDS = 256  # records of a group's cells held before they fold into its state
+WRITE_SLICE_CHARS = 1 << 16  # characters of output text per part that transform_text returns
+# In order, finishing costs about 27 us per group; a fork adds about 5 ms
+# plus 1.5 us per group, so halving the work pays from about 420 groups on.
+FORK_MIN_GROUPS = 500
+
+
 class GroupFold:
-    """Blocks of records folded into one flat, row-major list of cells per
-    pivot group, groups in first-appearance order: all that ``_aggregate``
-    reads, without a record tuple or an index per record. ``start`` is the
-    ``fold`` that ``parse_arff`` and ``parse_csv`` take."""
+    """Blocks of records folded into their pivot groups, groups in
+    first-appearance order. Each group holds the cells of its latest
+    records in one flat, row-major list, without a record tuple or an index
+    per record. After each block, the list of a group that this block
+    brought to ``COMPACT_RECORDS`` records or more is folded into the
+    group's running state (``_fold_column`` per column) and cleared, so a
+    group holds a few values per column and fewer cells than that beyond
+    the block being read. ``start`` is the ``fold`` that ``parse_arff``
+    and ``parse_csv`` take."""
 
     def __init__(self, pivot_attribute: str):
         self.pivot_attribute = pivot_attribute
@@ -195,6 +215,7 @@ class GroupFold:
         among them it folds nothing, as ``TransformConfig.resolve`` then
         refuses the dataset."""
         self._cells = defaultdict(list)
+        self._states: dict = {}  # of the groups whose cells were folded away alone
         self._width = len(names)
         self._records = 0
         self._missing = None  # the first record without a pivot value
@@ -213,37 +234,110 @@ class GroupFold:
         if self._missing is None and None in keys:
             self._missing = self._records + keys.index(None)
         self._records += len(keys)
+        groups = self._cells
         # each record's cells onto its group's list, with no loop in Python
-        deque(map(list.extend, map(self._cells.__getitem__, keys), records), 0)
+        deque(map(list.extend, map(groups.__getitem__, keys), records), 0)
+        # once per block: only a group that this block added to can be due
+        added = groups.keys() if len(groups) <= len(keys) else set(keys)
+        limit = COMPACT_RECORDS * self._width
+        if max(map(len, map(groups.__getitem__, added)), default=0) >= limit:
+            for key in [key for key in added if len(groups[key]) >= limit]:
+                self._states[key] = _compact(groups[key], self._width, self._states.get(key))
 
     def has_value(self, j: int) -> bool:
         """Whether column j holds a value in any folded record."""
         width = self._width
-        return any(cell is not None for cells in self._cells.values() for cell in cells[j::width])
+        return any(state[j] for state in self._states.values()) or any(
+            cell is not None for cells in self._cells.values() for cell in cells[j::width]
+        )
 
-    def take_groups(self, schema: tuple[AttributeSpec, ...]) -> list[tuple[str, list]]:
-        """``(key text, cells)`` of each group, in order, for the folded
-        records of ``schema``; the fold then forgets them, so that the list
-        returned holds the only reference to the cells. ConfigError if a
-        record had no pivot value, raised only here, so that an error of
-        the read comes first."""
+    def take_groups(self, schema: tuple[AttributeSpec, ...]) -> list[tuple[str, list, list | None]]:
+        """``(key text, cells, state)`` of each group, in order, for the
+        folded records of ``schema``: the cells of its latest records, and
+        the running state of each column of the records before them, or
+        None where its cells were never folded away. The fold then forgets
+        them, so that the list returned holds the only reference to the
+        cells. ConfigError if a record had no pivot value, raised only
+        here, so that an error of the read comes first."""
         if self._missing is not None:
             raise ConfigError(f"record {self._missing}: missing pivot value")
         j = [attr.name for attr in schema].index(self.pivot_attribute)
         cells = list(self._cells.values())
+        states = list(map(self._states.get, self._cells))
         self.start(())
-        texts = column_kernel(schema[j], None, str)([group[j] for group in cells])
-        return list(zip(texts, cells))
+        # a group's pivot cells share its key text: the last one stands for a folded group
+        pivots = [group[j] if group else state[j][0] for group, state in zip(cells, states)]
+        texts = column_kernel(schema[j], None, str)(pivots)
+        return list(zip(texts, cells, states))
 
 
-def aggregate_numeric(values) -> tuple:
+def _numeric_state(present: list, prior: tuple) -> tuple:
+    """``(last, max, min, count, exact_sum)`` of a numeric column's values:
+    those of ``prior``, a state of this kind or ``()``, then ``present``."""
+    highest, lowest, count, total = max(present), min(present), len(present), exact_sum(present)
+    if prior:
+        # max and min return the first of equal extremes, so -0.0 and 0.0 keep their order
+        highest, lowest = max(prior[1], highest), min(prior[2], lowest)
+        count, total = prior[3] + count, prior[4] + total
+    return (present[-1], highest, lowest, count, total)
+
+
+def _nominal_state(present: list, prior: tuple) -> tuple:
+    """``(last, count of each index)`` of a nominal column's values: those
+    of ``prior``, a state of this kind or ``()``, then ``present``."""
+    counts = Counter(present)
+    if prior:
+        counts.update(prior[1])
+    return (present[-1], counts)
+
+
+def _last_state(present: list, prior: tuple) -> tuple:
+    """``(last,)`` of a string column's values."""
+    return (present[-1],)
+
+
+_STATE_OF = {int: _nominal_state, str: _last_state}  # by cell type; numbers are floats
+
+
+def _fold_column(values, prior: tuple, state_of=None) -> tuple:
+    """The running state of a column of a group: ``prior``, the state of
+    its earlier values or ``()`` before any was present, followed by
+    ``values``. Each state starts with the last present value.
+    ``state_of`` builds it from the present values; by default it is
+    chosen by their type, as the model stores each kind."""
+    present = [v for v in values if v is not None]
+    if not present:
+        return prior
+    if state_of is None:
+        state_of = _STATE_OF.get(type(present[0]), _numeric_state)
+    return state_of(present, prior)
+
+
+def _compact(cells: list, width: int, prior: list | None) -> list:
+    """The running state of each column of a group whose latest records
+    are ``cells``, flat rows ``width`` long, after ``prior``'s, which it
+    replaces; ``cells`` is cleared."""
+    prior = prior or [()] * width
+    state = [_fold_column(cells[j::width], prior[j]) for j in range(width)]
+    cells.clear()
+    return state
+
+
+def aggregate_numeric(values, prior: tuple | None = None) -> tuple:
     """Output cells ``(max, min, avg, last)`` of an ordered sequence of
-    numeric-or-missing values.
+    numeric-or-missing values, after those whose running state is
+    ``prior`` (``_fold_column``), if given.
 
     All four are missing when every input is missing; otherwise avg is the
     full-precision mean of the observed values (``float_mean``), kept
     within [min, max], and last is the final observed value.
     """
+    if prior is not None:
+        state = _fold_column(values, prior, _numeric_state)
+        if not state:
+            return (None, None, None, None)
+        last, highest, lowest, count, total = state
+        return (highest, lowest, min(max(mean_of_sum(total, count), lowest), highest), last)
     if not values:
         raise ValueError("cannot aggregate an empty group")
     present = [v for v in values if v is not None] if None in values else values
@@ -255,26 +349,34 @@ def aggregate_numeric(values) -> tuple:
     return (highest, lowest, mean, present[-1])
 
 
-def aggregate_nominal(values, domain_size: int, shared: dict | None = None) -> tuple:
+def aggregate_nominal(
+    values, domain_size: int, shared: dict | None = None, prior: tuple | None = None
+) -> tuple:
     """Output cells ``(*percents, last)`` of an ordered sequence of nominal
-    indices (or missing): one percentage per domain value, then the last
-    observed index.
+    indices (or missing), after those whose running state is ``prior``
+    (``_fold_column``), if given: one percentage per domain value, then the
+    last observed index.
 
     Percent of domain value v = 100 * count(v) / count(observed); the
     percents sum to 100 whenever anything was observed. ``shared``, when
     given, maps each percent to the float that stands for it, so that
     equal percents of every group that uses it are one object.
     """
-    if not values:
-        raise ValueError("cannot aggregate an empty group")
-    counts = [0] * domain_size
-    last = None
-    observed = 0
-    for v in values:
-        if v is not None:
-            counts[v] += 1
-            observed += 1
-            last = v
+    if prior is not None:
+        last, tally = _fold_column(values, prior, _nominal_state) or (None, {})
+        counts = list(map(tally.get, range(domain_size), repeat(0)))
+        observed = sum(counts)
+    else:
+        if not values:
+            raise ValueError("cannot aggregate an empty group")
+        counts = [0] * domain_size
+        last = None
+        observed = 0
+        for v in values:
+            if v is not None:
+                counts[v] += 1
+                observed += 1
+                last = v
     if observed == 0:
         return (None,) * (domain_size + 1)
     # every zero percent is one shared float: most cells of short groups
@@ -284,12 +386,13 @@ def aggregate_nominal(values, domain_size: int, shared: dict | None = None) -> t
     return (*percents, last)
 
 
-def _last(values) -> tuple:
-    """Output cell ``(last,)``: the final non-missing value, or missing."""
+def _last(values, prior: tuple | None = None) -> tuple:
+    """Output cell ``(last,)``: the final non-missing value, else the last
+    of ``prior``, a running state (``_fold_column``), else missing."""
     for v in reversed(values):
         if v is not None:
             return (v,)
-    return (None,)
+    return (prior or (None,))[:1]
 
 
 def sort_records(dataset: Dataset, attribute: str) -> Dataset:
@@ -322,8 +425,8 @@ def _plan(schema: tuple[AttributeSpec, ...], class_index: int) -> list:
             outputs.append(AttributeSpec.nominal(f"{attr.name}_LAST", attr.values))
             # default arguments bind the size and the plan's dict of shared
             # percents at less cost than partial()
-            plan.append((j, outputs, lambda values, n=len(attr.values), shared=percents: (
-                aggregate_nominal(values, n, shared)
+            plan.append((j, outputs, lambda values, prior=None, n=len(attr.values), shared=percents: (
+                aggregate_nominal(values, n, shared, prior)
             )))
         else:
             plan.append((j, [attr], _last))
@@ -331,19 +434,29 @@ def _plan(schema: tuple[AttributeSpec, ...], class_index: int) -> list:
 
 
 def _aggregate(groups, width: int, plan, class_index: int) -> tuple[list, list[str]]:
-    """The output record of each of ``groups``, ``(key text, cells)`` with
-    the cells of its records in one flat list of rows ``width`` long, and
-    the keys of the groups whose members carry more than one class value."""
+    """The output record of each of ``groups``, ``(key text, cells, state)``
+    as ``GroupFold.take_groups`` gives them, with the cells of its latest
+    records in one flat list of rows ``width`` long, and the keys of the
+    groups whose members carry more than one class value."""
     mixed_groups: list[str] = []
     out_records = []
-    for key, cells in groups:
+    for key, cells, state in groups:
         out_row: list = []
-        for j, _, aggregate in plan:
-            out_row.extend(aggregate(cells[j::width]))
+        if state is None:
+            for j, _, aggregate in plan:
+                out_row.extend(aggregate(cells[j::width]))
+            prior = None
+        else:
+            for j, _, aggregate in plan:
+                out_row.extend(aggregate(cells[j::width], state[j]))
+            prior = state[class_index]
         classes = cells[class_index::width]
-        if len(set(classes) - {None}) > 1:
+        seen = set(classes)
+        if prior:
+            seen.update(prior[1])
+        if len(seen - {None}) > 1:
             mixed_groups.append(key)
-        out_row.extend(_last(classes))
+        out_row.extend(_last(classes, prior))
         out_records.append(tuple(out_row))
     return out_records, mixed_groups
 
@@ -382,24 +495,26 @@ def transform_text(
 ) -> tuple[int, list[str]]:
     """``(group count, parts)``, where ``"".join(parts)`` is
     ``write(transform(dataset, config))``, with the same log records and
-    exceptions, computed in two halves. The parts are in order; the caller
-    can write them one after the other without joining them.
+    exceptions, in parts of at most ``WRITE_SLICE_CHARS`` characters. The
+    parts are in order; the caller can write them one after the other
+    without joining them.
 
     ``fold``, when given, is the GroupFold that holds the records of
     ``dataset``, which was read without them; it holds none once this
     returns. ``write`` maps a Dataset to its text, and the text of a
     Dataset must start with the text of its schema alone,
-    ``write(d.replace_records(()))``. The groups are cut at the first
-    whose members, with those of the groups before it, reach half the
-    records.
+    ``write(d.replace_records(()))``. From ``FORK_MIN_GROUPS`` groups on,
+    the groups are cut at the first whose cells, with those of the groups
+    before it, reach half the cells the fold held.
     This process aggregates and writes the groups up to the cut; through
     ``model.run_both`` a forked child aggregates and writes the rest and
-    sends back only its text after the schema's, so no output record
-    crosses the pipe. Once the fork has succeeded, this process holds the
-    cells of its own half of the groups only, and each half lets go of its
-    cells once they are aggregated, before it writes. One group, a cut
-    after the last, or a process that would not fork (``model.may_fork``)
-    aggregates and writes all groups in one pass, into one part.
+    sends back only its text after the schema's, as those parts, so no
+    output record crosses the pipe and this process never holds the child's
+    text twice. Once the fork has succeeded, this process holds the cells
+    of its own half of the groups only, and each half lets go of its cells
+    once they are aggregated, before it writes. Fewer groups, a cut after
+    the last, or a process that would not fork (``model.may_fork``)
+    aggregates and writes all groups in one pass.
     """
     _, class_index = config.resolve(dataset.schema)
     out_schema = derive_output_schema(dataset.schema, config)
@@ -407,29 +522,29 @@ def transform_text(
     groups = fold.take_groups(dataset.schema)
     count, width, plan = len(groups), len(dataset.schema), _plan(dataset.schema, class_index)
 
-    def text_of(part: list, schema_text: bool = True) -> tuple[list[str], str | Exception]:
+    def text_of(part: list, schema_text: bool = True) -> tuple[list[str], list[str], Exception | None]:
         records, mixed_groups = _aggregate(part, width, plan, class_index)
         part.clear()  # the cells are aggregated: only the records are written
         output = Dataset(dataset.relation_name, out_schema, records)
         try:
             text = write(output)
-            if not schema_text:
-                text = text[len(write(output.replace_records(()))):]
+            start = 0 if schema_text else len(write(output.replace_records(())))
         except (SppamError, ValueError) as exc:  # raised once the warning is logged, as in order
-            return mixed_groups, exc
-        return mixed_groups, text
+            return mixed_groups, [], exc
+        step = WRITE_SLICE_CHARS
+        return mixed_groups, [text[i:i + step] for i in range(start, len(text), step)], None
 
-    sizes = [len(cells) for _, cells in groups]  # cells: records times width
+    sizes = [len(cells) for _, cells, _ in groups]  # cells: records times width
     whole = sum(sizes)
     cut = next((n for n, total in enumerate(accumulate(sizes), 1) if 2 * total >= whole), 0)
-    if cut == count or not may_fork():
+    if count < FORK_MIN_GROUPS or cut == count or not may_fork():
         halves = [text_of(groups)]
     else:
         groups, rest = groups[:cut], groups[cut:]
         # once forked, this process drops the child's half; in order, it keeps it
         halves = run_both(lambda: text_of(groups), lambda: text_of(rest, False), rest.clear)
-    _log_mixed([key for mixed_groups, _ in halves for key in mixed_groups])
-    for _, text in halves:
-        if isinstance(text, Exception):
-            raise text
-    return count, [text for _, text in halves]
+    _log_mixed([key for mixed_groups, _, _ in halves for key in mixed_groups])
+    for _, _, error in halves:
+        if error is not None:
+            raise error
+    return count, [part for _, parts, _ in halves for part in parts]

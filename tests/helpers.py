@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import importlib
 import io
 import math
 import os
@@ -229,14 +230,14 @@ def naive_transform_rows(dataset: Dataset, config: TransformConfig):
                 if observed:
                     biggest = observed[0]
                     smallest = observed[0]
-                    total = 0.0
+                    total = Fraction(0)  # exact, so that a sum past the largest float stays finite
                     for v in observed:
                         if v > biggest:
                             biggest = v
                         if v < smallest:
                             smallest = v
-                        total += v
-                    out.extend([biggest, smallest, total / len(observed), observed[-1]])
+                        total += Fraction(v)
+                    out.extend([biggest, smallest, float(total / len(observed)), observed[-1]])
                 else:
                     out.extend([None, None, None, None])
             elif attr.kind == "nominal":
@@ -930,8 +931,10 @@ ZERO_SIGNS = Dataset("unnamed", (AttributeSpec.numeric("a"), AttributeSpec.numer
 
 def on_two_cpus(monkeypatch):
     """Until the test ends, the process may use two CPUs, whatever the host
-    allows, as ``model.run_both`` forks only then."""
+    allows, as ``model.run_both`` forks only then, and ``transform_text``
+    forks whatever its number of groups."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(importlib.import_module("sppam.transform"), "FORK_MIN_GROUPS", 1)
 
 
 def counting_forks(monkeypatch):

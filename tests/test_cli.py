@@ -1,3 +1,4 @@
+import importlib
 import logging
 import os
 import random
@@ -10,6 +11,7 @@ import pytest
 
 import sppam
 from conftest import GOLDEN_DATA_SECTION, SURF_TWO_DAYS_CSV
+from helpers import naive_transform_rows, rows_match
 from sppam import (
     Dataset,
     TransformConfig,
@@ -459,6 +461,50 @@ def test_transform_never_holds_the_records_of_its_arff_input(run_cli, tmp_path):
     assert peaks[1] < 0.7 * peaks[0]
 
 
+def test_twice_the_readings_per_site_hold_no_more_cells(run_cli, tmp_path):
+    """A sites-shaped CSV with twice the readings per site raises the traced
+    peak of its ``transform`` by less than the cells of the second half of
+    its records would take: each site's cells fold into a running state
+    every ``COMPACT_RECORDS`` records. Holding every cell, it doubles."""
+    rng = random.Random(7)
+    block = []
+    for r in range(1500):
+        wave = "" if rng.random() < 0.02 else repr(round(rng.gauss(1.8, 0.7), 2))
+        block.append(f"site-{r % 150:04d},{r % 4 * 6},{wave},{rng.choice('NESW')},{r % 2}\n")
+    peaks = []
+    for repeats in (60, 120):
+        src = tmp_path / f"sites{repeats}.csv"
+        src.write_text("Site,Hour,Wave,Dir,Sets\n" + "".join(block) * repeats)
+        tracemalloc.start()
+        try:
+            code, stdout, _ = run_cli("transform", src, "--pivot", "Site", "--class", "Sets",
+                                      "-o", tmp_path / "out.csv")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert (code, stdout) == (0, "150 groups, 5 -> 15 attributes\n")
+    second_half_cells = 60 * len(block) * 5 * 8  # a reference per cell
+    assert peaks[1] - peaks[0] < second_half_cells
+
+
+def test_a_column_that_turns_nominal_late_forgets_its_running_states(
+    run_cli, tmp_path, monkeypatch
+):
+    """Each group's ``x`` folds into a numeric state every record; when a
+    text turns ``x`` nominal, the second read starts from no state."""
+    monkeypatch.setattr(importlib.import_module("sppam.transform"), "COMPACT_RECORDS", 1)
+    monkeypatch.setattr(csvio, "READ_BLOCK_ROWS", 2)
+    text = "day,x,c\n" + "".join(f"d{i % 3},{i},{'ab'[i % 2]}\n" for i in range(9)) + "d1,zz,a\n"
+    (tmp_path / "in.csv").write_text(text)
+    code, stdout, _ = run_cli("transform", tmp_path / "in.csv", "--pivot", "day", "--class", "c",
+                              "-o", tmp_path / "o.arff")
+    assert (code, stdout) == (0, "3 groups, 3 -> 13 attributes\n")
+    dataset = parse_csv(text, string_columns=("day",), nominal_columns=("c",))
+    assert dataset.attribute("x").kind == "nominal"
+    assert rows_match(parse_arff((tmp_path / "o.arff").read_text()).records,
+                      naive_transform_rows(dataset, TransformConfig("day", "c")))
+
+
 def test_loading_a_file_holds_no_copy_of_its_text(tmp_path):
     """With a fold that drops every block, loading a 10.5 MB CSV peaks below
     a quarter of the file's size: the file is checked and read in pieces,
@@ -496,7 +542,7 @@ def test_transform_writes_over_its_own_input_what_it_writes_elsewhere(
     src, other = tmp_path / "surf.arff", tmp_path / "daily.arff"
     run_cli("gen-surf", "-o", src, "--days", "30")
     expected = write_arff(transform(parse_arff(src.read_text()), TransformConfig("Date", "Sets")), 2)
-    monkeypatch.setattr(cli, "WRITE_SLICE_CHARS", 7)
+    monkeypatch.setattr(importlib.import_module("sppam.transform"), "WRITE_SLICE_CHARS", 7)
     args = ("--pivot", "Date", "--class", "Sets", "--decimals", "2", "-o")
     assert run_cli("transform", src, *args, other)[:2] == (0, "30 groups, 10 -> 45 attributes\n")
     assert run_cli("transform", src, *args, src)[:2] == (0, "30 groups, 10 -> 45 attributes\n")
@@ -787,7 +833,7 @@ def test_transform_as_a_process_writes_what_it_writes_in_order(
     groups; the child prints nothing, so the file, stdout and stderr are
     those of running in one process."""
     monkeypatch.chdir(tmp_path)
-    run_cli("gen-surf", "-o", "surf.arff", "--days", "30")
+    run_cli("gen-surf", "-o", "surf.arff", "--days", "600")  # forks from FORK_MIN_GROUPS on
     args = ("transform", "surf.arff", "--pivot", "Date", "--class", "Sets", "--decimals", "2",
             "-o", output)
     forked = (_run_module(tmp_path, *args), Path(output).read_bytes())
@@ -795,7 +841,7 @@ def test_transform_as_a_process_writes_what_it_writes_in_order(
     monkeypatch.delattr(os, "fork")
     assert forked == (run_cli(*args), Path(output).read_bytes())
     code, stdout, stderr = forked[0]
-    assert (code, stdout) == (0, "30 groups, 10 -> 45 attributes\n")
+    assert (code, stdout) == (0, "600 groups, 10 -> 45 attributes\n")
     assert stderr.startswith("warning: ") and stderr.count("\n") == 1
 
 

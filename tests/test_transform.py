@@ -2,10 +2,12 @@ import csv
 import functools
 import importlib
 import io
+import math
 import os
 import random
 import threading
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -609,3 +611,167 @@ def test_a_written_dataset_starts_with_the_text_of_its_schema(dataset, decimals)
         outcome = write_outcome(write, dataset, decimals)
         if outcome[0] == "text":
             assert outcome[1].startswith(write(dataset.replace_records(()), decimals))
+
+
+LARGEST = 1.7976931348623157e308
+EDGE_SCHEMA = (
+    AttributeSpec.string("Date"),
+    AttributeSpec.numeric("Zero"),
+    AttributeSpec.numeric("Tiny"),
+    AttributeSpec.numeric("Huge"),
+    AttributeSpec.numeric("Late"),
+    AttributeSpec.nominal("Dir", ("N", "E", "S")),
+    AttributeSpec.string("Note"),
+    AttributeSpec.nominal("Sets", ("0", "1")),
+)
+_ = None
+# per group, per column after Date, its seven cells in source order
+EDGE_COLUMNS = {
+    "d0": (
+        [0.0, -0.0, -0.0, 0.0, -0.0, 0.0, -0.0],
+        [5e-324, -5e-324, 1e-310, -2.5, 3.0, -1e-320, 2.5],
+        [LARGEST, 1.7e308, -1e308, LARGEST, 1.5e308, 5e-324, LARGEST],  # the sum overflows
+        [_, _, _, _, _, 1.5, 2.5],  # missing throughout the first chunks
+        [0, 1, _, 2, 2, _, 1],
+        ["p", "q", _, "r", _, _, _],
+        [0, 0, 0, _, 1, _, _],  # mixed: its classes fall in different chunks
+    ),
+    "d1": (
+        [-0.0] * 7,
+        [1e-300, -1e-300, 5e-324, 0.1, 0.2, 0.3, -0.6],
+        [-LARGEST, -LARGEST, -1.7e308, -1e308, _, -LARGEST, -5e-324],
+        [_] * 7,
+        [_] * 7,
+        [_] * 7,
+        [_] * 7,
+    ),
+    "d2": (
+        [-0.0, 0.0, _, -0.0, 0.0, -0.0, _],
+        [2.0 ** -1074, 2.0 ** -1022, -(2.0 ** -1023), 1e16, 1.0, -1e16, _],
+        [LARGEST, LARGEST, -LARGEST, -LARGEST, LARGEST, 1.0, -LARGEST],  # finite, not at each step
+        [1.0, _, _, _, _, _, _],  # present only in the first chunk
+        [_, _, _, 0, 0, 0, _],
+        [_, _, "s", _, _, _, _],
+        [1, 1, 1, 1, 1, 1, 1],
+    ),
+}
+
+
+def _edge_dataset() -> Dataset:
+    """Three groups of seven records, interleaved, whose columns meet each
+    edge of a running state: zeros of both signs, subnormals, sums past the
+    largest float, a column missing from the first records on, and a group
+    whose classes differ between its first and last records."""
+    records = []
+    for r in range(7):
+        for day, columns in EDGE_COLUMNS.items():
+            records.append((day, *(column[r] for column in columns)))
+    return Dataset("edges", EDGE_SCHEMA, tuple(records))
+
+
+def _folded_in_blocks(dataset: Dataset, pivot: str, block: int | None) -> GroupFold:
+    """A GroupFold holding ``dataset``'s records, handed to it ``block``
+    records at a time, as a reader hands them (all at once for None)."""
+    fold = GroupFold(pivot)
+    consume = fold.start(dataset.attribute_names)
+    step = block or max(1, len(dataset.records))
+    for start in range(0, len(dataset.records), step):
+        consume(dataset.records[start:start + step])
+    return fold
+
+
+class TestCompaction:
+    """A group's cells fold into its running state once it holds
+    ``COMPACT_RECORDS`` records; what it aggregates to must not change."""
+
+    def _uncompacted(self, monkeypatch, dataset, config) -> Dataset:
+        monkeypatch.setattr(TRANSFORM_MODULE, "COMPACT_RECORDS", 1 << 40)
+        return transform(dataset, config)
+
+    def _counting_compactions(self, monkeypatch) -> list:
+        compactions, compact = [], TRANSFORM_MODULE._compact
+
+        def counting(*args):
+            compactions.append(1)
+            return compact(*args)
+
+        monkeypatch.setattr(TRANSFORM_MODULE, "_compact", counting)
+        return compactions
+
+    def test_the_edge_dataset_reaches_the_scaled_mean(self):
+        """``float_mean`` scales the first group's ``Huge``; the third's
+        overflows at a step of ``fsum`` though its sum is finite."""
+        for day in ("d0", "d1", "d2"):
+            with pytest.raises(OverflowError):
+                math.fsum(v for v in EDGE_COLUMNS[day][2] if v is not None)
+        assert math.isfinite(float(sum(map(Fraction, EDGE_COLUMNS["d2"][2]))))
+
+    @pytest.mark.parametrize("records", [1, 2, 3, None], ids=["1", "2", "3", "default"])
+    @pytest.mark.parametrize("block", [1, 2, 5, None], ids=["block1", "block2", "block5", "whole"])
+    def test_compacted_groups_write_what_whole_groups_write(
+        self, monkeypatch, caplog, records, block
+    ):
+        dataset = _edge_dataset()
+        expected = self._uncompacted(monkeypatch, dataset, SETS)
+        assert rows_match(expected.records, naive_transform_rows(dataset, SETS))
+        if records is not None:
+            monkeypatch.setattr(TRANSFORM_MODULE, "COMPACT_RECORDS", records)
+        compactions = self._counting_compactions(monkeypatch)
+        caplog.clear()
+        assert repr(transform(dataset, SETS).records) == repr(expected.records)
+        warnings = [r.getMessage() for r in caplog.records]
+        assert warnings == ["1 group(s) have mixed class values (last value wins): d0"]
+        texts = []
+        for forking in (True, False):
+            if forking:  # where the cut falls after a group that still holds cells
+                on_two_cpus(monkeypatch)
+            else:
+                monkeypatch.delattr(os, "fork")
+            caplog.clear()
+            fold = _folded_in_blocks(dataset, "Date", block)
+            count, parts = transform_text(dataset.replace_records(()), SETS, write_arff, fold)
+            assert [r.getMessage() for r in caplog.records] == warnings
+            texts.append((count, "".join(parts)))
+        assert texts == [(3, write_arff(expected))] * 2
+        assert bool(compactions) == (records is not None)
+
+    @pytest.mark.parametrize("records", [1, 2, 3])
+    def test_random_compacted_groups_match_the_naive_oracle(self, monkeypatch, records):
+        rng = random.Random(records)
+        cases = [random_transform_dataset(rng, max_groups=4, max_group_size=12) for _ in range(80)]
+        expected = [self._uncompacted(monkeypatch, *case) for case in cases]
+        monkeypatch.setattr(TRANSFORM_MODULE, "COMPACT_RECORDS", records)
+        monkeypatch.delattr(os, "fork")
+        for (dataset, config), whole in zip(cases, expected):
+            out = transform(dataset, config)
+            assert repr(out.records) == repr(whole.records)
+            assert rows_match(out.records, naive_transform_rows(dataset, config))
+            fold = _folded_in_blocks(dataset, "key", rng.randint(1, 4))
+            count, parts = transform_text(dataset.replace_records(()), config, write_csv, fold)
+            assert (count, "".join(parts)) == (len(whole.records), write_csv(whole))
+
+    def test_a_class_seen_only_in_compacted_records_has_a_value(self, monkeypatch):
+        monkeypatch.setattr(TRANSFORM_MODULE, "COMPACT_RECORDS", 2)
+        schema = (AttributeSpec.string("Date"), AttributeSpec.numeric("Wave"), SURF_SCHEMA[-1])
+        records = (("d0", None, 1), ("d0", None, 1), ("d0", None, None), ("d1", None, None))
+        fold = _folded_in_blocks(Dataset("unnamed", schema, records), "Date", 1)
+        assert fold.has_value(2)  # its cells are gone: the state holds it
+        assert not fold.has_value(1)
+        groups = fold.take_groups(schema)
+        assert [(key, cells) for key, cells, _ in groups] == [
+            ("d0", ["d0", None, None]), ("d1", ["d1", None, None])
+        ]
+
+    def test_fork_from_fork_min_groups_on(self, monkeypatch):
+        """``transform_text`` forks from ``FORK_MIN_GROUPS`` groups on, as
+        measured: below about 420 groups the fork costs more than the half
+        of the finishing that it takes off this process."""
+        least = TRANSFORM_MODULE.FORK_MIN_GROUPS
+        assert least == 500
+        forks = counting_forks(monkeypatch)
+        monkeypatch.setattr(TRANSFORM_MODULE, "FORK_MIN_GROUPS", least)
+        for days, expected in ((least - 1, []), (least, [1])):
+            forks.clear()
+            dataset = gen_surf(days=days, seed=2)
+            assert _joined_text(dataset, SETS, write_arff) == (days, write_arff(transform(dataset, SETS)))
+            assert forks == expected
