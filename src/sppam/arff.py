@@ -78,9 +78,9 @@ def parse_arff(text, fold=None) -> Dataset:
     Schema order and record order match the file. A missing ``@RELATION``
     line yields the relation name "unnamed".
 
-    ``fold``, when given, is called with the attribute names once the
-    schema is read; each block's records then go, in order, to the
-    callable it returns, and the Dataset returned holds no records.
+    ``fold``, when given, is called with the attribute names and kinds
+    once the schema is read; each block's records then go, in order, to
+    the callable it returns, and the Dataset returned holds no records.
     """
     relation_name = "unnamed"
     schema: list[AttributeSpec] = []
@@ -108,7 +108,8 @@ def parse_arff(text, fold=None) -> Dataset:
                 raise ParseError(lineno, "@DATA before any @ATTRIBUTE declaration")
             size = max(1, READ_BLOCK_CELLS // len(schema))
             records: list[tuple[Cell, ...]] = []
-            consume = records.extend if fold is None else fold([a.name for a in schema])
+            names, kinds = [a.name for a in schema], [a.kind for a in schema]
+            consume = records.extend if fold is None else fold(names, kinds)
             try:
                 _records(iter(lambda: list(islice(lines, size)), []), schema, consume)
             except ValueError:

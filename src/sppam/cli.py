@@ -39,6 +39,7 @@ from .arff import parse_arff, write_arff
 from .csvio import parse_csv, write_csv
 from .model import ConfigError, Dataset, ParseError, SppamError, TextSource
 from .transform import (
+    WRITE_SLICE_CHARS,
     GroupFold,
     TransformConfig,
     attribute_count,
@@ -255,7 +256,9 @@ def _cmd_transform(args) -> int:
     )
     # every error is raised by now; each slice is encoded as it is written
     with open(args.output, "w", encoding="utf-8") as out:
-        out.writelines(parts)
+        for part in parts:
+            for start in range(0, len(part), WRITE_SLICE_CHARS):
+                out.write(part[start:start + WRITE_SLICE_CHARS])
     print(f"{groups} groups, {width} -> {out_width} attributes")
     return 0
 

@@ -81,11 +81,12 @@ def parse_csv(
     """Parse CSV text, a str or a ``model.TextSource``, into a Dataset,
     inferring a schema from the cells.
 
-    ``fold``, when given, is called with the header names at the start of
-    each read of the data rows, again whenever a column turns nominal late
-    (so what it returns must start afresh); each block's records then go,
-    in order, to the callable it returns, and the Dataset returned holds no
-    records.
+    ``fold``, when given, is called with the header names and the list of
+    column kinds at the start of each read of the data rows, again whenever
+    a column turns nominal late (so what it returns must start afresh); a
+    column without a value yet can turn nominal in that list during a
+    read. Each block's records then go, in order, to the callable it
+    returns, and the Dataset returned holds no records.
     """
     lines = _lines(text)
     reader = csv.reader(lines)
@@ -115,7 +116,7 @@ def parse_csv(
     texts = None
     while texts is None:  # once more for each column that turns nominal late
         records: list[tuple[Cell, ...]] = []
-        consume = records.extend if fold is None else fold(names)
+        consume = records.extend if fold is None else fold(names, kinds)
         texts = _read(text, header_line, names, kinds, consume, signs)
 
     # a cell can hold both quotes, a \n or a \r only in a text with '"';

@@ -39,11 +39,11 @@ one; equal percents of a transform share one float, as equal input texts
 share one cell. ``transform`` folds a dataset's records as one block,
 returns the output records and runs in the calling process.
 ``transform_text``, which the CLI uses, returns the written text of the
-same output as its parts in order; from ``FORK_MIN_GROUPS`` groups on it
-aggregates and writes the second half of the groups in a forked child
-(``model.run_both``), which sends back only its text. Once forked, the
-parent holds the cells of its own half alone, and each half drops its
-cells once they are aggregated, before it writes.
+same output as its parts in order, and aggregates and writes the second
+half of the groups in a forked child (``model.run_both``), which sends
+back only its text. Once forked, the parent holds the cells of its own
+half alone, and each half drops its cells once they are aggregated,
+before it writes.
 """
 
 from __future__ import annotations
@@ -188,10 +188,7 @@ def group_records(dataset: Dataset, pivot_attribute: str) -> list[Group]:
 
 
 COMPACT_RECORDS = 256  # records of a group's cells held before they fold into its state
-WRITE_SLICE_CHARS = 1 << 16  # characters of output text per part that transform_text returns
-# In order, finishing costs about 27 us per group; a fork adds about 5 ms
-# plus 1.5 us per group, so halving the work pays from about 420 groups on.
-FORK_MIN_GROUPS = 500
+WRITE_SLICE_CHARS = 1 << 16  # characters of output text sent or encoded at a time
 
 
 class GroupFold:
@@ -200,22 +197,26 @@ class GroupFold:
     records in one flat, row-major list, without a record tuple or an index
     per record. After each block, the list of a group that this block
     brought to ``COMPACT_RECORDS`` records or more is folded into the
-    group's running state (``_fold_column`` per column) and cleared, so a
-    group holds a few values per column and fewer cells than that beyond
-    the block being read. ``start`` is the ``fold`` that ``parse_arff``
-    and ``parse_csv`` take."""
+    group's running state (``_fold_column`` per column, by its kind) and
+    cleared, so a group holds a few values per column and fewer cells than
+    that beyond the block being read. ``start`` is the ``fold`` that
+    ``parse_arff`` and ``parse_csv`` take."""
 
     def __init__(self, pivot_attribute: str):
         self.pivot_attribute = pivot_attribute
         self.start(())  # nothing folded yet
 
-    def start(self, names):
+    def start(self, names, kinds=None):
         """Forget what was folded. Returns the callable that folds each
         block of records whose attributes are ``names``; with no pivot
         among them it folds nothing, as ``TransformConfig.resolve`` then
-        refuses the dataset."""
+        refuses the dataset. ``kinds``, the kind of each attribute, which
+        the caller may update in place while a column holds no value yet,
+        picks the running state of each column; without it the fold holds
+        every cell."""
         self._cells = defaultdict(list)
         self._states: dict = {}  # of the groups whose cells were folded away alone
+        self._kinds = kinds
         self._width = len(names)
         self._records = 0
         self._missing = None  # the first record without a pivot value
@@ -225,7 +226,8 @@ class GroupFold:
         return functools.partial(self._fold, pivot)
 
     def fold_dataset(self, dataset: Dataset) -> GroupFold:
-        """This fold, holding ``dataset``'s records alone, as one block."""
+        """This fold, holding ``dataset``'s records alone, as one block:
+        every cell is held already, so none is folded into a state."""
         self.start(dataset.attribute_names)(dataset.records)
         return self
 
@@ -237,12 +239,15 @@ class GroupFold:
         groups = self._cells
         # each record's cells onto its group's list, with no loop in Python
         deque(map(list.extend, map(groups.__getitem__, keys), records), 0)
+        if self._kinds is None:
+            return
         # once per block: only a group that this block added to can be due
         added = groups.keys() if len(groups) <= len(keys) else set(keys)
         limit = COMPACT_RECORDS * self._width
         if max(map(len, map(groups.__getitem__, added)), default=0) >= limit:
+            state_of = [_STATE_OF.get(kind, _last_state) for kind in self._kinds]
             for key in [key for key in added if len(groups[key]) >= limit]:
-                self._states[key] = _compact(groups[key], self._width, self._states.get(key))
+                self._states[key] = _compact(groups[key], state_of, self._states.get(key))
 
     def has_value(self, j: int) -> bool:
         """Whether column j holds a value in any folded record."""
@@ -296,29 +301,29 @@ def _last_state(present: list, prior: tuple) -> tuple:
     return (present[-1],)
 
 
-_STATE_OF = {int: _nominal_state, str: _last_state}  # by cell type; numbers are floats
+_STATE_OF = {NUMERIC: _numeric_state, NOMINAL: _nominal_state}  # by kind, as _plan aggregates
 
 
-def _fold_column(values, prior: tuple, state_of=None) -> tuple:
+def _fold_column(values, prior: tuple, state_of) -> tuple:
     """The running state of a column of a group: ``prior``, the state of
     its earlier values or ``()`` before any was present, followed by
     ``values``. Each state starts with the last present value.
-    ``state_of`` builds it from the present values; by default it is
-    chosen by their type, as the model stores each kind."""
+    ``state_of``, the column kind's in ``_STATE_OF``, builds it from the
+    present values."""
     present = [v for v in values if v is not None]
     if not present:
         return prior
-    if state_of is None:
-        state_of = _STATE_OF.get(type(present[0]), _numeric_state)
     return state_of(present, prior)
 
 
-def _compact(cells: list, width: int, prior: list | None) -> list:
+def _compact(cells: list, state_of: list, prior: list | None) -> list:
     """The running state of each column of a group whose latest records
-    are ``cells``, flat rows ``width`` long, after ``prior``'s, which it
-    replaces; ``cells`` is cleared."""
+    are ``cells``, flat rows as long as ``state_of``, the state builder of
+    each column, after ``prior``'s, which it replaces; ``cells`` is
+    cleared."""
+    width = len(state_of)
     prior = prior or [()] * width
-    state = [_fold_column(cells[j::width], prior[j]) for j in range(width)]
+    state = [_fold_column(cells[j::width], prior[j], state_of[j]) for j in range(width)]
     cells.clear()
     return state
 
@@ -495,26 +500,26 @@ def transform_text(
 ) -> tuple[int, list[str]]:
     """``(group count, parts)``, where ``"".join(parts)`` is
     ``write(transform(dataset, config))``, with the same log records and
-    exceptions, in parts of at most ``WRITE_SLICE_CHARS`` characters. The
-    parts are in order; the caller can write them one after the other
-    without joining them.
+    exceptions, computed in two halves. The parts are in order; the caller
+    can write them one after the other without joining them.
 
     ``fold``, when given, is the GroupFold that holds the records of
     ``dataset``, which was read without them; it holds none once this
     returns. ``write`` maps a Dataset to its text, and the text of a
     Dataset must start with the text of its schema alone,
-    ``write(d.replace_records(()))``. From ``FORK_MIN_GROUPS`` groups on,
-    the groups are cut at the first whose cells, with those of the groups
-    before it, reach half the cells the fold held.
-    This process aggregates and writes the groups up to the cut; through
-    ``model.run_both`` a forked child aggregates and writes the rest and
-    sends back only its text after the schema's, as those parts, so no
-    output record crosses the pipe and this process never holds the child's
-    text twice. Once the fork has succeeded, this process holds the cells
-    of its own half of the groups only, and each half lets go of its cells
-    once they are aggregated, before it writes. Fewer groups, a cut after
-    the last, or a process that would not fork (``model.may_fork``)
-    aggregates and writes all groups in one pass.
+    ``write(d.replace_records(()))``. The groups are cut at the first
+    whose cells, with those of the groups before it, reach half the cells
+    the fold held.
+    This process aggregates and writes the groups up to the cut, as one
+    part; through ``model.run_both`` a forked child aggregates and writes
+    the rest and sends back only its text after the schema's, in parts of
+    ``WRITE_SLICE_CHARS`` characters, so no output record crosses the pipe
+    and this process never holds the child's text twice. Once the fork has
+    succeeded, this process holds the cells of its own half of the groups
+    only, and each half lets go of its cells once they are aggregated,
+    before it writes. One group, a cut after the last, or a process that
+    would not fork (``model.may_fork``) aggregates and writes all groups
+    in one pass, into one part.
     """
     _, class_index = config.resolve(dataset.schema)
     out_schema = derive_output_schema(dataset.schema, config)
@@ -522,27 +527,31 @@ def transform_text(
     groups = fold.take_groups(dataset.schema)
     count, width, plan = len(groups), len(dataset.schema), _plan(dataset.schema, class_index)
 
-    def text_of(part: list, schema_text: bool = True) -> tuple[list[str], list[str], Exception | None]:
+    def text_of(part: list, child: bool = False) -> tuple[list[str], list[str], Exception | None]:
         records, mixed_groups = _aggregate(part, width, plan, class_index)
         part.clear()  # the cells are aggregated: only the records are written
         output = Dataset(dataset.relation_name, out_schema, records)
+        del records
         try:
             text = write(output)
-            start = 0 if schema_text else len(write(output.replace_records(())))
+            start = len(write(output.replace_records(()))) if child else 0
         except (SppamError, ValueError) as exc:  # raised once the warning is logged, as in order
             return mixed_groups, [], exc
+        if not child:
+            return mixed_groups, [text], None
+        del output  # its records, before the text is sliced for the pipe
         step = WRITE_SLICE_CHARS
         return mixed_groups, [text[i:i + step] for i in range(start, len(text), step)], None
 
     sizes = [len(cells) for _, cells, _ in groups]  # cells: records times width
     whole = sum(sizes)
     cut = next((n for n, total in enumerate(accumulate(sizes), 1) if 2 * total >= whole), 0)
-    if count < FORK_MIN_GROUPS or cut == count or not may_fork():
+    if cut == count or not may_fork():
         halves = [text_of(groups)]
     else:
         groups, rest = groups[:cut], groups[cut:]
         # once forked, this process drops the child's half; in order, it keeps it
-        halves = run_both(lambda: text_of(groups), lambda: text_of(rest, False), rest.clear)
+        halves = run_both(lambda: text_of(groups), lambda: text_of(rest, True), rest.clear)
     _log_mixed([key for mixed_groups, _, _ in halves for key in mixed_groups])
     for _, _, error in halves:
         if error is not None:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import importlib
 import io
 import math
 import os
@@ -931,10 +930,8 @@ ZERO_SIGNS = Dataset("unnamed", (AttributeSpec.numeric("a"), AttributeSpec.numer
 
 def on_two_cpus(monkeypatch):
     """Until the test ends, the process may use two CPUs, whatever the host
-    allows, as ``model.run_both`` forks only then, and ``transform_text``
-    forks whatever its number of groups."""
+    allows, as ``model.run_both`` forks only then."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(importlib.import_module("sppam.transform"), "FORK_MIN_GROUPS", 1)
 
 
 def counting_forks(monkeypatch):

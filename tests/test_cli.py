@@ -487,20 +487,25 @@ def test_twice_the_readings_per_site_hold_no_more_cells(run_cli, tmp_path):
     assert peaks[1] - peaks[0] < second_half_cells
 
 
+@pytest.mark.parametrize("first", ["{i}", ""], ids=["numbers", "blanks"])
 def test_a_column_that_turns_nominal_late_forgets_its_running_states(
-    run_cli, tmp_path, monkeypatch
+    run_cli, tmp_path, monkeypatch, first
 ):
-    """Each group's ``x`` folds into a numeric state every record; when a
-    text turns ``x`` nominal, the second read starts from no state."""
+    """Each group's ``x`` folds into a running state every record. When a
+    text turns ``x`` nominal after numbers, the second read starts from no
+    state; after blanks alone, the read goes on, and the states that the
+    blanks left empty take nominal cells."""
     monkeypatch.setattr(importlib.import_module("sppam.transform"), "COMPACT_RECORDS", 1)
     monkeypatch.setattr(csvio, "READ_BLOCK_ROWS", 2)
-    text = "day,x,c\n" + "".join(f"d{i % 3},{i},{'ab'[i % 2]}\n" for i in range(9)) + "d1,zz,a\n"
+    rows = "".join(f"d{i % 3},{first.format(i=i)},{'ab'[i % 2]}\n" for i in range(9))
+    text = "day,x,c\n" + rows + "d1,zz,a\nd2,yy,b\nd1,zz,b\n"
     (tmp_path / "in.csv").write_text(text)
-    code, stdout, _ = run_cli("transform", tmp_path / "in.csv", "--pivot", "day", "--class", "c",
-                              "-o", tmp_path / "o.arff")
-    assert (code, stdout) == (0, "3 groups, 3 -> 13 attributes\n")
     dataset = parse_csv(text, string_columns=("day",), nominal_columns=("c",))
     assert dataset.attribute("x").kind == "nominal"
+    code, stdout, _ = run_cli("transform", tmp_path / "in.csv", "--pivot", "day", "--class", "c",
+                              "-o", tmp_path / "o.arff")
+    width = 2 + len(dataset.attribute("x").values) + 1  # day, c_LAST, x's percents and last
+    assert (code, stdout) == (0, f"3 groups, 3 -> {width} attributes\n")
     assert rows_match(parse_arff((tmp_path / "o.arff").read_text()).records,
                       naive_transform_rows(dataset, TransformConfig("day", "c")))
 
@@ -522,7 +527,7 @@ def test_loading_a_file_holds_no_copy_of_its_text(tmp_path):
     assert size > 10_000_000
     tracemalloc.start()
     try:
-        dataset = cli._load_dataset(str(src), ("Site",), ("Sets",), fold=lambda names: _drop)
+        dataset = cli._load_dataset(str(src), ("Site",), ("Sets",), fold=lambda names, kinds: _drop)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -542,7 +547,7 @@ def test_transform_writes_over_its_own_input_what_it_writes_elsewhere(
     src, other = tmp_path / "surf.arff", tmp_path / "daily.arff"
     run_cli("gen-surf", "-o", src, "--days", "30")
     expected = write_arff(transform(parse_arff(src.read_text()), TransformConfig("Date", "Sets")), 2)
-    monkeypatch.setattr(importlib.import_module("sppam.transform"), "WRITE_SLICE_CHARS", 7)
+    monkeypatch.setattr(cli, "WRITE_SLICE_CHARS", 7)
     args = ("--pivot", "Date", "--class", "Sets", "--decimals", "2", "-o")
     assert run_cli("transform", src, *args, other)[:2] == (0, "30 groups, 10 -> 45 attributes\n")
     assert run_cli("transform", src, *args, src)[:2] == (0, "30 groups, 10 -> 45 attributes\n")
@@ -833,7 +838,7 @@ def test_transform_as_a_process_writes_what_it_writes_in_order(
     groups; the child prints nothing, so the file, stdout and stderr are
     those of running in one process."""
     monkeypatch.chdir(tmp_path)
-    run_cli("gen-surf", "-o", "surf.arff", "--days", "600")  # forks from FORK_MIN_GROUPS on
+    run_cli("gen-surf", "-o", "surf.arff", "--days", "30")
     args = ("transform", "surf.arff", "--pivot", "Date", "--class", "Sets", "--decimals", "2",
             "-o", output)
     forked = (_run_module(tmp_path, *args), Path(output).read_bytes())
@@ -841,7 +846,7 @@ def test_transform_as_a_process_writes_what_it_writes_in_order(
     monkeypatch.delattr(os, "fork")
     assert forked == (run_cli(*args), Path(output).read_bytes())
     code, stdout, stderr = forked[0]
-    assert (code, stdout) == (0, "600 groups, 10 -> 45 attributes\n")
+    assert (code, stdout) == (0, "30 groups, 10 -> 45 attributes\n")
     assert stderr.startswith("warning: ") and stderr.count("\n") == 1
 
 

@@ -589,6 +589,17 @@ class TestTransformText:
         assert _joined_text(gen_surf(days=20, seed=2), SETS, write)[0] == 20
         assert len(parts) == 2 and held == [0, 0, 0]  # the second half writes its schema too
 
+    def test_the_child_sends_its_text_in_slices_and_this_process_in_one_part(self, monkeypatch):
+        dataset = gen_surf(days=20, seed=2)
+        expected = write_arff(transform(dataset, SETS))
+        monkeypatch.setattr(TRANSFORM_MODULE, "WRITE_SLICE_CHARS", 7)
+        forks = counting_forks(monkeypatch)
+        count, parts = transform_text(dataset, SETS, write_arff)
+        assert (count, "".join(parts), forks) == (20, expected, [1])
+        assert len(parts[0]) > 7 and {len(part) for part in parts[1:-1]} == {7}
+        monkeypatch.delattr(os, "fork")
+        assert transform_text(dataset, SETS, write_arff) == (20, [expected])
+
     def test_a_child_that_ends_without_a_result_is_an_error(self, monkeypatch):
         aggregate, parent = TRANSFORM_MODULE._aggregate, os.getpid()
 
@@ -673,7 +684,7 @@ def _folded_in_blocks(dataset: Dataset, pivot: str, block: int | None) -> GroupF
     """A GroupFold holding ``dataset``'s records, handed to it ``block``
     records at a time, as a reader hands them (all at once for None)."""
     fold = GroupFold(pivot)
-    consume = fold.start(dataset.attribute_names)
+    consume = fold.start(dataset.attribute_names, [attr.kind for attr in dataset.schema])
     step = block or max(1, len(dataset.records))
     for start in range(0, len(dataset.records), step):
         consume(dataset.records[start:start + step])
@@ -762,16 +773,29 @@ class TestCompaction:
             ("d0", ["d0", None, None]), ("d1", ["d1", None, None])
         ]
 
-    def test_fork_from_fork_min_groups_on(self, monkeypatch):
-        """``transform_text`` forks from ``FORK_MIN_GROUPS`` groups on, as
-        measured: below about 420 groups the fork costs more than the half
-        of the finishing that it takes off this process."""
-        least = TRANSFORM_MODULE.FORK_MIN_GROUPS
-        assert least == 500
-        forks = counting_forks(monkeypatch)
-        monkeypatch.setattr(TRANSFORM_MODULE, "FORK_MIN_GROUPS", least)
-        for days, expected in ((least - 1, []), (least, [1])):
-            forks.clear()
-            dataset = gen_surf(days=days, seed=2)
-            assert _joined_text(dataset, SETS, write_arff) == (days, write_arff(transform(dataset, SETS)))
-            assert forks == expected
+    def test_a_whole_dataset_is_folded_without_states(self, monkeypatch):
+        """``fold_dataset`` holds every cell already: folding them into
+        states would save nothing, so the library ``transform`` and
+        ``--sort-by`` aggregate whole groups."""
+        monkeypatch.setattr(TRANSFORM_MODULE, "COMPACT_RECORDS", 1)
+        compactions = self._counting_compactions(monkeypatch)
+        dataset = _edge_dataset()
+        fold = GroupFold("Date").fold_dataset(dataset)
+        assert [state for _, _, state in fold.take_groups(dataset.schema)] == [None] * 3
+        transform(dataset, SETS)
+        assert compactions == []
+
+    def test_states_follow_the_kind_of_each_column(self, monkeypatch):
+        """A numeric column whose cells are ints, as a library Dataset may
+        hold them, folds into a numeric state, as ``_plan`` aggregates it."""
+        monkeypatch.setattr(TRANSFORM_MODULE, "COMPACT_RECORDS", 2)
+        monkeypatch.delattr(os, "fork")
+        schema = (AttributeSpec.string("Date"), AttributeSpec.numeric("Wave"), SURF_SCHEMA[-1])
+        waves = (3, -1, 4, None, 1, 5)
+        records = tuple(("d0", v, n % 2) for n, v in enumerate(waves)) + (("d1", 2, 0),)
+        dataset = Dataset("ints", schema, records)
+        whole = transform(dataset, SETS)
+        assert rows_match(whole.records, naive_transform_rows(dataset, SETS))
+        fold = _folded_in_blocks(dataset, "Date", 1)
+        count, parts = transform_text(dataset.replace_records(()), SETS, write_arff, fold)
+        assert (count, "".join(parts)) == (2, write_arff(whole))
